@@ -2,9 +2,14 @@
 
 The graph is built dynamically: every op returns a Tensor that remembers
 its parents and a closure propagating the output gradient to them.
-Networks here are tiny (hidden sizes in the tens, sentences of ~10
-tokens), so per-node Python overhead is acceptable and 64-bit precision
-makes finite-difference gradient checks exact enough to be useful.
+Python overhead per node, not arithmetic, dominates at the sizes used
+here (hidden sizes in the tens, sentences of ~10 tokens). So the
+network layers in `layers` are fused ops: each builds one or two nodes
+over whole gate stacks or query-key matrices and writes its backward
+pass by hand, using `accumulate` to feed its inputs' gradients. The
+elementwise ops below remain for the heads, the loss and tests. 64-bit
+precision makes finite-difference gradient checks exact enough to be
+useful.
 """
 
 from __future__ import annotations
@@ -76,11 +81,13 @@ def constant(data):
     return Tensor(data)
 
 
-def _accum(t, g):
+def accumulate(t, g):
+    """Add g to t's gradient. The buffer is t's own copy, so it is
+    updated in place; g must already have t's shape."""
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 def add(a, b):
@@ -89,21 +96,8 @@ def add(a, b):
         out.parents = (a, b)
 
         def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
-
-        out.bwd = bwd
-    return out
-
-
-def sub(a, b):
-    out = Tensor(a.data - b.data)
-    if grad_enabled:
-        out.parents = (a, b)
-
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, -g)
+            accumulate(a, g)
+            accumulate(b, g)
 
         out.bwd = bwd
     return out
@@ -122,8 +116,8 @@ def mul(a, b):
                 ga = np.sum(ga)
             if b.data.ndim == 0:
                 gb = np.sum(gb)
-            _accum(a, ga)
-            _accum(b, gb)
+            accumulate(a, ga)
+            accumulate(b, gb)
 
         out.bwd = bwd
     return out
@@ -137,7 +131,7 @@ def scale(a, c):
         out.parents = (a,)
 
         def bwd(g):
-            _accum(a, g * c)
+            accumulate(a, g * c)
 
         out.bwd = bwd
     return out
@@ -150,8 +144,8 @@ def matvec(w, x):
         out.parents = (w, x)
 
         def bwd(g):
-            _accum(w, np.outer(g, x.data))
-            _accum(x, w.data.T @ g)
+            accumulate(w, np.outer(g, x.data))
+            accumulate(x, w.data.T @ g)
 
         out.bwd = bwd
     return out
@@ -163,8 +157,8 @@ def dot(a, b):
         out.parents = (a, b)
 
         def bwd(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+            accumulate(a, g * b.data)
+            accumulate(b, g * a.data)
 
         out.bwd = bwd
     return out
@@ -177,32 +171,7 @@ def tanh(a):
         out.parents = (a,)
 
         def bwd(g):
-            _accum(a, g * (1.0 - t * t))
-
-        out.bwd = bwd
-    return out
-
-
-def sigmoid(a):
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s)
-    if grad_enabled:
-        out.parents = (a,)
-
-        def bwd(g):
-            _accum(a, g * s * (1.0 - s))
-
-        out.bwd = bwd
-    return out
-
-
-def one_minus(a):
-    out = Tensor(1.0 - a.data)
-    if grad_enabled:
-        out.parents = (a,)
-
-        def bwd(g):
-            _accum(a, -g)
+            accumulate(a, g * (1.0 - t * t))
 
         out.bwd = bwd
     return out
@@ -218,7 +187,7 @@ def concat(parts):
         def bwd(g):
             off = 0
             for p, n in zip(parts, sizes):
-                _accum(p, g[off:off + n])
+                accumulate(p, g[off:off + n])
                 off += n
 
         out.bwd = bwd
@@ -231,37 +200,9 @@ def getrow(m, i):
         out.parents = (m,)
 
         def bwd(g):
-            gm = np.zeros_like(m.data)
-            gm[i] = g
-            _accum(m, gm)
-
-        out.bwd = bwd
-    return out
-
-
-def getitem(v, i):
-    out = Tensor(v.data[i])
-    if grad_enabled:
-        out.parents = (v,)
-
-        def bwd(g):
-            gv = np.zeros_like(v.data)
-            gv[i] = g
-            _accum(v, gv)
-
-        out.bwd = bwd
-    return out
-
-
-def stack_scalars(scalars):
-    scalars = list(scalars)
-    out = Tensor(np.array([s.data for s in scalars]))
-    if grad_enabled:
-        out.parents = tuple(scalars)
-
-        def bwd(g):
-            for i, s in enumerate(scalars):
-                _accum(s, g[i])
+            if m.grad is None:
+                m.grad = np.zeros(m.data.shape)
+            m.grad[i] += g
 
         out.bwd = bwd
     return out
@@ -277,7 +218,7 @@ def softmax(v):
         out.parents = (v,)
 
         def bwd(g):
-            _accum(v, (g - np.dot(g, p)) * p)
+            accumulate(v, (g - np.dot(g, p)) * p)
 
         out.bwd = bwd
     return out
@@ -297,27 +238,7 @@ def cross_entropy(probs, gold_index):
             gv = np.zeros_like(probs.data)
             if pg >= 1e-12:
                 gv[gold_index] = -g / pg
-            _accum(probs, gv)
-
-        out.bwd = bwd
-    return out
-
-
-def weighted_sum(weights, vectors):
-    """sum_t weights[t] * vectors[t] for a 1-d weight tensor."""
-    vectors = list(vectors)
-    data = np.zeros_like(vectors[0].data)
-    for wt, vec in zip(weights.data, vectors):
-        data = data + wt * vec.data
-    out = Tensor(data)
-    if grad_enabled:
-        out.parents = (weights,) + tuple(vectors)
-
-        def bwd(g):
-            gw = np.array([np.dot(g, vec.data) for vec in vectors])
-            _accum(weights, gw)
-            for wt, vec in zip(weights.data, vectors):
-                _accum(vec, wt * g)
+            accumulate(probs, gv)
 
         out.bwd = bwd
     return out
@@ -332,7 +253,7 @@ def mean_of(scalars):
 
         def bwd(g):
             for s in scalars:
-                _accum(s, g / n)
+                accumulate(s, g / n)
 
         out.bwd = bwd
     return out

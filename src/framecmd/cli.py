@@ -114,13 +114,17 @@ def _read_corpus(path):
     return parse_corpus(p.read_text(encoding="utf-8"))
 
 
+def _read_map(path):
+    p = Path(path)
+    if not p.exists():
+        raise MapError(f"map file not found: {path}")
+    return load_map(p.read_text(encoding="utf-8"))
+
+
 def _load_maps(paths):
     maps = {}
     for path in paths:
-        p = Path(path)
-        if not p.exists():
-            raise MapError(f"map file not found: {path}")
-        smap = load_map(p.read_text(encoding="utf-8"))
+        smap = _read_map(path)
         maps[smap.id] = smap
     return maps
 
@@ -205,8 +209,7 @@ def cmd_parse(args):
            "elements": [{"type": t, "span": list(s)}
                         for t, s in parsed.elements]}
     if args.map:
-        smap = load_map(Path(args.map).read_text(encoding="utf-8"))
-        grounded = ground_command(parsed, tokens, smap)
+        grounded = ground_command(parsed, tokens, _read_map(args.map))
         doc["groundings"] = [{"type": t, "span": list(s), "entity": e}
                              for t, s, e in grounded.groundings]
     if args.show_attention and out.attention_maps:

@@ -216,9 +216,6 @@ class FoldAssignment:
     k: int
     assignment: dict  # sentence id -> fold index
 
-    def fold_ids(self, fold):
-        return [i for i, f in self.assignment.items() if f == fold]
-
 
 def make_folds(corpus, k, seed):
     """Deterministic k-fold split, stratified by frame type when every

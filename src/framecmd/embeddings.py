@@ -13,13 +13,12 @@ class EmbeddingError(Exception):
 class EmbeddingTable:
     """Token -> vector mapping with a total lookup (OOV -> unk vector)."""
 
-    def __init__(self, dim, vectors, unk_vector=None, trainable=False):
+    def __init__(self, dim, vectors, unk_vector=None):
         self.dim = dim
         self.vectors = vectors
         if unk_vector is None:
             unk_vector = _default_unk(dim)
         self.unk_vector = np.asarray(unk_vector, dtype=np.float64)
-        self.trainable = trainable
         for tok, vec in vectors.items():
             if vec.shape != (dim,):
                 raise EmbeddingError(f"vector for {tok!r} has wrong length")

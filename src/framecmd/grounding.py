@@ -7,8 +7,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-NONE = None
-
 # Function words ignored when matching a span against entity names.
 STOPWORDS = frozenset({"the", "a", "an", "to", "in", "on", "at", "into", "from"})
 
@@ -82,13 +80,13 @@ def ground_element(span_tokens, smap):
     while toks and toks[0] in STOPWORDS:
         toks = toks[1:]
     if not toks:
-        return NONE
+        return None
     joined = " ".join(toks)
     candidates = set(toks) | {joined}
     matches = [e.id for e in smap.entities if e.lexical_refs & candidates]
     if len(matches) == 1:
         return matches[0]
-    return NONE
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """Network building blocks: LSTM cell, bidirectional recurrence,
-additive attention, highway connection, and parameter initialization."""
+additive attention, highway connection, and parameter initialization.
+
+The LSTM step, attention and highway are fused autodiff ops: each
+computes its output with whole-array numpy arithmetic in its inputs'
+dtype and adds one or two graph nodes with a hand-written backward
+pass, instead of a node per gate, score or elementwise product."""
 
 from __future__ import annotations
 
@@ -70,23 +75,66 @@ class LstmCellParams:
             yield self.b[gate]
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def lstm_cell_forward(x, h, c, params):
-    """One LSTM step; returns (h', c'). Pure function of its inputs."""
-    if x.data.shape[0] != params.input_dim or h.data.shape[0] != params.hidden_dim:
+    """One LSTM step; returns (h', c'). Pure function of its inputs.
+
+    The gates' weights are stacked in GATES order inside the call, so
+    every gate comes from one pre-activation z = W x + U h + b
+    (Appleyard et al., arXiv:1604.01946). The step is two graph nodes:
+    c', whose backward pass does all the weight, input and state work
+    of the four gates at once, and h' = o * tanh(c'), its child, which
+    hands the output gate's pre-activation gradient to c'. Backward
+    reads the per-gate Parameters and re-stacks them, so no stacked
+    copy of the weights outlives the call.
+    """
+    H = params.hidden_dim
+    if x.data.shape[0] != params.input_dim or h.data.shape[0] != H:
         raise ValueError("LSTM cell dimension mismatch")
+    W, U, b = params.W, params.U, params.b
+    xd, hd, cd = x.data, h.data, c.data
+    z = (np.concatenate([W[k].data for k in GATES]) @ xd
+         + np.concatenate([U[k].data for k in GATES]) @ hd
+         + np.concatenate([b[k].data for k in GATES]))
+    ifo = _sigmoid(z[:3 * H])
+    i, f, o = ifo[:H], ifo[H:2 * H], ifo[2 * H:]
+    g = np.tanh(z[3 * H:])
+    c_new = Tensor(f * cd + i * g)
+    tc = np.tanh(c_new.data)
+    h_new = Tensor(o * tc)
+    if not ad.grad_enabled:
+        return h_new, c_new
 
-    def gate(name, act):
-        pre = ad.add(ad.add(ad.matvec(params.W[name], x),
-                            ad.matvec(params.U[name], h)),
-                     params.b[name])
-        return act(pre)
+    dz_o = None  # output-gate pre-activation gradient, set by h'.bwd
 
-    i = gate("i", ad.sigmoid)
-    f = gate("f", ad.sigmoid)
-    o = gate("o", ad.sigmoid)
-    g = gate("g", ad.tanh)
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
+    def h_bwd(gh):
+        nonlocal dz_o
+        dz_o = gh * tc * o * (1.0 - o)
+        ad.accumulate(c_new, gh * o * (1.0 - tc * tc))
+
+    def c_bwd(gc):
+        dz = np.concatenate([gc * g * i * (1.0 - i),
+                             gc * cd * f * (1.0 - f),
+                             np.zeros(H) if dz_o is None else dz_o,
+                             gc * i * (1.0 - g * g)])
+        dW = np.outer(dz, xd)
+        dU = np.outer(dz, hd)
+        for k, gate in enumerate(GATES):
+            rows = slice(k * H, (k + 1) * H)
+            ad.accumulate(W[gate], dW[rows])
+            ad.accumulate(U[gate], dU[rows])
+            ad.accumulate(b[gate], dz[rows])
+        ad.accumulate(x, dz @ np.concatenate([W[k].data for k in GATES]))
+        ad.accumulate(h, dz @ np.concatenate([U[k].data for k in GATES]))
+        ad.accumulate(c, gc * f)
+
+    c_new.parents = (x, h, c) + tuple(params.parameters())
+    c_new.bwd = c_bwd
+    h_new.parents = (c_new,)
+    h_new.bwd = h_bwd
     return h_new, c_new
 
 
@@ -135,20 +183,47 @@ class AttentionParams:
 def attention(queries, keys, params):
     """Attend each query over the keys (values = keys).
 
-    Returns (contexts, weights): one context tensor per query and the
-    softmax weight rows as a Q x T numpy array.
+    All queries are scored at once as one graph node (Bahdanau et al.,
+    arXiv:1409.0473): P = softmax(tanh(Q W1^T (+) K W2^T) v) row-wise
+    and C = P K, where (+) adds every query row to every key row. One
+    getrow per query then yields its context. Returns (contexts,
+    weights): the context tensors and the softmax rows as a Q x T
+    array. Self-attention (`queries is keys`) feeds each state's query
+    and key gradients back in one step.
     """
-    projected = [ad.matvec(params.W2, k) for k in keys]
-    contexts = []
-    rows = []
-    for q in queries:
-        pq = ad.matvec(params.W1, q)
-        scores = ad.stack_scalars(
-            [ad.dot(params.v, ad.tanh(ad.add(pq, pk))) for pk in projected])
-        w = ad.softmax(scores)
-        contexts.append(ad.weighted_sum(w, keys))
-        rows.append(w.data)
-    return contexts, np.array(rows)
+    W1, W2, v = params.W1, params.W2, params.v
+    Qm = np.stack([q.data for q in queries])
+    Km = Qm if queries is keys else np.stack([k.data for k in keys])
+    S = np.tanh((Qm @ W1.data.T)[:, None, :] + (Km @ W2.data.T)[None, :, :])
+    E = S @ v.data
+    P = np.exp(E - E.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    C = Tensor(P @ Km)
+    if ad.grad_enabled:
+        def bwd(gC):
+            dP = gC @ Km.T
+            dE = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+            ad.accumulate(v, np.tensordot(dE, S, axes=2))
+            dPre = dE[:, :, None] * v.data * (1.0 - S * S)
+            dA = dPre.sum(axis=1)
+            dB = dPre.sum(axis=0)
+            ad.accumulate(W1, dA.T @ Qm)
+            ad.accumulate(W2, dB.T @ Km)
+            dQ = dA @ W1.data
+            dK = P.T @ gC + dB @ W2.data
+            if queries is keys:
+                dK += dQ
+            else:
+                for q, dq in zip(queries, dQ):
+                    ad.accumulate(q, dq)
+            for k, dk in zip(keys, dK):
+                ad.accumulate(k, dk)
+
+        inputs = (tuple(keys) if queries is keys
+                  else tuple(queries) + tuple(keys))
+        C.parents = inputs + (W1, W2, v)
+        C.bwd = bwd
+    return [ad.getrow(C, q) for q in range(len(queries))], P
 
 
 class HighwayParams:
@@ -171,13 +246,30 @@ class HighwayParams:
 
 
 def highway(x, params):
-    if params.W_h.data.shape[0] != params.W_h.data.shape[1]:
+    """y = t*h + (1 - t)*x with h = tanh(W_h x + b_h) and
+    t = sigmoid(W_t x + b_t), as one graph node."""
+    W_h, b_h, W_t, b_t = params.W_h, params.b_h, params.W_t, params.b_t
+    if W_h.data.shape[0] != W_h.data.shape[1]:
         raise ValueError("highway transform must be square")
-    if x.data.shape[0] != params.W_h.data.shape[1]:
+    if x.data.shape[0] != W_h.data.shape[1]:
         raise ValueError("highway input dimension mismatch")
-    h = ad.tanh(ad.add(ad.matvec(params.W_h, x), params.b_h))
-    t = ad.sigmoid(ad.add(ad.matvec(params.W_t, x), params.b_t))
-    return ad.add(ad.mul(t, h), ad.mul(ad.one_minus(t), x))
+    xd = x.data
+    h = np.tanh(W_h.data @ xd + b_h.data)
+    t = _sigmoid(W_t.data @ xd + b_t.data)
+    out = Tensor(t * h + (1.0 - t) * xd)
+    if ad.grad_enabled:
+        def bwd(g):
+            dzh = g * t * (1.0 - h * h)
+            dzt = g * (h - xd) * t * (1.0 - t)
+            ad.accumulate(W_h, np.outer(dzh, xd))
+            ad.accumulate(b_h, dzh)
+            ad.accumulate(W_t, np.outer(dzt, xd))
+            ad.accumulate(b_t, dzt)
+            ad.accumulate(x, g * (1.0 - t) + dzh @ W_h.data + dzt @ W_t.data)
+
+        out.parents = (x, W_h, b_h, W_t, b_t)
+        out.bwd = bwd
+    return out
 
 
 class AffineParams:

@@ -336,9 +336,12 @@ def save_checkpoint(path, model, table):
 def load_checkpoint(path):
     from .embeddings import EmbeddingTable
 
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            header_line = f.readline()
+            blob = f.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}")
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
@@ -353,7 +356,7 @@ def load_checkpoint(path):
     if set(by_name) != {name for name, _ in header["params"]}:
         raise CheckpointError("checkpoint/config parameter set mismatch")
     if len(blob) % 8:
-        raise CheckpointError("checkpoint data truncated")
+        raise CheckpointError("checkpoint data truncated or padded")
     data = np.frombuffer(blob, dtype="<f8")
     off = 0
     for name, shape in header["params"]:
@@ -378,5 +381,7 @@ def load_checkpoint(path):
     if off + dim > data.size:
         raise CheckpointError("checkpoint data truncated")
     unk = data[off:off + dim].copy()
+    if off + dim != data.size:
+        raise CheckpointError("unexpected data after the checkpoint payload")
     table = EmbeddingTable(dim, vectors, unk_vector=unk)
     return model, table

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from framecmd.cli import main
-from framecmd.model import save_checkpoint
+from framecmd.model import CheckpointError, load_checkpoint, save_checkpoint
 
 FAST_OVERRIDES = ["--override", "epochs=2", "--override", "hidden_size=4",
                   "--override", "decoder_hidden=4",
@@ -171,6 +171,29 @@ class TestParse:
         bad = tmp_path / "trunc.ckpt"
         bad.write_bytes(blob[:len(blob) // 2])
         assert main(["parse", str(bad), "go home"]) == 4
+
+    def test_missing_checkpoint_exit_4(self, tmp_path, capsys):
+        assert main(["parse", str(tmp_path / "nosuch.ckpt"), "go home"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_map_exit_3(self, overfit_ckpt, tmp_path, capsys):
+        rc = main(["parse", overfit_ckpt, "go to the kitchen",
+                   "--map", str(tmp_path / "nosuch.json")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [b"\0" * 8, b"\0" * 3])
+    def test_trailing_checkpoint_data_exit_4(self, overfit_ckpt, tmp_path,
+                                             extra):
+        padded = tmp_path / "padded.ckpt"
+        padded.write_bytes(open(overfit_ckpt, "rb").read() + extra)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(padded)
+        assert main(["parse", str(padded), "go home"]) == 4
 
 
 class TestGradcheck:

@@ -204,6 +204,82 @@ class TestHighway:
             L.highway(ad.constant(np.zeros(4)), p)
 
 
+class TestFusedGradients:
+    """Hand-written backward passes against central differences, with
+    the inputs as Parameters so their gradients are checked too."""
+
+    @pytest.mark.parametrize("reads_h", [True, False])
+    def test_two_chained_lstm_steps(self, reads_h):
+        from framecmd.autodiff import Parameter
+        rng = np.random.default_rng(18)
+        cell = random_cell(rng, 3, 4, "two")
+        x1 = Parameter("x1", rng.normal(size=3))
+        x2 = Parameter("x2", rng.normal(size=3))
+        h0 = Parameter("h0", rng.normal(size=4))
+        c0 = Parameter("c0", rng.normal(size=4))
+        wh = ad.constant(rng.normal(size=4))
+        wc = ad.constant(rng.normal(size=4))
+
+        def fwd():
+            h, c = L.lstm_cell_forward(x1, h0, c0, cell)
+            h, c = L.lstm_cell_forward(x2, h, c, cell)
+            loss = ad.dot(c, wc)
+            # without h the last step's c' gets no output-gate gradient
+            return ad.add(ad.dot(h, wh), loss) if reads_h else loss
+
+        params = list(cell.parameters()) + [x1, x2, h0, c0]
+        assert grad_check(fwd, params) < 1e-4
+
+    @pytest.mark.parametrize("self_attention", [True, False])
+    def test_attention(self, self_attention):
+        from framecmd.autodiff import Parameter
+        rng = np.random.default_rng(19)
+        p = TestAttention.params(rng, 3, 3, 4)
+        keys = [Parameter(f"k{t}", rng.normal(size=3)) for t in range(4)]
+        queries = (keys if self_attention
+                   else [Parameter("q", rng.normal(size=3))])
+        weights = [ad.constant(rng.normal(size=3)) for _ in queries]
+
+        def fwd():
+            contexts, _ = L.attention(queries, keys, p)
+            loss = ad.constant(0.0)
+            for ctx, w in zip(contexts, weights):
+                loss = ad.add(loss, ad.dot(ctx, w))
+            return loss
+
+        params = p.parameters() + keys + (
+            [] if self_attention else queries)
+        assert grad_check(fwd, params) < 1e-4
+
+    def test_highway(self):
+        from framecmd.autodiff import Parameter
+        rng = np.random.default_rng(20)
+        p = L.HighwayParams("hw", 4, seed=0)
+        for q in p.parameters():
+            q.data = rng.normal(size=q.data.shape)
+        x = Parameter("x", rng.normal(size=4))
+        w = ad.constant(rng.normal(size=4))
+
+        def fwd():
+            return ad.dot(L.highway(x, p), w)
+
+        assert grad_check(fwd, p.parameters() + [x]) < 1e-4
+
+    def test_no_graph_under_no_grad(self):
+        rng = np.random.default_rng(21)
+        cell = random_cell(rng, 3, 3)
+        att = TestAttention.params(rng, 3, 3, 2)
+        hw = L.HighwayParams("hw", 3, seed=0)
+        x = ad.constant(rng.normal(size=3))
+        with ad.no_grad():
+            h, c = L.lstm_cell_forward(x, x, x, cell)
+            contexts, _ = L.attention([h, c], [h, c], att)
+            y = L.highway(x, hw)
+        for t in [h, c, y] + contexts:
+            assert t.parents == ()
+            assert t.bwd is None
+
+
 class TestInitParams:
     def test_glorot_bound(self):
         t = L.init_params((4, 4), seed=0, scheme="glorot_uniform", name="w")

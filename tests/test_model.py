@@ -325,6 +325,26 @@ class TestTraining:
         np.testing.assert_array_equal(c.ad_logits.data, d.ad_logits.data)
 
 
+class TestGraphSize:
+    def test_3l_att_training_graph_under_50_nodes_per_token(self):
+        # Each layer op adds one or two nodes; building gates and
+        # attention scores from scalar ops takes several times the bound.
+        m = build_model(small_config(dropout=0.3), VOCAB)
+        _, emb = embedded()
+        gold = gold_labels(sentence(), VOCAB, "3L")
+        loss = joint_loss(forward(m, emb, gold=gold, mode="train",
+                                  dropout_rng=np.random.default_rng(0)),
+                          gold)
+        seen = set()
+        stack = [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.parents)
+        assert len(seen) / emb.shape[0] < 50
+
+
 class TestPredict:
     def test_overfit_parses_held_in_command(self, overfit_bundle):
         model, table = overfit_bundle["model"], overfit_bundle["table"]
