@@ -5,25 +5,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from . import autodiff as ad
 from .corpus import (AnnotatedSentence, CorpusError, FrameAnnotation,
                      label_vocab, parse_corpus, serialize_corpus)
 from .embeddings import (EmbeddingError, embed_sentence, load_embeddings,
                          random_embeddings)
 from .gradcheck import grad_check
 from .grounding import MapError, ground_command, load_map, serialize_map
-from .model import (CheckpointError, ModelConfig, build_model, decode_output,
-                    forward, gold_labels, joint_loss, load_checkpoint,
-                    predict, save_checkpoint)
-from .pipeline import (TrainConfig, cross_validate, evaluate_stagewise,
+from .model import (CheckpointError, ModelConfig, build_model, forward,
+                    gold_labels, joint_loss, load_checkpoint, predict,
+                    save_checkpoint)
+from .pipeline import (TrainConfig, cross_validate, evaluate,
                        metrics_to_dict, report, train)
-from .synth import FRAMES, demo_map, generate_synthetic
+from .synth import demo_map, generate_synthetic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,10 +34,9 @@ class ConfigError(Exception):
     pass
 
 
-MODEL_KEYS = {"variant", "attention", "embedding_dim", "hidden_size",
-              "decoder_hidden", "attention_size", "label_embedding_dim",
-              "dropout", "seed"}
-TRAIN_KEYS = {"epochs", "batch_size", "lr", "optimizer", "patience", "k"}
+# Config keys are the dataclass fields; `seed` is in both sets.
+MODEL_KEYS = {f.name for f in fields(ModelConfig)}
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def _parse_value(raw):
@@ -76,7 +72,7 @@ def load_config(name_or_path):
     (2L-ATT, 2L-NO-ATT, 3L-ATT, 3L-NO-ATT)."""
     path = Path(name_or_path)
     if path.exists():
-        return parse_config_text(path.read_text(encoding="utf-8"))
+        return parse_config_text(_read_text(path, ConfigError, "config"))
     preset = name_or_path.lower().replace("-", "_")
     res = resources.files("framecmd").joinpath(f"configs/{preset}.cfg")
     if res.is_file():
@@ -100,41 +96,34 @@ def build_configs(values, overrides=(), seed=None):
         model_cfg = ModelConfig(
             **{k: v for k, v in values.items() if k in MODEL_KEYS})
         train_cfg = TrainConfig(
-            seed=values.get("seed", 42),
             **{k: v for k, v in values.items() if k in TRAIN_KEYS})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     return model_cfg, train_cfg
 
 
+def _read_text(path, error, what):
+    """A file's text; a file that cannot be read raises `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}")
+
+
 def _read_corpus(path):
-    p = Path(path)
-    if not p.exists():
-        raise CorpusError(f"corpus file not found: {path}")
-    return parse_corpus(p.read_text(encoding="utf-8"))
+    return parse_corpus(_read_text(path, CorpusError, "corpus"))
 
 
 def _read_map(path):
-    p = Path(path)
-    if not p.exists():
-        raise MapError(f"map file not found: {path}")
-    return load_map(p.read_text(encoding="utf-8"))
-
-
-def _load_maps(paths):
-    maps = {}
-    for path in paths:
-        smap = _read_map(path)
-        maps[smap.id] = smap
-    return maps
+    return load_map(_read_text(path, MapError, "map"))
 
 
 def _make_table(corpus, model_cfg, embeddings_path, seed):
     if embeddings_path:
-        p = Path(embeddings_path)
-        if not p.exists():
-            raise EmbeddingError(f"embeddings file not found: {embeddings_path}")
-        return load_embeddings(p.read_text(encoding="utf-8"))
+        return load_embeddings(
+            _read_text(embeddings_path, EmbeddingError, "embeddings"))
     tokens = [t for s in corpus for t in s.tokens]
     return random_embeddings(tokens, model_cfg.embedding_dim, seed=seed)
 
@@ -147,28 +136,30 @@ def cmd_train(args):
     table = _make_table(corpus, model_cfg, args.embeddings, train_cfg.seed)
     model = build_model(model_cfg, vocab)
     history = train(model, table, corpus, train_cfg)
-    out = args.out or "model.ckpt"
-    save_checkpoint(out, model, table)
+    save_checkpoint(args.out, model, table)
     hist_doc = {"config": model_cfg.name, "epochs_run": len(history),
                 "loss_history": history}
-    Path(out + ".history.json").write_text(
+    Path(args.out + ".history.json").write_text(
         json.dumps(hist_doc, sort_keys=True) + "\n", encoding="utf-8")
     print(f"trained {model_cfg.name} for {len(history)} epochs; "
-          f"final loss {history[-1]:.4f}; checkpoint written to {out}")
+          f"final loss {history[-1]:.4f}; checkpoint written to {args.out}")
     return EXIT_OK
 
 
 def cmd_eval(args):
     corpus = _read_corpus(args.corpus)
-    maps = _load_maps(args.maps) if args.maps else None
-    if args.cv:
+    maps = {m.id: m for m in map(_read_map, args.maps)} if args.maps else None
+    if args.cv is not None:
         if not args.config:
             raise ConfigError("--cv requires --config")
+        if not 2 <= args.cv <= len(corpus):
+            raise ConfigError(f"--cv needs 2 <= K <= {len(corpus)}, "
+                              f"the corpus size; got {args.cv}")
         values = load_config(args.config)
         model_cfg, train_cfg = build_configs(values, args.override, args.seed)
         train_cfg = replace(train_cfg, k=args.cv)
-        table = (_make_table(corpus, model_cfg, args.embeddings,
-                             train_cfg.seed))
+        table = _make_table(corpus, model_cfg, args.embeddings,
+                            train_cfg.seed)
         stage, chain = cross_validate(corpus, model_cfg, train_cfg,
                                       maps=maps, table=table, jobs=args.jobs)
         name = model_cfg.name
@@ -176,13 +167,7 @@ def cmd_eval(args):
         if not args.ckpt:
             raise ConfigError("eval needs either --ckpt or --config with --cv")
         model, table = load_checkpoint(args.ckpt)
-        predict_fn = lambda s: predict(model, table, list(s.tokens))
-        stage = evaluate_stagewise(predict_fn, corpus)
-        chain = None
-        if maps is not None:
-            from .grounding import chain_accuracy
-            from .pipeline import ChainMetrics
-            chain = ChainMetrics(chain_accuracy(predict_fn, corpus, maps))
+        stage, chain = evaluate(model, table, corpus, maps)
         name = model.config.name
     text = report([(name, stage, chain)])
     sys.stdout.write(text)
@@ -200,10 +185,7 @@ def cmd_parse(args):
         return EXIT_CONFIG
     model, table = load_checkpoint(args.ckpt)
     tokens = args.sentence.split()
-    embedded = embed_sentence(table, tokens)
-    with ad.no_grad():
-        out = forward(model, embedded, mode="infer")
-    parsed = decode_output(model, out)
+    parsed = predict(model, table, tokens)
     doc = {"tokens": tokens,
            "frame_type": parsed.frame_type,
            "elements": [{"type": t, "span": list(s)}
@@ -212,9 +194,8 @@ def cmd_parse(args):
         grounded = ground_command(parsed, tokens, _read_map(args.map))
         doc["groundings"] = [{"type": t, "span": list(s), "entity": e}
                              for t, s, e in grounded.groundings]
-    if args.show_attention and out.attention_maps:
-        doc["attention"] = {k: v.tolist()
-                            for k, v in out.attention_maps.items()}
+    if args.show_attention and parsed.attention:
+        doc["attention"] = {k: v.tolist() for k, v in parsed.attention.items()}
     sys.stdout.write(json.dumps(doc) + "\n")
     return EXIT_OK
 
@@ -268,20 +249,12 @@ def cmd_gen_corpus(args):
         sentences = generate_synthetic(args.seed, args.n, frames)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out = args.out or "synth.jsonl"
-    Path(out).write_text(serialize_corpus(sentences), encoding="utf-8")
-    map_out = args.map_out or str(Path(out).with_suffix("")) + ".map.json"
+    Path(args.out).write_text(serialize_corpus(sentences), encoding="utf-8")
+    map_out = args.map_out or str(Path(args.out).with_suffix("")) + ".map.json"
     Path(map_out).write_text(serialize_map(demo_map()), encoding="utf-8")
-    print(f"wrote {len(sentences)} sentences to {out}; demo map to {map_out}")
+    print(f"wrote {len(sentences)} sentences to {args.out}; "
+          f"demo map to {map_out}")
     return EXIT_OK
-
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed (default 42)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for cross-validation folds")
-    p.add_argument("--out", default=None, help="output path")
 
 
 def build_parser():
@@ -290,27 +263,30 @@ def build_parser():
         description="Multi-layer LSTM semantic parser for robot commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_training_flags(p, config):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--config", default=config)
+        p.add_argument("--embeddings", default=None,
+                       help="pre-trained embedding text file")
+        p.add_argument("--override", action="append", default=[],
+                       metavar="KEY=VALUE")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
+
     p = sub.add_parser("train", help="train a model and write a checkpoint")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config", default="3l_att")
-    p.add_argument("--embeddings", default=None,
-                   help="pre-trained embedding text file")
-    p.add_argument("--override", action="append", default=[],
-                   metavar="KEY=VALUE")
-    _add_common(p)
+    add_training_flags(p, config="3l_att")
+    p.add_argument("--out", default="model.ckpt", help="checkpoint path")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or run k-fold CV")
-    p.add_argument("--corpus", required=True)
+    add_training_flags(p, config=None)
     p.add_argument("--ckpt", default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--cv", type=int, default=None, metavar="K")
     p.add_argument("--maps", action="append", default=[],
                    help="semantic map JSON (repeatable)")
-    p.add_argument("--embeddings", default=None)
-    p.add_argument("--override", action="append", default=[],
-                   metavar="KEY=VALUE")
-    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers for cross-validation folds")
+    p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("parse", help="parse one sentence with a checkpoint")
@@ -318,7 +294,6 @@ def build_parser():
     p.add_argument("sentence")
     p.add_argument("--map", default=None)
     p.add_argument("--show-attention", action="store_true")
-    _add_common(p)
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("gradcheck",
@@ -327,7 +302,7 @@ def build_parser():
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--corrupt", action="store_true",
                    help=argparse.SUPPRESS)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("gen-corpus", help="write a synthetic corpus + map")
@@ -335,27 +310,25 @@ def build_parser():
     p.add_argument("--frames", default=None,
                    help="comma-separated frame subset")
     p.add_argument("--map-out", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--out", default="synth.jsonl", help="corpus path")
     p.set_defaults(fn=cmd_gen_corpus)
     return parser
 
 
+# The exit code of each error a command may raise.
+EXIT_CODES = {ConfigError: EXIT_CONFIG, CorpusError: EXIT_DATA,
+              MapError: EXIT_DATA, EmbeddingError: EXIT_DATA,
+              CheckpointError: EXIT_CHECKPOINT}
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = 42 if args.command in ("gradcheck", "gen-corpus") else None
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CorpusError, MapError, EmbeddingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

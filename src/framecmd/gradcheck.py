@@ -6,6 +6,10 @@ import numpy as np
 
 from . import autodiff as ad
 
+# float64 relative error above which a coordinate is re-checked with
+# extended-precision forward passes (see grad_check).
+REFINE_ABOVE = 1e-5
+
 
 def _central_difference(forward_fn, flat, idx, epsilon):
     orig = flat[idx]
@@ -22,7 +26,7 @@ def _rel_err(a, n):
 
 
 def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
-               corrupt=False, refine_above=1e-5):
+               corrupt=False):
     """Compare analytic gradients against central differences.
 
     forward_fn() must rebuild the loss graph from the current parameter
@@ -34,7 +38,7 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
     floor are noise-limited in float64: the central difference carries
     an absolute rounding error of roughly ulp(loss)/(2*epsilon), which
     dwarfs such gradients. Those coordinates (float64 relative error
-    above refine_above) are re-evaluated with extended-precision forward
+    above REFINE_ABOVE) are re-evaluated with extended-precision forward
     passes, which removes the rounding noise without touching the
     float64 analytic gradients being verified.
 
@@ -65,7 +69,7 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
             for idx in coords:
                 numeric = _central_difference(forward_fn, flat, idx, epsilon)
                 err = _rel_err(a_flat[idx], numeric)
-                if err > refine_above:
+                if err > REFINE_ABOVE:
                     suspect.append((p, idx, a_flat[idx]))
                 elif err > max_err:
                     max_err = err

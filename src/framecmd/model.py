@@ -14,7 +14,7 @@ layer and pools the encoder for frame classification.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class ModelConfig:
 class ParsedCommand:
     frame_type: str
     elements: tuple  # of (element_type, (start, end))
+    # The forward pass's attention weights (ModelOutput.attention_maps);
+    # not part of the parse, so equality ignores them.
+    attention: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -77,6 +80,8 @@ class Model:
     def __init__(self, config, vocab):
         self.config = config
         self.vocab = vocab
+        self._params = []
+        own = self._own
         c = config
         seed = c.seed
         h1_dim = 2 * c.hidden_size
@@ -85,59 +90,50 @@ class Model:
         n2 = len(self.seq2_alphabet)
         self.bos_index = n2  # extra label-embedding row for step 0
 
-        self.l1_fwd = L.LstmCellParams("layer1.fwd", c.embedding_dim,
-                                       c.hidden_size, seed)
-        self.l1_bwd = L.LstmCellParams("layer1.bwd", c.embedding_dim,
-                                       c.hidden_size, seed)
-        self.ad_head = L.AffineParams("ad_head", len(vocab.frames),
-                                      h1_dim, seed)
+        self.l1_fwd = own(L.LstmCellParams("layer1.fwd", c.embedding_dim,
+                                           c.hidden_size, seed))
+        self.l1_bwd = own(L.LstmCellParams("layer1.bwd", c.embedding_dim,
+                                           c.hidden_size, seed))
+        self.ad_head = own(L.AffineParams("ad_head", len(vocab.frames),
+                                          h1_dim, seed))
         if c.attention:
-            self.att1 = L.AttentionParams("att1", h1_dim, h1_dim,
-                                          c.attention_size, seed)
-            self.ad_query = Parameter("att1.ad_query", L.init_params(
-                (h1_dim,), seed, "glorot_uniform", "att1.ad_query"))
+            self.att1 = own(L.AttentionParams("att1", h1_dim, h1_dim,
+                                              c.attention_size, seed))
+            self.ad_query = own(Parameter("att1.ad_query", L.init_params(
+                (h1_dim,), seed, "glorot_uniform", "att1.ad_query")))
 
         dec_in = h1_dim + (h1_dim if c.attention else 0) + c.label_embedding_dim
-        self.label_emb2 = Parameter("layer2.label_emb", L.init_params(
+        self.label_emb2 = own(Parameter("layer2.label_emb", L.init_params(
             (n2 + 1, c.label_embedding_dim), seed, "glorot_uniform",
-            "layer2.label_emb"))
-        self.l2_cell = L.LstmCellParams("layer2.cell", dec_in,
-                                        c.decoder_hidden, seed)
-        self.l2_head = L.AffineParams("layer2.head", n2, c.decoder_hidden, seed)
+            "layer2.label_emb")))
+        self.l2_cell = own(L.LstmCellParams("layer2.cell", dec_in,
+                                            c.decoder_hidden, seed))
+        self.l2_head = own(L.AffineParams("layer2.head", n2, c.decoder_hidden,
+                                          seed))
 
         if c.variant == "3L":
-            self.hw = L.HighwayParams("highway", h1_dim, seed)
+            self.hw = own(L.HighwayParams("highway", h1_dim, seed))
             if c.attention:
-                self.att3 = L.AttentionParams("att3", h1_dim, h1_dim,
-                                              c.attention_size, seed)
-            self.label_emb3 = Parameter("layer3.label_emb", L.init_params(
+                self.att3 = own(L.AttentionParams("att3", h1_dim, h1_dim,
+                                                  c.attention_size, seed))
+            self.label_emb3 = own(Parameter("layer3.label_emb", L.init_params(
                 (len(vocab.iob), c.label_embedding_dim), seed,
-                "glorot_uniform", "layer3.label_emb"))
-            self.l3_cell = L.LstmCellParams("layer3.cell", dec_in,
-                                            c.decoder_hidden, seed)
-            self.l3_head = L.AffineParams("layer3.head",
-                                          len(vocab.ac_labels),
-                                          c.decoder_hidden, seed)
+                "glorot_uniform", "layer3.label_emb")))
+            self.l3_cell = own(L.LstmCellParams("layer3.cell", dec_in,
+                                                c.decoder_hidden, seed))
+            self.l3_head = own(L.AffineParams("layer3.head",
+                                              len(vocab.ac_labels),
+                                              c.decoder_hidden, seed))
+
+    def _own(self, part):
+        """Register a layer's parameters, or one Parameter, as trained
+        and saved; returns the part."""
+        self._params += [part] if isinstance(part, Parameter) else (
+            part.parameters())
+        return part
 
     def parameters(self):
-        params = []
-        params += list(self.l1_fwd.parameters())
-        params += list(self.l1_bwd.parameters())
-        params += self.ad_head.parameters()
-        if self.config.attention:
-            params += self.att1.parameters()
-            params.append(self.ad_query)
-        params.append(self.label_emb2)
-        params += list(self.l2_cell.parameters())
-        params += self.l2_head.parameters()
-        if self.config.variant == "3L":
-            params += self.hw.parameters()
-            if self.config.attention:
-                params += self.att3.parameters()
-            params.append(self.label_emb3)
-            params += list(self.l3_cell.parameters())
-            params += self.l3_head.parameters()
-        return params
+        return list(self._params)
 
     def zero_grads(self):
         for p in self.parameters():
@@ -294,7 +290,8 @@ def decode_output(model, out):
     spans = decode_iob(labels)
     if model.config.variant == "2L":
         elements = tuple((t, s) for t, s in spans if t is not None)
-        return ParsedCommand(frame_type=frame, elements=elements)
+        return ParsedCommand(frame_type=frame, elements=elements,
+                             attention=out.attention_maps)
     type_idx = [int(np.argmax(lg.data)) for lg in out.seq3_logits]
     elements = []
     for _, (s, e) in spans:
@@ -307,7 +304,8 @@ def decode_output(model, out):
             counts[v] = counts.get(v, 0) + 1
         best = min(counts, key=lambda v: (-counts[v], v))
         elements.append((vocab.ac_labels[best], (s, e)))
-    return ParsedCommand(frame_type=frame, elements=tuple(elements))
+    return ParsedCommand(frame_type=frame, elements=tuple(elements),
+                         attention=out.attention_maps)
 
 
 def save_checkpoint(path, model, table):
@@ -334,6 +332,9 @@ def save_checkpoint(path, model, table):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint written by save_checkpoint. Any unreadable
+    file, malformed header, or payload whose length is not exactly what
+    the header implies raises CheckpointError."""
     from .embeddings import EmbeddingTable
 
     try:
@@ -344,44 +345,43 @@ def load_checkpoint(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}")
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise CheckpointError("unreadable checkpoint header")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError("unsupported checkpoint format version")
-    config = ModelConfig(**header["config"])
-    vocab = LabelVocab(frames=tuple(header["vocab"]["frames"]),
-                       element_types=tuple(header["vocab"]["element_types"]))
-    model = build_model(config, vocab)
-    by_name = {p.name: p for p in model.parameters()}
-    if set(by_name) != {name for name, _ in header["params"]}:
-        raise CheckpointError("checkpoint/config parameter set mismatch")
-    if len(blob) % 8:
-        raise CheckpointError("checkpoint data truncated or padded")
+        if header.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError("unsupported checkpoint format version")
+        vocab = header["vocab"]
+        model = build_model(ModelConfig(**header["config"]), LabelVocab(
+            frames=tuple(vocab["frames"]),
+            element_types=tuple(vocab["element_types"])))
+        shapes = [(name, tuple(shape)) for name, shape in header["params"]]
+        by_name = {p.name: p for p in model.parameters()}
+        if (len(shapes) != len(by_name)
+                or {name for name, _ in shapes} != set(by_name)):
+            raise CheckpointError("checkpoint/config parameter set mismatch")
+        dim = header["embeddings"]["dim"]
+        tokens = list(header["embeddings"]["tokens"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint header ({type(exc).__name__}: {exc})")
+    for name, shape in shapes:
+        if by_name[name].data.shape != shape:
+            raise CheckpointError(
+                f"shape mismatch for {name}: checkpoint {list(shape)}, "
+                f"model {list(by_name[name].data.shape)}")
+    if type(dim) is not int or dim < 1:
+        raise CheckpointError(f"bad embedding dimension in header: {dim!r}")
+    size = sum(p.data.size for p in by_name.values()) + (len(tokens) + 1) * dim
+    if len(blob) != 8 * size:
+        raise CheckpointError(
+            f"checkpoint payload is {len(blob)} bytes; its header implies "
+            f"{8 * size} (truncated, padded or trailing data)")
     data = np.frombuffer(blob, dtype="<f8")
     off = 0
-    for name, shape in header["params"]:
+    for name, shape in shapes:
         p = by_name[name]
-        if list(p.data.shape) != shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint {shape}, "
-                f"model {list(p.data.shape)}")
-        n = int(np.prod(shape))
-        if off + n > data.size:
-            raise CheckpointError("checkpoint data truncated")
-        p.data = data[off:off + n].reshape(p.data.shape).copy()
-        off += n
-    emb = header["embeddings"]
-    dim = emb["dim"]
+        p.data = data[off:off + p.data.size].reshape(shape).copy()
+        off += p.data.size
     vectors = {}
-    for tok in emb["tokens"]:
-        if off + dim > data.size:
-            raise CheckpointError("checkpoint data truncated")
+    for tok in tokens:
         vectors[tok] = data[off:off + dim].copy()
         off += dim
-    if off + dim > data.size:
-        raise CheckpointError("checkpoint data truncated")
-    unk = data[off:off + dim].copy()
-    if off + dim != data.size:
-        raise CheckpointError("unexpected data after the checkpoint payload")
-    table = EmbeddingTable(dim, vectors, unk_vector=unk)
+    table = EmbeddingTable(dim, vectors, unk_vector=data[off:].copy())
     return model, table

@@ -35,10 +35,12 @@ class TrainConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        for f, low in (("epochs", 1), ("batch_size", 1), ("patience", 0),
+                       ("k", 2)):
+            if getattr(self, f) < low:
+                raise ValueError(f"{f} must be >= {low}")
+        if not self.lr >= 0:    # 0 freezes the weights; NaN is rejected
+            raise ValueError("lr must be >= 0")
 
 
 @dataclass
@@ -173,18 +175,27 @@ def evaluate_stagewise(predict_fn, sentences):
     return StageMetrics(ad_f1=ad_f1, ai_f1=ai_f1, ac_f1=ac_f1, counts=counts)
 
 
+def evaluate(model, table, sentences, maps=None):
+    """Parse each sentence once and score the parses stage by stage and,
+    given maps (map_id -> SemanticMap), along the whole chain.
+
+    Returns (StageMetrics, ChainMetrics or None).
+    """
+    parses = {s.id: predict(model, table, list(s.tokens)) for s in sentences}
+    parsed = lambda s: parses[s.id]
+    stage = evaluate_stagewise(parsed, sentences)
+    if maps is None:
+        return stage, None
+    return stage, ChainMetrics(chain_accuracy(parsed, sentences, maps))
+
+
 def _run_fold(args):
     (fold, train_set, test_set, model_cfg, train_cfg, vocab, table,
      maps) = args
     model = build_model(replace(model_cfg, seed=model_cfg.seed + fold), vocab)
     fold_train_cfg = replace(train_cfg, seed=train_cfg.seed + fold)
     train(model, table, train_set, fold_train_cfg)
-    predict_fn = lambda s: predict(model, table, list(s.tokens))
-    stage = evaluate_stagewise(predict_fn, test_set)
-    chain = None
-    if maps is not None:
-        chain = chain_accuracy(predict_fn, test_set, maps)
-    return stage, chain
+    return evaluate(model, table, test_set, maps)
 
 
 def cross_validate(corpus, model_cfg, train_cfg, maps=None, table=None,
@@ -228,7 +239,7 @@ def cross_validate(corpus, model_cfg, train_cfg, maps=None, table=None,
     )
     chain = None
     if maps is not None:
-        chain_folds = tuple(c for _, c in results)
+        chain_folds = tuple(c.chain_accuracy for _, c in results)
         chain = ChainMetrics(chain_accuracy=_mean(list(chain_folds)),
                              per_fold=chain_folds)
     return stage, chain

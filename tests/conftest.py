@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from framecmd import pipeline
 from framecmd.corpus import label_vocab
 from framecmd.embeddings import random_embeddings
 from framecmd.model import ModelConfig, build_model
@@ -43,3 +44,17 @@ def overfit_bundle(synth50):
     return {"model": model, "table": table, "corpus": corpus,
             "vocab": vocab, "history": history,
             "train_seconds": elapsed, "epochs": train_cfg.epochs}
+
+
+@pytest.fixture
+def predict_calls(monkeypatch):
+    """Token tuples of every `pipeline.predict` call made in the test."""
+    calls = []
+    original = pipeline.predict
+
+    def counting(model, table, tokens):
+        calls.append(tuple(tokens))
+        return original(model, table, tokens)
+
+    monkeypatch.setattr(pipeline, "predict", counting)
+    return calls

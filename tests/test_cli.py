@@ -212,6 +212,148 @@ class TestGradcheck:
         assert "FAIL" in capsys.readouterr().out
 
 
+def assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("override", ["batch_size=0", "lr=-1",
+                                          "patience=-1", "epochs=0"])
+    def test_out_of_range_train_setting_exit_2(self, workdir, tmp_path,
+                                               capsys, override):
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--override", override, "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert override.split("=")[0] in assert_one_line_error(capsys)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("k", ["50", "1", "0"])
+    def test_cv_outside_corpus_size_exit_2(self, workdir, capsys, k):
+        rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--config", "2l_no_att", "--cv", k])
+        assert rc == 2
+        assert "--cv" in assert_one_line_error(capsys)
+
+
+class TestUnreadableFiles:
+    def test_directory_as_corpus_exit_3(self, tmp_path, capsys):
+        assert main(["train", "--corpus", str(tmp_path)]) == 3
+        assert "corpus" in assert_one_line_error(capsys)
+
+    def test_directory_as_map_exit_3(self, overfit_ckpt, tmp_path, capsys):
+        rc = main(["parse", overfit_ckpt, "go home", "--map", str(tmp_path)])
+        assert rc == 3
+        assert "map" in assert_one_line_error(capsys)
+
+    def test_directory_as_eval_map_exit_3(self, workdir, tmp_path, capsys):
+        rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--ckpt", str(workdir / "tiny.ckpt"),
+                   "--maps", str(tmp_path)])
+        assert rc == 3
+        assert_one_line_error(capsys)
+
+    def test_directory_as_embeddings_exit_3(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--embeddings", str(tmp_path)])
+        assert rc == 3
+        assert "embeddings" in assert_one_line_error(capsys)
+
+    def test_non_utf8_corpus_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe\x00")
+        assert main(["train", "--corpus", str(bad)]) == 3
+        assert_one_line_error(capsys)
+
+    def test_directory_as_config_exit_2(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--config", str(tmp_path)])
+        assert rc == 2
+        assert_one_line_error(capsys)
+
+
+class TestCheckpointHeader:
+    def rewrite_header(self, src, dst, edit):
+        header, payload = open(src, "rb").read().split(b"\n", 1)
+        doc = json.loads(header)
+        edit(doc)
+        dst.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        return str(dst)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("params"),
+        lambda d: d["embeddings"].pop("dim"),
+        lambda d: d["config"].update(wheels=4),
+        lambda d: d["config"].update(hidden_size="16"),
+        lambda d: d["config"].update(variant="4L"),
+        lambda d: d.update(config=[1, 2]),
+        lambda d: d["params"].append(d["params"][0]),
+        lambda d: d["params"][0].__setitem__(1, [1, 1]),
+        lambda d: d["params"][0].__setitem__(0, ["not", "a", "name"]),
+        lambda d: d["embeddings"].update(dim="50"),
+        lambda d: d["embeddings"].update(dim=49),
+        lambda d: d["embeddings"]["tokens"].pop(),
+    ], ids=["no-params", "no-dim", "unknown-config-key",
+            "ill-typed-config", "bad-variant", "config-not-a-dict",
+            "repeated-param", "wrong-shape", "unhashable-name",
+            "dim-not-int", "dim-wrong", "token-missing"])
+    def test_bad_header_exit_4(self, overfit_ckpt, tmp_path, capsys, edit):
+        bad = self.rewrite_header(overfit_ckpt, tmp_path / "bad.ckpt", edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+        assert main(["parse", bad, "go home"]) == 4
+        assert_one_line_error(capsys)
+
+    def test_version_only_header_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "v.ckpt"
+        path.write_bytes(b'{"format_version":1}\n')
+        assert main(["parse", str(path), "go home"]) == 4
+        assert_one_line_error(capsys)
+
+    def test_non_object_header_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "n.ckpt"
+        path.write_bytes(b"5\n")
+        assert main(["parse", str(path), "go home"]) == 4
+        assert_one_line_error(capsys)
+
+    def test_unchanged_header_still_loads(self, overfit_ckpt, tmp_path):
+        same = self.rewrite_header(overfit_ckpt, tmp_path / "same.ckpt",
+                                   lambda d: None)
+        load_checkpoint(same)
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["parse", "m.ckpt", "go", "--seed", "9"],
+        ["parse", "m.ckpt", "go", "--jobs", "2"],
+        ["parse", "m.ckpt", "go", "--out", "x.json"],
+        ["gradcheck", "--jobs", "2"],
+        ["gradcheck", "--out", "x.json"],
+        ["train", "--corpus", "c.jsonl", "--jobs", "2"],
+        ["gen-corpus", "--n", "3", "--jobs", "2"],
+    ])
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_eval_ckpt_with_maps_parses_each_sentence_once(workdir, overfit_ckpt,
+                                                        predict_calls,
+                                                        capsys):
+    rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
+               "--ckpt", overfit_ckpt,
+               "--maps", str(workdir / "house.map.json")])
+    assert rc == 0
+    corpus = [json.loads(line) for line in
+              (workdir / "corpus.jsonl").read_text().splitlines()]
+    assert sorted(predict_calls) == sorted(tuple(r["tokens"]) for r in corpus)
+    assert "Whole Chain" in capsys.readouterr().out
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "framecmd", "gen-corpus", "--n", "3",

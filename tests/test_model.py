@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from framecmd import autodiff as ad
+from framecmd.autodiff import Parameter
 from framecmd.corpus import AnnotatedSentence, FrameAnnotation, LabelVocab
 from framecmd.embeddings import embed_sentence, random_embeddings
 from framecmd.gradcheck import grad_check
@@ -65,6 +66,48 @@ class TestBuildModel:
     def test_no_attention_parameters_without_attention(self):
         m = build_model(small_config(attention=False), VOCAB)
         assert not any("att" in p.name for p in m.parameters())
+
+    @pytest.mark.parametrize("variant", ["2L", "3L"])
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_parameter_names_per_architecture(self, variant, attention):
+        def cell(prefix):
+            return {f"{prefix}.{m}_{g}" for m in "WUb" for g in "ifog"}
+
+        expected = cell("layer1.fwd") | cell("layer1.bwd") | cell(
+            "layer2.cell") | {"ad_head.W", "ad_head.b", "layer2.label_emb",
+                              "layer2.head.W", "layer2.head.b"}
+        if attention:
+            expected |= {"att1.W1", "att1.W2", "att1.v", "att1.ad_query"}
+        if variant == "3L":
+            expected |= cell("layer3.cell") | {
+                "highway.W_h", "highway.b_h", "highway.W_t", "highway.b_t",
+                "layer3.label_emb", "layer3.head.W", "layer3.head.b"}
+            if attention:
+                expected |= {"att3.W1", "att3.W2", "att3.v"}
+        m = build_model(small_config(variant, attention), VOCAB)
+        names = [p.name for p in m.parameters()]
+        assert len(names) == len(expected)
+        assert set(names) == expected
+
+    @pytest.mark.parametrize("variant", ["2L", "3L"])
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_every_parameter_of_the_model_is_listed(self, variant,
+                                                    attention):
+        # A Parameter the model holds but does not list would never be
+        # trained or saved.
+        def reachable(obj):
+            if isinstance(obj, Parameter):
+                yield obj
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from reachable(v)
+            elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+                for v in vars(obj).values():
+                    yield from reachable(v)
+
+        m = build_model(small_config(variant, attention), VOCAB)
+        held = {id(p) for part in vars(m).values() for p in reachable(part)}
+        assert held == {id(p) for p in m.parameters()}
 
 
 class TestForward:
@@ -356,6 +399,22 @@ class TestPredict:
         table, _ = embedded()
         with pytest.raises(ValueError):
             predict(m, table, [])
+
+    @pytest.mark.parametrize("variant", ["2L", "3L"])
+    def test_returns_the_forward_pass_attention(self, variant):
+        table, emb = embedded()
+        toks = list(sentence().tokens)
+        m = build_model(small_config(variant), VOCAB)
+        parsed = predict(m, table, toks)
+        with ad.no_grad():
+            maps = forward(m, emb, mode="infer").attention_maps
+        assert set(parsed.attention) == set(maps)
+        for key, weights in maps.items():
+            np.testing.assert_array_equal(parsed.attention[key], weights)
+        plain = ParsedCommand(parsed.frame_type, parsed.elements)
+        assert parsed == plain and hash(parsed) == hash(plain)
+        m = build_model(small_config(variant, attention=False), VOCAB)
+        assert predict(m, table, toks).attention is None
 
     def test_prediction_deterministic(self):
         m = build_model(small_config(), VOCAB)

@@ -6,8 +6,9 @@ import pytest
 from framecmd.corpus import AnnotatedSentence, FrameAnnotation, label_vocab
 from framecmd.embeddings import random_embeddings
 from framecmd.model import ModelConfig, ParsedCommand, build_model
+from framecmd import pipeline
 from framecmd.pipeline import (ChainMetrics, StageMetrics, TrainConfig,
-                               cross_validate, evaluate_stagewise,
+                               cross_validate, evaluate, evaluate_stagewise,
                                metrics_to_dict, report, span_f1, train)
 from framecmd.synth import demo_map, generate_synthetic
 
@@ -169,6 +170,54 @@ class TestTrain:
         model = build_model(cfg, vocab)
         with pytest.raises(ValueError):
             train(model, table, [], TrainConfig())
+
+
+def tiny_2l_config():
+    return ModelConfig(variant="2L", attention=False, embedding_dim=8,
+                       hidden_size=4, decoder_hidden=4, attention_size=4,
+                       label_embedding_dim=3, dropout=0.0, seed=0)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 0), ("batch_size", 0), ("lr", -1e-3),
+        ("lr", float("nan")), ("patience", -1), ("k", 1)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_accepts_bounds(self):
+        TrainConfig(epochs=1, batch_size=1, lr=0.0, patience=0, k=2)
+
+
+class TestEvaluate:
+    def test_matches_separate_metrics(self):
+        corpus = generate_synthetic(17, 12)
+        vocab = label_vocab(corpus)
+        table = random_embeddings([t for s in corpus for t in s.tokens],
+                                  dim=8, seed=0)
+        model = build_model(tiny_2l_config(), vocab)
+        maps = {"house1": demo_map()}
+        stage, chain = evaluate(model, table, corpus, maps)
+        predict_fn = lambda s: pipeline.predict(model, table, list(s.tokens))
+        assert stage == evaluate_stagewise(predict_fn, corpus)
+        assert chain == ChainMetrics(
+            pipeline.chain_accuracy(predict_fn, corpus, maps))
+        assert evaluate(model, table, corpus) == (stage, None)
+
+    def test_run_fold_parses_each_held_out_sentence_once(self,
+                                                         predict_calls):
+        corpus = generate_synthetic(17, 12)
+        train_set, test_set = corpus[:8], corpus[8:]
+        table = random_embeddings([t for s in corpus for t in s.tokens],
+                                  dim=8, seed=0)
+        tc = TrainConfig(epochs=1, batch_size=8, patience=0, seed=5, k=3)
+        stage, chain = pipeline._run_fold(
+            (0, train_set, test_set, tiny_2l_config(), tc,
+             label_vocab(corpus), table, {"house1": demo_map()}))
+        assert sorted(predict_calls) == sorted(s.tokens for s in test_set)
+        assert stage.counts["ad"] == len(test_set)
+        assert 0.0 <= chain.chain_accuracy <= 1.0
 
 
 class TestCrossValidate:
