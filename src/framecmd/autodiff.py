@@ -1,7 +1,17 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-The graph is built dynamically: every op returns a Tensor that remembers
-its parents and a closure propagating the output gradient to them.
+The graph is built dynamically. Every op computes its output array and
+ends in `node(data, parents, bwd)`, where `bwd(g)` propagates the
+output gradient g to the parents. `node` is the only code that links a
+tensor into the graph: with gradients on it records the parents, the
+closure and a creation index; under `no_grad` it returns a bare Tensor.
+A node is always made after its parents, so running nodes in
+decreasing creation index runs every consumer of a tensor before the
+tensor itself. `backward` therefore needs no topological sort: it runs
+each non-leaf node reachable from the loss once, newest first. Leaves
+(Parameters, constants, `no_grad` outputs) have no closure and are
+never visited.
+
 Python overhead per node, not arithmetic, dominates at the sizes used
 here (hidden sizes in the tens, sentences of ~10 tokens). So the
 network layers in `layers` are fused ops: each builds one or two nodes
@@ -14,16 +24,20 @@ useful.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
 
 # Module-level switches. ``grad_enabled`` is toggled by no_grad() to make
-# pure-forward evaluation (e.g. finite differences) cheap; ``check_finite``
-# is a debug aid that validates every op output. ``dtype`` is float64 in
-# normal operation; the gradient checker temporarily raises it to
-# extended precision where float64 finite differences are noise-limited.
+# pure-forward evaluation (e.g. finite differences) cheap. ``dtype`` is
+# float64 in normal operation; the gradient checker temporarily raises it
+# to extended precision where float64 finite differences are
+# noise-limited.
 grad_enabled = True
-check_finite = False
 dtype = np.float64
+
+_creation = itertools.count()
 
 
 class no_grad:
@@ -42,15 +56,16 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "bwd")
+    """An array in the graph. A bare Tensor is a leaf; `node` makes the
+    non-leaf ones, which alone carry a `bwd` closure and an `index`."""
+
+    __slots__ = ("data", "grad", "parents", "bwd", "index")
 
     def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=dtype)
         self.grad = None
         self.parents = parents
         self.bwd = None
-        if check_finite and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("non-finite value in tensor")
 
     @property
     def shape(self):
@@ -81,6 +96,18 @@ def constant(data):
     return Tensor(data)
 
 
+def node(data, parents, bwd):
+    """The output `data` of an op over the tensors `parents`; `bwd(g)`
+    propagates the output gradient g to them with `accumulate`. Under
+    `no_grad` the result is a bare Tensor and `bwd` is dropped."""
+    out = Tensor(data)
+    if grad_enabled:
+        out.parents = parents
+        out.bwd = bwd
+        out.index = next(_creation)
+    return out
+
+
 def accumulate(t, g):
     """Add g to t's gradient. The buffer is t's own copy, so it is
     updated in place; g must already have t's shape."""
@@ -91,137 +118,95 @@ def accumulate(t, g):
 
 
 def add(a, b):
-    out = Tensor(a.data + b.data)
-    if grad_enabled:
-        out.parents = (a, b)
+    def bwd(g):
+        accumulate(a, g)
+        accumulate(b, g)
 
-        def bwd(g):
-            accumulate(a, g)
-            accumulate(b, g)
-
-        out.bwd = bwd
-    return out
+    return node(a.data + b.data, (a, b), bwd)
 
 
 def mul(a, b):
     """Elementwise product; shapes must match or one operand be scalar."""
-    out = Tensor(a.data * b.data)
-    if grad_enabled:
-        out.parents = (a, b)
+    def bwd(g):
+        ga = g * b.data
+        gb = g * a.data
+        if a.data.ndim == 0:
+            ga = np.sum(ga)
+        if b.data.ndim == 0:
+            gb = np.sum(gb)
+        accumulate(a, ga)
+        accumulate(b, gb)
 
-        def bwd(g):
-            ga = g * b.data
-            gb = g * a.data
-            if a.data.ndim == 0:
-                ga = np.sum(ga)
-            if b.data.ndim == 0:
-                gb = np.sum(gb)
-            accumulate(a, ga)
-            accumulate(b, gb)
-
-        out.bwd = bwd
-    return out
+    return node(a.data * b.data, (a, b), bwd)
 
 
 def scale(a, c):
     """Multiply by a plain float/ndarray constant (no gradient for c)."""
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.data * c)
-    if grad_enabled:
-        out.parents = (a,)
 
-        def bwd(g):
-            accumulate(a, g * c)
+    def bwd(g):
+        accumulate(a, g * c)
 
-        out.bwd = bwd
-    return out
+    return node(a.data * c, (a,), bwd)
 
 
 def matvec(w, x):
     """(m, n) @ (n,) -> (m,)."""
-    out = Tensor(w.data @ x.data)
-    if grad_enabled:
-        out.parents = (w, x)
+    def bwd(g):
+        accumulate(w, np.outer(g, x.data))
+        accumulate(x, w.data.T @ g)
 
-        def bwd(g):
-            accumulate(w, np.outer(g, x.data))
-            accumulate(x, w.data.T @ g)
-
-        out.bwd = bwd
-    return out
+    return node(w.data @ x.data, (w, x), bwd)
 
 
 def dot(a, b):
-    out = Tensor(np.dot(a.data, b.data))
-    if grad_enabled:
-        out.parents = (a, b)
+    def bwd(g):
+        accumulate(a, g * b.data)
+        accumulate(b, g * a.data)
 
-        def bwd(g):
-            accumulate(a, g * b.data)
-            accumulate(b, g * a.data)
-
-        out.bwd = bwd
-    return out
+    return node(np.dot(a.data, b.data), (a, b), bwd)
 
 
 def tanh(a):
     t = np.tanh(a.data)
-    out = Tensor(t)
-    if grad_enabled:
-        out.parents = (a,)
 
-        def bwd(g):
-            accumulate(a, g * (1.0 - t * t))
+    def bwd(g):
+        accumulate(a, g * (1.0 - t * t))
 
-        out.bwd = bwd
-    return out
+    return node(t, (a,), bwd)
 
 
 def concat(parts):
-    parts = list(parts)
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    if grad_enabled:
-        out.parents = tuple(parts)
-        sizes = [p.data.shape[0] for p in parts]
+    parts = tuple(parts)
 
-        def bwd(g):
-            off = 0
-            for p, n in zip(parts, sizes):
-                accumulate(p, g[off:off + n])
-                off += n
+    def bwd(g):
+        off = 0
+        for p in parts:
+            n = p.data.shape[0]
+            accumulate(p, g[off:off + n])
+            off += n
 
-        out.bwd = bwd
-    return out
+    return node(np.concatenate([p.data for p in parts]), parts, bwd)
 
 
 def getrow(m, i):
-    out = Tensor(m.data[i])
-    if grad_enabled:
-        out.parents = (m,)
+    def bwd(g):
+        if m.grad is None:
+            m.grad = np.zeros(m.data.shape)
+        m.grad[i] += g
 
-        def bwd(g):
-            if m.grad is None:
-                m.grad = np.zeros(m.data.shape)
-            m.grad[i] += g
-
-        out.bwd = bwd
-    return out
+    return node(m.data[i], (m,), bwd)
 
 
 def softmax(v):
     """Stable softmax over a 1-d tensor."""
-    z = v.data - np.max(v.data)
-    e = np.exp(z)
+    e = np.exp(v.data - np.max(v.data))
     p = e / np.sum(e)
-    out = Tensor(p)
-    if grad_enabled:
-        out.parents = (v,)
 
-        def bwd(g):
-            accumulate(v, (g - np.dot(g, p)) * p)
+    def bwd(g):
+        accumulate(v, (g - np.dot(g, p)) * p)
 
-        out.bwd = bwd
-    return out
+    return node(p, (v,), bwd)
 
 
 def cross_entropy(probs, gold_index):
@@ -229,61 +214,48 @@ def cross_entropy(probs, gold_index):
     if not 0 <= gold_index < probs.data.shape[0]:
         raise IndexError(f"gold index {gold_index} out of range")
     pg = probs.data[gold_index]
-    clamped = max(pg, 1e-12)
-    out = Tensor(-np.log(clamped))
-    if grad_enabled:
-        out.parents = (probs,)
 
-        def bwd(g):
-            gv = np.zeros_like(probs.data)
-            if pg >= 1e-12:
-                gv[gold_index] = -g / pg
-            accumulate(probs, gv)
+    def bwd(g):
+        gv = np.zeros_like(probs.data)
+        if pg >= 1e-12:
+            gv[gold_index] = -g / pg
+        accumulate(probs, gv)
 
-        out.bwd = bwd
-    return out
+    return node(-np.log(max(pg, 1e-12)), (probs,), bwd)
 
 
 def mean_of(scalars):
-    scalars = list(scalars)
+    scalars = tuple(scalars)
     n = len(scalars)
-    out = Tensor(sum(s.data for s in scalars) / n)
-    if grad_enabled:
-        out.parents = tuple(scalars)
 
-        def bwd(g):
-            for s in scalars:
-                accumulate(s, g / n)
+    def bwd(g):
+        for s in scalars:
+            accumulate(s, g / n)
 
-        out.bwd = bwd
-    return out
+    return node(sum(s.data for s in scalars) / n, scalars, bwd)
 
 
 def backward(loss):
     """Populate gradients of every node reachable from a scalar loss.
 
-    Gradients sum over multiple uses of the same tensor. Parameters not
-    reached by the graph keep whatever is in their buffer (zeros after
-    zero_grad), satisfying the zero-gradient-for-unreached contract.
+    Runs each reachable non-leaf node once, in decreasing creation
+    index: every consumer of a node was made after it, so its gradient
+    is complete when its own closure runs. Gradients sum over multiple
+    uses of the same tensor. Parameters not reached by the graph keep
+    whatever is in their buffer (zeros after zero_grad), satisfying the
+    zero-gradient-for-unreached contract.
     """
     if loss.data.ndim != 0:
         raise ValueError("backward requires a scalar loss")
-    topo = []
-    visited = set()
-    stack = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in visited:
-                stack.append((p, False))
     loss.grad = np.asarray(1.0)
-    for node in reversed(topo):
-        if node.bwd is not None and node.grad is not None:
-            node.bwd(node.grad)
+    if loss.bwd is None:
+        return
+    pending = [(-loss.index, loss)]
+    queued = {loss.index}
+    while pending:
+        out = heapq.heappop(pending)[1]
+        out.bwd(out.grad)
+        for p in out.parents:
+            if p.bwd is not None and p.index not in queued:
+                queued.add(p.index)
+                heapq.heappush(pending, (-p.index, p))

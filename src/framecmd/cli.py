@@ -80,7 +80,7 @@ def load_config(name_or_path):
     raise ConfigError(f"no such config file or preset: {name_or_path}")
 
 
-def build_configs(values, overrides=(), seed=None):
+def build_configs(values, overrides=()):
     values = dict(values)
     for ov in overrides:
         if "=" not in ov:
@@ -90,8 +90,6 @@ def build_configs(values, overrides=(), seed=None):
         if key not in MODEL_KEYS | TRAIN_KEYS:
             raise ConfigError(f"unknown override key: {key}")
         values[key] = _parse_value(raw)
-    if seed is not None:
-        values["seed"] = seed
     try:
         model_cfg = ModelConfig(
             **{k: v for k, v in values.items() if k in MODEL_KEYS})
@@ -130,7 +128,7 @@ def _make_table(corpus, model_cfg, embeddings_path, seed):
 
 def cmd_train(args):
     values = load_config(args.config)
-    model_cfg, train_cfg = build_configs(values, args.override, args.seed)
+    model_cfg, train_cfg = build_configs(values, args.override)
     corpus = _read_corpus(args.corpus)
     vocab = label_vocab(corpus)
     table = _make_table(corpus, model_cfg, args.embeddings, train_cfg.seed)
@@ -156,7 +154,7 @@ def cmd_eval(args):
             raise ConfigError(f"--cv needs 2 <= K <= {len(corpus)}, "
                               f"the corpus size; got {args.cv}")
         values = load_config(args.config)
-        model_cfg, train_cfg = build_configs(values, args.override, args.seed)
+        model_cfg, train_cfg = build_configs(values, args.override)
         train_cfg = replace(train_cfg, k=args.cv)
         table = _make_table(corpus, model_cfg, args.embeddings,
                             train_cfg.seed)
@@ -215,6 +213,10 @@ def _gradcheck_fixture(seed):
 
 
 def cmd_gradcheck(args):
+    if not 0 < args.eps < float("inf"):
+        raise ConfigError(f"--eps must be positive and finite; got {args.eps}")
+    if args.hidden < 1:
+        raise ConfigError(f"--hidden must be >= 1; got {args.hidden}")
     vocab, table, sentence = _gradcheck_fixture(args.seed)
     embedded = embed_sentence(table, list(sentence.tokens))
     all_pass = True
@@ -270,8 +272,6 @@ def build_parser():
                        help="pre-trained embedding text file")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     add_training_flags(p, config="3l_att")

@@ -32,7 +32,9 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
     forward_fn() must rebuild the loss graph from the current parameter
     values and return a scalar Tensor. Per parameter, up to max_coords
     coordinates are checked (seeded subsample when larger). Returns the
-    max of |a - n| / max(1e-8, |a| + |n|) over all checked coordinates.
+    max of |a - n| / max(1e-8, |a| + |n|) over all checked coordinates,
+    or NaN when any of them is NaN (e.g. with epsilon = 0), so that a
+    check against a threshold fails.
 
     Coordinates whose gradient magnitude is near the 1e-8 denominator
     floor are noise-limited in float64: the central difference carries
@@ -55,7 +57,7 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
         analytic = {k: 2.0 * v for k, v in analytic.items()}
 
     rng = np.random.default_rng(seed)
-    max_err = 0.0
+    errors = [0.0]
     suspect = []  # (param, coord, analytic value) pairs to re-check
     with ad.no_grad():
         for p in params:
@@ -69,10 +71,10 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
             for idx in coords:
                 numeric = _central_difference(forward_fn, flat, idx, epsilon)
                 err = _rel_err(a_flat[idx], numeric)
-                if err > REFINE_ABOVE:
+                if err <= REFINE_ABOVE:
+                    errors.append(err)
+                else:   # NaN too
                     suspect.append((p, idx, a_flat[idx]))
-                elif err > max_err:
-                    max_err = err
 
         if suspect:
             saved = [p.data for p in params]
@@ -84,13 +86,11 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
                     flat = p.data.reshape(-1)
                     numeric = _central_difference(forward_fn, flat, idx,
                                                   epsilon)
-                    err = _rel_err(a, numeric)
-                    if err > max_err:
-                        max_err = err
+                    errors.append(_rel_err(a, numeric))
             finally:
                 ad.dtype = np.float64
                 for p, data in zip(params, saved):
                     p.data = data
     for p in params:
         p.zero_grad()
-    return max_err
+    return float(np.max(errors))    # NaN if any error is NaN

@@ -3,15 +3,16 @@ additive attention, highway connection, and parameter initialization.
 
 The LSTM step, attention and highway are fused autodiff ops: each
 computes its output with whole-array numpy arithmetic in its inputs'
-dtype and adds one or two graph nodes with a hand-written backward
-pass, instead of a node per gate, score or elementwise product."""
+dtype and adds one or two graph nodes through `autodiff.node`, each
+with a hand-written backward pass, instead of a node per gate, score
+or elementwise product."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 
 GATES = ("i", "f", "o", "g")
 
@@ -102,18 +103,7 @@ def lstm_cell_forward(x, h, c, params):
     ifo = _sigmoid(z[:3 * H])
     i, f, o = ifo[:H], ifo[H:2 * H], ifo[2 * H:]
     g = np.tanh(z[3 * H:])
-    c_new = Tensor(f * cd + i * g)
-    tc = np.tanh(c_new.data)
-    h_new = Tensor(o * tc)
-    if not ad.grad_enabled:
-        return h_new, c_new
-
     dz_o = None  # output-gate pre-activation gradient, set by h'.bwd
-
-    def h_bwd(gh):
-        nonlocal dz_o
-        dz_o = gh * tc * o * (1.0 - o)
-        ad.accumulate(c_new, gh * o * (1.0 - tc * tc))
 
     def c_bwd(gc):
         dz = np.concatenate([gc * g * i * (1.0 - i),
@@ -131,18 +121,23 @@ def lstm_cell_forward(x, h, c, params):
         ad.accumulate(h, dz @ np.concatenate([U[k].data for k in GATES]))
         ad.accumulate(c, gc * f)
 
-    c_new.parents = (x, h, c) + tuple(params.parameters())
-    c_new.bwd = c_bwd
-    h_new.parents = (c_new,)
-    h_new.bwd = h_bwd
-    return h_new, c_new
+    c_new = ad.node(f * cd + i * g,
+                    (x, h, c, *W.values(), *U.values(), *b.values()), c_bwd)
+    tc = np.tanh(c_new.data)
+
+    def h_bwd(gh):
+        nonlocal dz_o
+        dz_o = gh * tc * o * (1.0 - o)
+        ad.accumulate(c_new, gh * o * (1.0 - tc * tc))
+
+    return ad.node(o * tc, (c_new,), h_bwd), c_new
 
 
-def lstm_run(seq, params, h0=None, c0=None):
-    """Unroll an LSTM over a list of input tensors; returns hidden states."""
-    hdim = params.hidden_dim
-    h = h0 if h0 is not None else ad.constant(np.zeros(hdim))
-    c = c0 if c0 is not None else ad.constant(np.zeros(hdim))
+def lstm_run(seq, params):
+    """Unroll an LSTM from zero states over a list of input tensors;
+    returns the hidden states."""
+    h = ad.constant(np.zeros(params.hidden_dim))
+    c = ad.constant(np.zeros(params.hidden_dim))
     states = []
     for x in seq:
         h, c = lstm_cell_forward(x, h, c, params)
@@ -198,31 +193,29 @@ def attention(queries, keys, params):
     E = S @ v.data
     P = np.exp(E - E.max(axis=1, keepdims=True))
     P /= P.sum(axis=1, keepdims=True)
-    C = Tensor(P @ Km)
-    if ad.grad_enabled:
-        def bwd(gC):
-            dP = gC @ Km.T
-            dE = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
-            ad.accumulate(v, np.tensordot(dE, S, axes=2))
-            dPre = dE[:, :, None] * v.data * (1.0 - S * S)
-            dA = dPre.sum(axis=1)
-            dB = dPre.sum(axis=0)
-            ad.accumulate(W1, dA.T @ Qm)
-            ad.accumulate(W2, dB.T @ Km)
-            dQ = dA @ W1.data
-            dK = P.T @ gC + dB @ W2.data
-            if queries is keys:
-                dK += dQ
-            else:
-                for q, dq in zip(queries, dQ):
-                    ad.accumulate(q, dq)
-            for k, dk in zip(keys, dK):
-                ad.accumulate(k, dk)
 
-        inputs = (tuple(keys) if queries is keys
-                  else tuple(queries) + tuple(keys))
-        C.parents = inputs + (W1, W2, v)
-        C.bwd = bwd
+    def bwd(gC):
+        dP = gC @ Km.T
+        dE = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+        ad.accumulate(v, np.tensordot(dE, S, axes=2))
+        dPre = dE[:, :, None] * v.data * (1.0 - S * S)
+        dA = dPre.sum(axis=1)
+        dB = dPre.sum(axis=0)
+        ad.accumulate(W1, dA.T @ Qm)
+        ad.accumulate(W2, dB.T @ Km)
+        dQ = dA @ W1.data
+        dK = P.T @ gC + dB @ W2.data
+        if queries is keys:
+            dK += dQ
+        else:
+            for q, dq in zip(queries, dQ):
+                ad.accumulate(q, dq)
+        for k, dk in zip(keys, dK):
+            ad.accumulate(k, dk)
+
+    inputs = (tuple(keys) if queries is keys
+              else tuple(queries) + tuple(keys))
+    C = ad.node(P @ Km, inputs + (W1, W2, v), bwd)
     return [ad.getrow(C, q) for q in range(len(queries))], P
 
 
@@ -256,20 +249,17 @@ def highway(x, params):
     xd = x.data
     h = np.tanh(W_h.data @ xd + b_h.data)
     t = _sigmoid(W_t.data @ xd + b_t.data)
-    out = Tensor(t * h + (1.0 - t) * xd)
-    if ad.grad_enabled:
-        def bwd(g):
-            dzh = g * t * (1.0 - h * h)
-            dzt = g * (h - xd) * t * (1.0 - t)
-            ad.accumulate(W_h, np.outer(dzh, xd))
-            ad.accumulate(b_h, dzh)
-            ad.accumulate(W_t, np.outer(dzt, xd))
-            ad.accumulate(b_t, dzt)
-            ad.accumulate(x, g * (1.0 - t) + dzh @ W_h.data + dzt @ W_t.data)
 
-        out.parents = (x, W_h, b_h, W_t, b_t)
-        out.bwd = bwd
-    return out
+    def bwd(g):
+        dzh = g * t * (1.0 - h * h)
+        dzt = g * (h - xd) * t * (1.0 - t)
+        ad.accumulate(W_h, np.outer(dzh, xd))
+        ad.accumulate(b_h, dzh)
+        ad.accumulate(W_t, np.outer(dzt, xd))
+        ad.accumulate(b_t, dzt)
+        ad.accumulate(x, g * (1.0 - t) + dzh @ W_h.data + dzt @ W_t.data)
+
+    return ad.node(t * h + (1.0 - t) * xd, (x, W_h, b_h, W_t, b_t), bwd)
 
 
 class AffineParams:

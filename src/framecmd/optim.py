@@ -46,9 +46,11 @@ class Sgd:
             p.zero_grad()
 
 
+# The optimizers a TrainConfig may name.
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
+
+
 def make_optimizer(params, name="adam", lr=1e-3):
-    if name == "adam":
-        return Adam(params, lr=lr)
-    if name == "sgd":
-        return Sgd(params, lr=lr)
-    raise ValueError(f"unknown optimizer: {name}")
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer: {name}")
+    return OPTIMIZERS[name](params, lr=lr)

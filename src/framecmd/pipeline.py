@@ -21,7 +21,7 @@ from .corpus import label_vocab, make_folds
 from .embeddings import embed_sentence, random_embeddings
 from .grounding import chain_accuracy
 from .model import build_model, forward, gold_labels, joint_loss, predict
-from .optim import make_optimizer
+from .optim import OPTIMIZERS, make_optimizer
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,9 @@ class TrainConfig:
                 raise ValueError(f"{f} must be >= {low}")
         if not self.lr >= 0:    # 0 freezes the weights; NaN is rejected
             raise ValueError("lr must be >= 0")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of "
+                             f"{', '.join(OPTIMIZERS)}; got {self.optimizer!r}")
 
 
 @dataclass

@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from framecmd import autodiff as ad
 from framecmd.autodiff import Parameter
+from framecmd.gradcheck import grad_check
 
 
 def test_softmax_uniform():
@@ -84,6 +88,24 @@ def test_backward_parameter_used_twice():
     np.testing.assert_allclose(w.grad, numeric, atol=1e-8)
 
 
+@pytest.mark.parametrize("a_first", [True, False])
+def test_backward_node_consumed_upstream_and_downstream(a_first):
+    # a feeds both b = tanh(a) and c = a * b, and b feeds c: a's
+    # gradient is complete only after c and then b have run. A traversal
+    # that runs a as soon as c hands it a gradient gets it wrong for one
+    # of the two parent orders of c.
+    w = Parameter("w", np.array([0.4, -1.3, 0.9]))
+    a = ad.tanh(w)
+    b = ad.tanh(a)
+    c = ad.mul(a, b) if a_first else ad.mul(b, a)
+    loss = ad.dot(c, ad.constant(np.ones(3)))
+    ad.backward(loss)
+    a_grad = b.data + a.data * (1.0 - b.data ** 2)
+    np.testing.assert_allclose(a.grad, a_grad, rtol=1e-14)
+    np.testing.assert_allclose(w.grad, a_grad * (1.0 - a.data ** 2),
+                               rtol=1e-14)
+
+
 def test_backward_constant_loss():
     w = Parameter("w", np.array([1.0, 2.0]))
     loss = ad.constant(3.0)
@@ -104,13 +126,26 @@ def test_no_grad_builds_no_graph():
     assert out.bwd is None
 
 
-def test_check_finite_debug_mode():
-    ad.check_finite = True
-    try:
-        with pytest.raises(FloatingPointError):
-            ad.constant([np.inf])
-    finally:
-        ad.check_finite = False
+def test_grad_check_fails_when_errors_are_nan():
+    # epsilon = 0 makes every central difference 0/0.
+    w = Parameter("w", np.array([0.3, -0.7]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = grad_check(lambda: ad.dot(w, w), [w], epsilon=0.0)
+    assert not err < 1e-4
+
+
+def test_only_autodiff_links_graph_nodes():
+    # Every op joins the graph through ad.node, the one writer of a
+    # tensor's parents and backward closure.
+    assigns = re.compile(r"\.(?:parents|bwd)\s*[-+*/|&]?=(?!=)")
+    package = Path(ad.__file__).parent
+    offenders = [f"{path.name}:{lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 if path.name != "autodiff.py"
+                 for lineno, line in enumerate(
+                     path.read_text(encoding="utf-8").splitlines(), 1)
+                 if assigns.search(line)]
+    assert offenders == []
 
 
 def test_forward_purity():

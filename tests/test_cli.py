@@ -221,7 +221,8 @@ def assert_one_line_error(capsys):
 
 class TestConfigErrors:
     @pytest.mark.parametrize("override", ["batch_size=0", "lr=-1",
-                                          "patience=-1", "epochs=0"])
+                                          "patience=-1", "epochs=0",
+                                          "optimizer=foo"])
     def test_out_of_range_train_setting_exit_2(self, workdir, tmp_path,
                                                capsys, override):
         rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
@@ -236,6 +237,13 @@ class TestConfigErrors:
                    "--config", "2l_no_att", "--cv", k])
         assert rc == 2
         assert "--cv" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-0.5"],
+                                       ["--eps", "nan"], ["--eps", "inf"],
+                                       ["--hidden", "0"]])
+    def test_gradcheck_bad_setting_exit_2(self, capsys, flags):
+        assert main(["gradcheck"] + flags) == 2
+        assert flags[0] in assert_one_line_error(capsys)
 
 
 class TestUnreadableFiles:
@@ -332,6 +340,8 @@ class TestFlagsPerCommand:
         ["gradcheck", "--jobs", "2"],
         ["gradcheck", "--out", "x.json"],
         ["train", "--corpus", "c.jsonl", "--jobs", "2"],
+        ["train", "--corpus", "c.jsonl", "--seed", "9"],
+        ["eval", "--corpus", "c.jsonl", "--seed", "9"],
         ["gen-corpus", "--n", "3", "--jobs", "2"],
     ])
     def test_unread_flag_rejected(self, argv, capsys):

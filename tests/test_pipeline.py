@@ -181,7 +181,8 @@ def tiny_2l_config():
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("batch_size", 0), ("lr", -1e-3),
-        ("lr", float("nan")), ("patience", -1), ("k", 1)])
+        ("lr", float("nan")), ("patience", -1), ("k", 1),
+        ("optimizer", "foo")])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
