@@ -117,6 +117,17 @@ def accumulate(t, g):
         t.grad += g
 
 
+def accumulate_at(t, i, g):
+    """Add g into t's gradient at index i (an int, or index arrays whose
+    repeated entries each add their share)."""
+    if t.grad is None:
+        t.grad = np.zeros(t.data.shape)
+    if isinstance(i, int):
+        t.grad[i] += g
+    else:
+        np.add.at(t.grad, i, g)
+
+
 def add(a, b):
     def bwd(g):
         accumulate(a, g)
@@ -177,23 +188,38 @@ def tanh(a):
 
 
 def concat(parts):
+    """Join along the last axis, so (d,) parts give a vector and (B, d)
+    parts a (B, sum of d) matrix."""
     parts = tuple(parts)
 
     def bwd(g):
         off = 0
         for p in parts:
-            n = p.data.shape[0]
-            accumulate(p, g[off:off + n])
+            n = p.data.shape[-1]
+            accumulate(p, g[..., off:off + n])
             off += n
 
-    return node(np.concatenate([p.data for p in parts]), parts, bwd)
+    return node(np.concatenate([p.data for p in parts], axis=-1), parts,
+                bwd)
+
+
+def stack(parts):
+    """Stack equal-shaped tensors along a new leading axis."""
+    parts = tuple(parts)
+
+    def bwd(g):
+        for p, gp in zip(parts, g):
+            accumulate(p, gp)
+
+    return node(np.array([p.data for p in parts]), parts, bwd)
 
 
 def getrow(m, i):
+    """m.data[i] for any integer index: a row, the rows of an index
+    array (a batch of label lookups, repeats allowed) or a gather by a
+    tuple of index arrays."""
     def bwd(g):
-        if m.grad is None:
-            m.grad = np.zeros(m.data.shape)
-        m.grad[i] += g
+        accumulate_at(m, i, g)
 
     return node(m.data[i], (m,), bwd)
 
@@ -244,6 +270,10 @@ def backward(loss):
     uses of the same tensor. Parameters not reached by the graph keep
     whatever is in their buffer (zeros after zero_grad), satisfying the
     zero-gradient-for-unreached contract.
+
+    Each closure is dropped once it has run, which frees the arrays it
+    saved while the rest of the pass runs; so a graph is differentiated
+    once (a second call only sets loss.grad).
     """
     if loss.data.ndim != 0:
         raise ValueError("backward requires a scalar loss")
@@ -255,6 +285,7 @@ def backward(loss):
     while pending:
         out = heapq.heappop(pending)[1]
         out.bwd(out.grad)
+        out.bwd = None
         for p in out.parents:
             if p.bwd is not None and p.index not in queued:
                 queued.add(p.index)

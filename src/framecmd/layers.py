@@ -1,11 +1,19 @@
 """Network building blocks: LSTM cell, bidirectional recurrence,
-additive attention, highway connection, and parameter initialization.
+additive attention, highway connection, decoder input, affine head,
+cross-entropy loss, and parameter initialization.
 
-The LSTM step, attention and highway are fused autodiff ops: each
-computes its output with whole-array numpy arithmetic in its inputs'
-dtype and adds one or two graph nodes through `autodiff.node`, each
-with a hand-written backward pass, instead of a node per gate, score
-or elementwise product."""
+The LSTM step, attention, highway, decoder input, affine head and loss
+are fused autodiff ops: each computes its output with whole-array numpy
+arithmetic in its inputs' dtype and adds one or two graph nodes through
+`autodiff.node`, each with a hand-written backward pass, instead of a
+node per gate, score or elementwise product.
+
+Every op works on rows: a vector (d,) is one sentence's step, and a
+(B, d) matrix the same step of B sentences, one row each. Weight
+gradients are then dZ^T X products over the rows. The sequence ops
+(bilstm_forward, attention) take each sentence's length, so that a
+batch right-padded to its longest sentence computes every sentence as
+that sentence alone would."""
 
 from __future__ import annotations
 
@@ -75,6 +83,31 @@ class LstmCellParams:
             yield self.U[gate]
             yield self.b[gate]
 
+    def stacked(self):
+        return StackedCell(self)
+
+
+class StackedCell:
+    """An LSTM cell with its gate weights stacked once in GATES order:
+    Ws (4H x d), Us (4H x H), bs (4H). A forward pass takes one per cell
+    and runs all its steps on it, so it stacks each cell once, not once
+    per step. The weights must not change during the pass and its
+    backward pass, which nothing does: the optimizer steps after
+    backward, the gradient check perturbs between passes. W, U and b
+    are the cell's per-gate Parameters, which are the ones trained,
+    named and saved."""
+
+    def __init__(self, cell):
+        self.input_dim = cell.input_dim
+        self.hidden_dim = cell.hidden_dim
+        self.W, self.U, self.b = cell.W, cell.U, cell.b
+        self.Ws, self.Us, self.bs = (
+            np.concatenate([p[k].data for k in GATES])
+            for p in (cell.W, cell.U, cell.b))
+
+    def stacked(self):
+        return self
+
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
@@ -83,42 +116,45 @@ def _sigmoid(z):
 def lstm_cell_forward(x, h, c, params):
     """One LSTM step; returns (h', c'). Pure function of its inputs.
 
-    The gates' weights are stacked in GATES order inside the call, so
-    every gate comes from one pre-activation z = W x + U h + b
-    (Appleyard et al., arXiv:1604.01946). The step is two graph nodes:
-    c', whose backward pass does all the weight, input and state work
-    of the four gates at once, and h' = o * tanh(c'), its child, which
-    hands the output gate's pre-activation gradient to c'. Backward
-    reads the per-gate Parameters and re-stacks them, so no stacked
-    copy of the weights outlives the call.
+    x, h and c are (d,), (H,), (H,) vectors or, for a batch of B rows,
+    (B, d), (B, H), (B, H) matrices; every row is an independent step.
+    params is an LstmCellParams or, to stack its weights once for many
+    steps, its StackedCell. Every gate comes from one pre-activation
+    z = x Ws^T + h Us^T + bs (Appleyard et al., arXiv:1604.01946). The
+    step is two graph nodes: c', whose backward pass does all the
+    weight, input and state work of the four gates at once (each weight
+    gradient one dZ^T X product over the batch), and h' = o * tanh(c'),
+    its child, which hands the output gate's pre-activation gradient
+    to c'.
     """
-    H = params.hidden_dim
-    if x.data.shape[0] != params.input_dim or h.data.shape[0] != H:
+    cell = params.stacked()
+    H = cell.hidden_dim
+    if x.data.shape[-1] != cell.input_dim or h.data.shape[-1] != H:
         raise ValueError("LSTM cell dimension mismatch")
-    W, U, b = params.W, params.U, params.b
+    W, U, b = cell.W, cell.U, cell.b
     xd, hd, cd = x.data, h.data, c.data
-    z = (np.concatenate([W[k].data for k in GATES]) @ xd
-         + np.concatenate([U[k].data for k in GATES]) @ hd
-         + np.concatenate([b[k].data for k in GATES]))
-    ifo = _sigmoid(z[:3 * H])
-    i, f, o = ifo[:H], ifo[H:2 * H], ifo[2 * H:]
-    g = np.tanh(z[3 * H:])
+    z = xd @ cell.Ws.T + hd @ cell.Us.T + cell.bs
+    ifo = _sigmoid(z[..., :3 * H])
+    i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
+    g = np.tanh(z[..., 3 * H:])
     dz_o = None  # output-gate pre-activation gradient, set by h'.bwd
 
     def c_bwd(gc):
         dz = np.concatenate([gc * g * i * (1.0 - i),
                              gc * cd * f * (1.0 - f),
-                             np.zeros(H) if dz_o is None else dz_o,
-                             gc * i * (1.0 - g * g)])
-        dW = np.outer(dz, xd)
-        dU = np.outer(dz, hd)
+                             np.zeros_like(gc) if dz_o is None else dz_o,
+                             gc * i * (1.0 - g * g)], axis=-1)
+        rows = dz.reshape(-1, 4 * H)
+        dW = rows.T @ xd.reshape(rows.shape[0], -1)
+        dU = rows.T @ hd.reshape(rows.shape[0], -1)
+        db = rows.sum(axis=0)
         for k, gate in enumerate(GATES):
-            rows = slice(k * H, (k + 1) * H)
-            ad.accumulate(W[gate], dW[rows])
-            ad.accumulate(U[gate], dU[rows])
-            ad.accumulate(b[gate], dz[rows])
-        ad.accumulate(x, dz @ np.concatenate([W[k].data for k in GATES]))
-        ad.accumulate(h, dz @ np.concatenate([U[k].data for k in GATES]))
+            gate_rows = slice(k * H, (k + 1) * H)
+            ad.accumulate(W[gate], dW[gate_rows])
+            ad.accumulate(U[gate], dU[gate_rows])
+            ad.accumulate(b[gate], db[gate_rows])
+        ad.accumulate(x, dz @ cell.Ws)
+        ad.accumulate(h, dz @ cell.Us)
         ad.accumulate(c, gc * f)
 
     c_new = ad.node(f * cd + i * g,
@@ -136,28 +172,57 @@ def lstm_cell_forward(x, h, c, params):
 def lstm_run(seq, params):
     """Unroll an LSTM from zero states over a list of input tensors;
     returns the hidden states."""
-    h = ad.constant(np.zeros(params.hidden_dim))
-    c = ad.constant(np.zeros(params.hidden_dim))
+    cell = params.stacked()
+    zeros = ad.constant(np.zeros(seq[0].data.shape[:-1]
+                                 + (cell.hidden_dim,)))
+    h = c = zeros
     states = []
     for x in seq:
-        h, c = lstm_cell_forward(x, h, c, params)
+        h, c = lstm_cell_forward(x, h, c, cell)
         states.append(h)
     return states
 
 
-def bilstm_forward(seq, fwd, bwd):
-    """Bidirectional LSTM over a list of input tensors.
+def _reversal(seq, lengths):
+    """Indexes into a stack of seq's steps, (T, d) or (T, B, d): the
+    order that reverses each sentence within its own length and leaves
+    its padding in place, and each sentence's last step. The order is
+    its own inverse, so it also puts reversed states back in token
+    order."""
+    T = len(seq)
+    if seq[0].data.ndim == 1:
+        return np.arange(T - 1, -1, -1), T - 1
+    B = seq[0].data.shape[0]
+    n = np.full(B, T) if lengths is None else np.asarray(lengths)
+    t = np.arange(T)[:, None]
+    batch = np.arange(B)
+    return (np.where(t < n, n - 1 - t, t), batch), (n - 1, batch)
+
+
+def bilstm_forward(seq, fwd, bwd, lengths=None):
+    """Bidirectional LSTM over a list of T input tensors, each (d,) or,
+    for B right-padded sentences with the given lengths, (B, d).
 
     Returns (states, last_fwd, last_bwd) where states[t] is the
-    concatenation of the forward state at t and the backward state at t;
-    both directions start from zero states.
+    concatenation of the forward state at t and the backward state at t,
+    and last_fwd / last_bwd are each sentence's final forward state
+    (at its last token) and final backward state (at its first token).
+    Both directions start from zero states. The backward direction
+    reads each sentence reversed within its own length through one
+    gather, so it starts at the sentence's last token and no step needs
+    a mask; padding steps only follow a sentence's own steps.
     """
     if len(seq) < 1:
         raise ValueError("empty sequence")
-    f_states = lstm_run(seq, fwd)
-    b_states = list(reversed(lstm_run(list(reversed(seq)), bwd)))
-    states = [ad.concat([f, b]) for f, b in zip(f_states, b_states)]
-    return states, f_states[-1], b_states[0]
+    T = len(seq)
+    order, last = _reversal(seq, lengths)
+    reversed_seq = ad.getrow(ad.stack(seq), order)
+    f_states = ad.stack(lstm_run(seq, fwd))
+    b_states = ad.stack(lstm_run([ad.getrow(reversed_seq, t)
+                                  for t in range(T)], bwd))
+    both = ad.concat([f_states, ad.getrow(b_states, order)])
+    return ([ad.getrow(both, t) for t in range(T)],
+            ad.getrow(f_states, last), ad.getrow(b_states, last))
 
 
 class AttentionParams:
@@ -175,48 +240,98 @@ class AttentionParams:
         return [self.W1, self.W2, self.v]
 
 
-def attention(queries, keys, params):
+def attention(queries, keys, params, lengths=None):
     """Attend each query over the keys (values = keys).
 
-    All queries are scored at once as one graph node (Bahdanau et al.,
-    arXiv:1409.0473): P = softmax(tanh(Q W1^T (+) K W2^T) v) row-wise
-    and C = P K, where (+) adds every query row to every key row. One
-    getrow per query then yields its context. Returns (contexts,
-    weights): the context tensors and the softmax rows as a Q x T
-    array. Self-attention (`queries is keys`) feeds each state's query
-    and key gradients back in one step.
+    keys is a list of Tk tensors, each (dk,) or, for B right-padded
+    sentences with the given lengths, (B, dk); queries likewise, or
+    vectors shared by every sentence of the batch. All queries are
+    scored at once as one graph node (Bahdanau et al.,
+    arXiv:1409.0473): P = softmax(tanh(Q W1^T (+) K W2^T) v) over each
+    sentence's own keys (padded keys get weight 0) and C = P K, where
+    (+) adds every query row to every key row. One getrow per query then
+    yields its context. Returns (contexts, weights): the context tensors,
+    shaped like the keys, and the softmax rows as a (B, Tq, Tk) array,
+    or Tq x Tk for unbatched keys. Self-attention (`queries is keys`)
+    feeds each state's query and key gradients back in one step.
     """
     W1, W2, v = params.W1, params.W2, params.v
-    Qm = np.stack([q.data for q in queries])
-    Km = Qm if queries is keys else np.stack([k.data for k in keys])
-    S = np.tanh((Qm @ W1.data.T)[:, None, :] + (Km @ W2.data.T)[None, :, :])
+    batched = keys[0].data.ndim == 2
+    shared = batched and queries[0].data.ndim == 1
+    # Batch-major (B, T, d) stacks. Unbatched keys are a batch of one;
+    # vector queries over batched keys are one query set (1, Tq, dq)
+    # shared by every sentence.
+    Km = np.array([k.data for k in keys])
+    Km = Km.swapaxes(0, 1) if batched else Km[None]
+    if queries is keys:
+        Qb = Km
+    else:
+        Qb = np.array([q.data for q in queries])
+        Qb = Qb.swapaxes(0, 1) if Qb.ndim == 3 else Qb[None]
+    S = np.tanh((Qb @ W1.data.T)[:, :, None, :]
+                + (Km @ W2.data.T)[:, None, :, :])
     E = S @ v.data
-    P = np.exp(E - E.max(axis=1, keepdims=True))
-    P /= P.sum(axis=1, keepdims=True)
+    if lengths is not None and min(lengths) < len(keys):     # padded keys
+        own = np.arange(len(keys)) < np.asarray(lengths)[:, None, None]
+        E = np.where(own, E, -np.inf)
+    P = np.exp(E - E.max(axis=-1, keepdims=True))
+    P /= P.sum(axis=-1, keepdims=True)
 
     def bwd(gC):
-        dP = gC @ Km.T
-        dE = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
-        ad.accumulate(v, np.tensordot(dE, S, axes=2))
-        dPre = dE[:, :, None] * v.data * (1.0 - S * S)
-        dA = dPre.sum(axis=1)
-        dB = dPre.sum(axis=0)
-        ad.accumulate(W1, dA.T @ Qm)
-        ad.accumulate(W2, dB.T @ Km)
+        gC = gC.swapaxes(0, 1) if batched else gC[None]
+        dP = gC @ Km.swapaxes(1, 2)
+        dE = P * (dP - np.sum(dP * P, axis=-1, keepdims=True))
+        ad.accumulate(v, np.tensordot(dE, S, axes=3))
+        dPre = dE[..., None] * v.data * (1.0 - S * S)
+        dA = dPre.sum(axis=2)
+        if shared:
+            dA = dA.sum(axis=0, keepdims=True)
+        dB = dPre.sum(axis=1)
+        ad.accumulate(W1, dA.reshape(-1, dA.shape[-1]).T
+                      @ Qb.reshape(-1, Qb.shape[-1]))
+        ad.accumulate(W2, dB.reshape(-1, dB.shape[-1]).T
+                      @ Km.reshape(-1, Km.shape[-1]))
         dQ = dA @ W1.data
-        dK = P.T @ gC + dB @ W2.data
+        dK = P.swapaxes(1, 2) @ gC + dB @ W2.data
         if queries is keys:
             dK += dQ
         else:
+            dQ = dQ.swapaxes(0, 1) if batched and not shared else dQ[0]
             for q, dq in zip(queries, dQ):
                 ad.accumulate(q, dq)
-        for k, dk in zip(keys, dK):
+        for k, dk in zip(keys, dK.swapaxes(0, 1) if batched else dK[0]):
             ad.accumulate(k, dk)
 
     inputs = (tuple(keys) if queries is keys
               else tuple(queries) + tuple(keys))
-    C = ad.node(P @ Km, inputs + (W1, W2, v), bwd)
-    return [ad.getrow(C, q) for q in range(len(queries))], P
+    C = P @ Km
+    C = ad.node(C.swapaxes(0, 1) if batched else C[0], inputs + (W1, W2, v),
+                bwd)
+    return ([ad.getrow(C, q) for q in range(len(queries))],
+            P if batched else P[0])
+
+
+def decoder_input(parts, table, rows, mask=None):
+    """One decoder step's input as one graph node: the parts side by
+    side along the last axis, then the label-embedding rows table[rows]
+    (an index, or one per sentence of a batch), all times the dropout
+    mask when one is given."""
+    data = np.concatenate([p.data for p in parts] + [table.data[rows]],
+                          axis=-1)
+    if mask is not None:
+        data = data * mask
+
+    def bwd(g):
+        if mask is not None:
+            g = g * mask
+        off = 0
+        for p in parts:
+            n = p.data.shape[-1]
+            ad.accumulate(p, g[..., off:off + n])
+            off += n
+        ad.accumulate_at(table, rows, g[..., off:])
+
+    return ad.node(data, (*parts, table), bwd)
 
 
 class HighwayParams:
@@ -240,23 +355,26 @@ class HighwayParams:
 
 def highway(x, params):
     """y = t*h + (1 - t)*x with h = tanh(W_h x + b_h) and
-    t = sigmoid(W_t x + b_t), as one graph node."""
+    t = sigmoid(W_t x + b_t), as one graph node; x is (d,) or any
+    stack of such rows, e.g. (B, d) or (T, B, d)."""
     W_h, b_h, W_t, b_t = params.W_h, params.b_h, params.W_t, params.b_t
     if W_h.data.shape[0] != W_h.data.shape[1]:
         raise ValueError("highway transform must be square")
-    if x.data.shape[0] != W_h.data.shape[1]:
+    if x.data.shape[-1] != W_h.data.shape[1]:
         raise ValueError("highway input dimension mismatch")
     xd = x.data
-    h = np.tanh(W_h.data @ xd + b_h.data)
-    t = _sigmoid(W_t.data @ xd + b_t.data)
+    h = np.tanh(xd @ W_h.data.T + b_h.data)
+    t = _sigmoid(xd @ W_t.data.T + b_t.data)
 
     def bwd(g):
         dzh = g * t * (1.0 - h * h)
         dzt = g * (h - xd) * t * (1.0 - t)
-        ad.accumulate(W_h, np.outer(dzh, xd))
-        ad.accumulate(b_h, dzh)
-        ad.accumulate(W_t, np.outer(dzt, xd))
-        ad.accumulate(b_t, dzt)
+        rows = xd.reshape(-1, xd.shape[-1])
+        dzh_rows, dzt_rows = dzh.reshape(rows.shape), dzt.reshape(rows.shape)
+        ad.accumulate(W_h, dzh_rows.T @ rows)
+        ad.accumulate(b_h, dzh_rows.sum(axis=0))
+        ad.accumulate(W_t, dzt_rows.T @ rows)
+        ad.accumulate(b_t, dzt_rows.sum(axis=0))
         ad.accumulate(x, g * (1.0 - t) + dzh @ W_h.data + dzt @ W_t.data)
 
     return ad.node(t * h + (1.0 - t) * xd, (x, W_h, b_h, W_t, b_t), bwd)
@@ -273,4 +391,42 @@ class AffineParams:
 
 
 def affine(x, params):
-    return ad.add(ad.matvec(params.W, x), params.b)
+    """x W^T + b over the last axis of x, as one graph node."""
+    W, b = params.W, params.b
+    xd = x.data
+
+    def bwd(g):
+        rows = g.reshape(-1, g.shape[-1])
+        ad.accumulate(W, rows.T @ xd.reshape(rows.shape[0], -1))
+        ad.accumulate(b, rows.sum(axis=0))
+        ad.accumulate(x, g @ W.data)
+
+    return ad.node(xd @ W.data.T + b.data, (x, W, b), bwd)
+
+
+def softmax_cross_entropy(logits, gold, weights):
+    """sum(weights * -log softmax(logits)[gold]) as one graph node.
+
+    logits is (..., n); gold (integer labels) and weights have its
+    leading shape. The log-softmax goes through log-sum-exp, with no
+    clamp, so a confidently wrong row keeps its full gradient,
+    weight * (softmax - onehot). A row with weight 0 (padding) adds
+    nothing and gets an exactly zero gradient.
+    """
+    z = logits.data
+    n = z.shape[-1]
+    gold = np.asarray(gold)
+    if gold.shape != z.shape[:-1] or np.any((gold < 0) | (gold >= n)):
+        raise IndexError("gold labels out of range or misshapen")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    picked = np.take_along_axis(shifted, gold[..., None], axis=-1)[..., 0]
+    weights = np.asarray(weights)
+
+    def bwd(g):
+        onehot = gold[..., None] == np.arange(n)
+        d = e / total[..., None] - onehot
+        ad.accumulate(logits, (g * weights)[..., None] * d)
+
+    return ad.node(np.sum(weights * (np.log(total) - picked)), (logits,), bwd)

@@ -9,11 +9,18 @@ a third LSTM takes the encoder states routed through highway
 connections together with the decoder's IOB labels and types each
 token. Optional additive self-attention feeds context vectors to every
 layer and pools the encoder for frame classification.
+
+`forward` runs a batch of B sentences as one graph, right-padded to the
+longest, T tokens: every step is a (B, .) row matrix, the heads' logits
+are (B, frames) and (T, B, labels), and a single sentence is a batch of
+one. `joint_loss` averages the per-sentence losses over the batch.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -69,11 +76,14 @@ class ParsedCommand:
 
 @dataclass
 class ModelOutput:
-    ad_logits: object                 # Tensor over the frame inventory
-    seq2_logits: list                 # per-token Tensors (IOB or typed IOB)
-    seq2_labels: list                 # label indices used downstream
-    seq3_logits: list | None = None   # per-token Tensors (3L only)
-    attention_maps: dict | None = None
+    """The network's outputs for B sentences right-padded to T tokens;
+    a sentence's entries past its own length are padding."""
+    lengths: np.ndarray               # (B,) tokens per sentence
+    ad_logits: object                 # Tensor (B, frames)
+    seq2_logits: object               # Tensor (T, B, IOB or typed IOB)
+    seq2_labels: np.ndarray           # (T, B) label indices fed downstream
+    seq3_logits: object = None        # Tensor (T, B, element types), 3L
+    attention_maps: dict | None = None  # name -> (B, queries, T) weights
 
 
 class Model:
@@ -173,103 +183,147 @@ def gold_labels(sentence, vocab, variant):
     return GoldLabels(frame=frame, seq2=seq2, seq3=seq3)
 
 
-def _dropout(x, rate, rng):
+def _as_batch(gold):
+    """A GoldLabels, or a sequence of them, as a list."""
+    return [gold] if isinstance(gold, GoldLabels) else list(gold)
+
+
+def _padded(seqs, T):
+    """(T, B) integer array of label sequences, right-padded with 0."""
+    out = np.zeros((T, len(seqs)), dtype=int)
+    for b, seq in enumerate(seqs):
+        out[:len(seq), b] = seq
+    return out
+
+
+def _dropout_mask(shape, rate, rng):
+    """An inverted-dropout mask, or None when dropout is off."""
     if rate <= 0.0 or rng is None:
-        return x
-    mask = (rng.random(x.data.shape[0]) >= rate) / (1.0 - rate)
-    return ad.scale(x, mask)
+        return None
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def forward(model, embedded, gold=None, mode="infer", dropout_rng=None):
-    """Run the network over an embedded sentence (T x d matrix).
+def _greedy(h, head):
+    """Row-wise argmax of a head's logits at one decoder step."""
+    return np.argmax(h.data @ head.W.data.T + head.b.data, axis=-1)
 
-    In train mode the decoder is teacher-forced with gold labels; in
-    infer mode it consumes its own greedy predictions. Dropout is applied
-    to layer inputs only when a dropout_rng is supplied (training).
+
+def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
+            lengths=None):
+    """Run the network over a batch of embedded sentences.
+
+    embedded packs the sentences' token vectors one after another, an
+    (N x d) matrix; lengths gives each sentence's token count (summing
+    to N) and defaults to one sentence of N tokens. Inside, the batch is
+    one right-padded graph: every step works on (B, .) rows, and each
+    sentence's padding steps come after its own steps, so they never
+    reach its outputs. In train mode the decoder is teacher-forced with
+    the gold labels (a GoldLabels, or one per sentence); in infer mode
+    it consumes its own greedy predictions, row by row. Dropout is
+    applied to layer inputs only when a dropout_rng is supplied
+    (training).
     """
     if mode == "train" and gold is None:
         raise ValueError("train mode requires gold labels")
     c = model.config
     rate = c.dropout if mode == "train" else 0.0
-    T = embedded.shape[0]
-    inputs = [_dropout(ad.constant(embedded[t]), rate, dropout_rng)
-              for t in range(T)]
+    lengths = np.asarray([embedded.shape[0]] if lengths is None else lengths)
+    if lengths.sum() != embedded.shape[0] or np.any(lengths < 1):
+        raise ValueError("sentence lengths do not match the embedded tokens")
+    B, T = len(lengths), int(lengths.max())
+    X = np.zeros((B, T, embedded.shape[1]))
+    X[np.arange(T) < lengths[:, None]] = embedded
+    X = X.swapaxes(0, 1)
+    mask = _dropout_mask(X.shape, rate, dropout_rng)
+    if mask is not None:    # the inputs are constants: no graph node
+        X = X * mask
+    inputs = [ad.constant(x) for x in X]
 
-    h1, last_f, last_b = L.bilstm_forward(inputs, model.l1_fwd, model.l1_bwd)
+    h1, last_f, last_b = L.bilstm_forward(inputs, model.l1_fwd, model.l1_bwd,
+                                          lengths)
     maps = {} if c.attention else None
 
     if c.attention:
-        pooled, w_ad = L.attention([model.ad_query], h1, model.att1)
+        pooled, w_ad = L.attention([model.ad_query], h1, model.att1, lengths)
         sentence_vec = pooled[0]
         maps["ad"] = w_ad
-        ctx2, w2 = L.attention(h1, h1, model.att1)
+        ctx2, w2 = L.attention(h1, h1, model.att1, lengths)
         maps["layer2"] = w2
     else:
         sentence_vec = ad.concat([last_f, last_b])
         ctx2 = None
     ad_logits = L.affine(sentence_vec, model.ad_head)
 
-    zeros = np.zeros(c.decoder_hidden)
-    h = ad.constant(zeros)
-    cc = ad.constant(zeros)
-    seq2_logits = []
-    seq2_labels = []
-    prev = model.bos_index
+    zeros = ad.constant(np.zeros((B, c.decoder_hidden)))
+    cell = model.l2_cell.stacked()
+    h = cc = zeros
+    states = []
+    labels2 = (_padded([g.seq2 for g in _as_batch(gold)], T)
+               if mode == "train" else np.zeros((T, B), dtype=int))
+    prev = np.full(B, model.bos_index)
     for t in range(T):
-        parts = [h1[t]]
-        if ctx2 is not None:
-            parts.append(ctx2[t])
-        parts.append(ad.getrow(model.label_emb2, prev))
-        x = _dropout(ad.concat(parts), rate, dropout_rng)
-        h, cc = L.lstm_cell_forward(x, h, cc, model.l2_cell)
-        logits = L.affine(h, model.l2_head)
-        seq2_logits.append(logits)
-        label = gold.seq2[t] if mode == "train" else int(np.argmax(logits.data))
-        seq2_labels.append(label)
-        prev = label
+        x = L.decoder_input([h1[t]] if ctx2 is None else [h1[t], ctx2[t]],
+                            model.label_emb2, prev,
+                            _dropout_mask((B, cell.input_dim), rate,
+                                          dropout_rng))
+        h, cc = L.lstm_cell_forward(x, h, cc, cell)
+        states.append(h)
+        if mode != "train":
+            labels2[t] = _greedy(h, model.l2_head)
+        prev = labels2[t]
 
-    out = ModelOutput(ad_logits=ad_logits, seq2_logits=seq2_logits,
-                      seq2_labels=seq2_labels, attention_maps=maps)
+    out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
+                      seq2_logits=L.affine(ad.stack(states), model.l2_head),
+                      seq2_labels=labels2, attention_maps=maps)
     if c.variant != "3L":
         return out
 
-    hw_states = [L.highway(s, model.hw) for s in h1]
+    routed = L.highway(ad.stack(h1), model.hw)     # all steps at once
+    hw_states = [ad.getrow(routed, t) for t in range(T)]
     if c.attention:
-        ctx3, w3 = L.attention(hw_states, hw_states, model.att3)
+        ctx3, w3 = L.attention(hw_states, hw_states, model.att3, lengths)
         maps["layer3"] = w3
     else:
         ctx3 = None
-    h = ad.constant(zeros)
-    cc = ad.constant(zeros)
-    seq3_logits = []
+    cell = model.l3_cell.stacked()
+    h = cc = zeros
+    states = []
     for t in range(T):
-        parts = [hw_states[t]]
-        if ctx3 is not None:
-            parts.append(ctx3[t])
-        parts.append(ad.getrow(model.label_emb3, seq2_labels[t]))
-        x = _dropout(ad.concat(parts), rate, dropout_rng)
-        h, cc = L.lstm_cell_forward(x, h, cc, model.l3_cell)
-        seq3_logits.append(L.affine(h, model.l3_head))
-    out.seq3_logits = seq3_logits
+        x = L.decoder_input(
+            [hw_states[t]] if ctx3 is None else [hw_states[t], ctx3[t]],
+            model.label_emb3, labels2[t],
+            _dropout_mask((B, cell.input_dim), rate, dropout_rng))
+        h, cc = L.lstm_cell_forward(x, h, cc, cell)
+        states.append(h)
+    out.seq3_logits = L.affine(ad.stack(states), model.l3_head)
     return out
 
 
 def joint_loss(output, gold):
-    """Sum of the per-task cross-entropies, token heads averaged over
-    the sentence so length does not dominate."""
-    T = len(output.seq2_logits)
-    if len(gold.seq2) != T:
+    """Mean over the batch's sentences of each sentence's loss: the sum
+    of the per-task cross-entropies, token heads averaged over the
+    sentence so length does not dominate. gold is a GoldLabels, or one
+    per sentence. Each head is one fused cross-entropy node over its
+    stacked logits, weighted 1 / (B * length) per token and 0 on
+    padding."""
+    golds = _as_batch(gold)
+    lengths = output.lengths
+    B = len(lengths)
+    if len(golds) != B or any(len(g.seq2) != n
+                              for g, n in zip(golds, lengths)):
         raise ValueError("gold label length mismatch")
-    loss = ad.cross_entropy(ad.softmax(output.ad_logits), gold.frame)
-    h2 = ad.mean_of([ad.cross_entropy(ad.softmax(lg), gold.seq2[t])
-                     for t, lg in enumerate(output.seq2_logits)])
-    loss = ad.add(loss, h2)
+    T = output.seq2_logits.data.shape[0]
+    weights = (np.arange(T)[:, None] < lengths) / (B * lengths)
+    loss = L.softmax_cross_entropy(output.ad_logits,
+                                   [g.frame for g in golds], np.full(B, 1 / B))
+    loss = ad.add(loss, L.softmax_cross_entropy(
+        output.seq2_logits, _padded([g.seq2 for g in golds], T), weights))
     if output.seq3_logits is not None:
-        if gold.seq3 is None or len(gold.seq3) != T:
+        if any(g.seq3 is None or len(g.seq3) != n
+               for g, n in zip(golds, lengths)):
             raise ValueError("gold type label length mismatch")
-        h3 = ad.mean_of([ad.cross_entropy(ad.softmax(lg), gold.seq3[t])
-                         for t, lg in enumerate(output.seq3_logits)])
-        loss = ad.add(loss, h3)
+        loss = ad.add(loss, L.softmax_cross_entropy(
+            output.seq3_logits, _padded([g.seq3 for g in golds], T), weights))
     return loss
 
 
@@ -284,18 +338,24 @@ def predict(model, table, tokens):
 
 
 def decode_output(model, out):
+    """The parse of a one-sentence output (a batch of one)."""
+    if len(out.lengths) != 1:
+        raise ValueError("decode_output takes the output of one sentence")
+    n = int(out.lengths[0])
     vocab = model.vocab
-    frame = vocab.frames[int(np.argmax(out.ad_logits.data))]
-    labels = [model.seq2_alphabet[i] for i in out.seq2_labels]
+    frame = vocab.frames[int(np.argmax(out.ad_logits.data[0]))]
+    labels = [model.seq2_alphabet[i] for i in out.seq2_labels[:n, 0].tolist()]
     spans = decode_iob(labels)
+    maps = out.attention_maps
+    attention = None if maps is None else {k: w[0] for k, w in maps.items()}
     if model.config.variant == "2L":
         elements = tuple((t, s) for t, s in spans if t is not None)
         return ParsedCommand(frame_type=frame, elements=elements,
-                             attention=out.attention_maps)
-    type_idx = [int(np.argmax(lg.data)) for lg in out.seq3_logits]
+                             attention=attention)
+    type_idx = np.argmax(out.seq3_logits.data[:n, 0], axis=-1).tolist()
     elements = []
     for _, (s, e) in spans:
-        votes = [type_idx[i] for i in range(s, e + 1)]
+        votes = type_idx[s:e + 1]
         non_o = [v for v in votes if v != 0]
         if not non_o:
             continue  # span unanimously typed O: drop it
@@ -305,7 +365,7 @@ def decode_output(model, out):
         best = min(counts, key=lambda v: (-counts[v], v))
         elements.append((vocab.ac_labels[best], (s, e)))
     return ParsedCommand(frame_type=frame, elements=tuple(elements),
-                         attention=out.attention_maps)
+                         attention=attention)
 
 
 def save_checkpoint(path, model, table):
@@ -321,14 +381,23 @@ def save_checkpoint(path, model, table):
         "params": [[p.name, list(p.data.shape)] for p in params],
         "embeddings": {"dim": table.dim, "tokens": tokens},
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
-        f.write(b"\n")
-        for p in params:
-            f.write(p.data.astype("<f8").tobytes())
-        for tok in tokens:
-            f.write(table.vectors[tok].astype("<f8").tobytes())
-        f.write(table.unk_vector.astype("<f8").tobytes())
+    # Write a sibling file and rename it over `path`, so an interrupted
+    # save leaves any previous checkpoint as it was.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
+            f.write(b"\n")
+            for p in params:
+                f.write(p.data.astype("<f8").tobytes())
+            for tok in tokens:
+                f.write(table.vectors[tok].astype("<f8").tobytes())
+            f.write(table.unk_vector.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

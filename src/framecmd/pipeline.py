@@ -65,9 +65,10 @@ def train(model, table, corpus_train, config):
     """Train in place; returns the per-epoch mean loss history.
 
     Sentences are shuffled each epoch with a seeded RNG and processed in
-    batches whose gradients are averaged before each optimizer step.
-    When patience > 0 and the training set is large enough, 10% is held
-    out and training stops early once the held-out loss has not improved
+    batches: each batch is one padded graph whose loss is the mean of
+    its sentences' losses, followed by one optimizer step. When
+    patience > 0 and the training set is large enough, 10% is held out
+    and training stops early once the held-out loss has not improved
     for `patience` consecutive epochs.
     """
     if not corpus_train:
@@ -78,6 +79,24 @@ def train(model, table, corpus_train, config):
     for s in corpus_train:
         cache[s.id] = (embed_sentence(table, list(s.tokens)),
                        gold_labels(s, model.vocab, model.config.variant))
+    opt = make_optimizer(model.parameters(), config.optimizer, config.lr)
+
+    def batch_loss(batch, dropout_rng=None):
+        """Mean loss of the sentences `batch` (ids) as one graph."""
+        golds = [cache[sid][1] for sid in batch]
+        out = forward(model, np.concatenate([cache[sid][0] for sid in batch]),
+                      gold=golds, mode="train", dropout_rng=dropout_rng,
+                      lengths=[len(g.seq2) for g in golds])
+        return joint_loss(out, golds)
+
+    def step(batch):
+        """One optimizer step; returns the batch loss. The graph is freed
+        on return, before the next batch builds its own."""
+        model.zero_grads()
+        loss = batch_loss(batch, drop_rng)
+        ad.backward(loss)
+        opt.step()
+        return float(loss.data)
 
     ids = [s.id for s in corpus_train]
     val_ids = []
@@ -88,35 +107,19 @@ def train(model, table, corpus_train, config):
         val_ids = shuffled[:n_val]
         ids = shuffled[n_val:]
 
-    opt = make_optimizer(model.parameters(), config.optimizer, config.lr)
+    batch_size = config.batch_size
     history = []
     best_val = float("inf")
     bad_epochs = 0
     for _ in range(config.epochs):
         rng.shuffle(ids)
-        epoch_losses = []
-        for start in range(0, len(ids), config.batch_size):
-            batch = ids[start:start + config.batch_size]
-            model.zero_grads()
-            for sid in batch:
-                emb, gold = cache[sid]
-                out = forward(model, emb, gold=gold, mode="train",
-                              dropout_rng=drop_rng)
-                loss = joint_loss(out, gold)
-                epoch_losses.append(float(loss.data))
-                ad.backward(loss)
-            for p in model.parameters():
-                p.grad /= len(batch)
-            opt.step()
-        history.append(float(np.mean(epoch_losses)))
+        total = sum(step(b) * len(b) for b in _batches(ids, batch_size))
+        history.append(total / len(ids))
         if val_ids:
             with ad.no_grad():
-                val_loss = np.mean([
-                    float(joint_loss(
-                        forward(model, cache[v][0], gold=cache[v][1],
-                                mode="train"),
-                        cache[v][1]).data)
-                    for v in val_ids])
+                total = sum(float(batch_loss(b).data) * len(b)
+                            for b in _batches(val_ids, batch_size))
+            val_loss = total / len(val_ids)
             if val_loss < best_val - 1e-9:
                 best_val = val_loss
                 bad_epochs = 0
@@ -125,6 +128,10 @@ def train(model, table, corpus_train, config):
                 if bad_epochs > config.patience:
                     break
     return history
+
+
+def _batches(ids, size):
+    return [ids[i:i + size] for i in range(0, len(ids), size)]
 
 
 def _prf(tp, n_pred, n_gold):

@@ -106,6 +106,19 @@ def test_backward_node_consumed_upstream_and_downstream(a_first):
                                rtol=1e-14)
 
 
+def test_backward_releases_each_closure_after_running_it():
+    # What a closure saved for the backward pass is freed as soon as the
+    # closure has run, so a graph is differentiated once.
+    w = Parameter("w", np.array([0.4, -1.3]))
+    a = ad.tanh(w)
+    loss = ad.dot(a, a)
+    ad.backward(loss)
+    assert a.bwd is None and loss.bwd is None
+    grad = w.grad.copy()
+    ad.backward(loss)
+    np.testing.assert_array_equal(w.grad, grad)
+
+
 def test_backward_constant_loss():
     w = Parameter("w", np.array([1.0, 2.0]))
     loss = ad.constant(3.0)

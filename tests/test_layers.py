@@ -5,8 +5,8 @@ from framecmd import autodiff as ad
 from framecmd import layers as L
 from framecmd.gradcheck import grad_check
 
-from oracles import (attention_oracle, bilstm_oracle, highway_oracle,
-                     lstm_cell_oracle)
+from oracles import (attention_oracle, bilstm_oracle, cross_entropy_oracle,
+                     highway_oracle, lstm_cell_oracle, softmax_oracle)
 
 
 def random_cell(rng, input_dim, hidden_dim, prefix="cell"):
@@ -346,3 +346,206 @@ class TestGradCheckHarness:
 
         params = list(cell.parameters()) + hw.parameters()
         assert grad_check(fwd, params) < 1e-4
+
+
+class TestSoftmaxCrossEntropy:
+    def test_confidently_wrong_row_keeps_its_gradient(self):
+        # A probability clamp would give a loss of about 27.6 here and a
+        # gradient of exactly zero; log-sum-exp keeps both.
+        z = ad.Parameter("z", np.array([0.0, 40.0]))
+        loss = L.softmax_cross_entropy(z, 0, 1.0)
+        np.testing.assert_allclose(float(loss.data), 40.0, atol=1e-12)
+        ad.backward(loss)
+        np.testing.assert_allclose(z.grad, [-1.0, 1.0], atol=1e-12)
+
+    def test_matches_oracle_weighted_sum(self):
+        rng = np.random.default_rng(22)
+        z = rng.normal(0, 3, (4, 3, 5))
+        gold = rng.integers(0, 5, (4, 3))
+        weights = rng.random((4, 3))
+        got = float(L.softmax_cross_entropy(ad.constant(z), gold,
+                                            weights).data)
+        expected = sum(weights[t, b] * cross_entropy_oracle(
+            softmax_oracle(z[t, b].tolist()), int(gold[t, b]))
+            for t in range(4) for b in range(3))
+        np.testing.assert_allclose(got, expected, atol=1e-10)
+
+    def test_zero_weight_rows_get_zero_gradient(self):
+        rng = np.random.default_rng(23)
+        z = ad.Parameter("z", rng.normal(size=(3, 2, 4)))
+        weights = np.array([[1.0, 0.5], [1.0, 0.0], [0.0, 0.0]])
+        ad.backward(L.softmax_cross_entropy(z, np.zeros((3, 2), int),
+                                            weights))
+        assert np.all(z.grad[weights == 0.0] == 0.0)
+        assert np.all(z.grad[weights > 0.0] != 0.0)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(24)
+        z = ad.Parameter("z", rng.normal(0, 2, (3, 2, 4)))
+        gold = rng.integers(0, 4, (3, 2))
+        weights = rng.random((3, 2))
+        assert grad_check(lambda: L.softmax_cross_entropy(z, gold, weights),
+                          [z]) < 1e-4
+
+    @pytest.mark.parametrize("gold", [3, -1, [0, 1]])
+    def test_bad_gold_rejected(self, gold):
+        with pytest.raises(IndexError):
+            L.softmax_cross_entropy(ad.constant([0.0, 1.0, 2.0]), gold, 1.0)
+
+
+def rows_of(matrices):
+    """Per-step (B, d) constants from a (T, B, d) array."""
+    return [ad.constant(m) for m in matrices]
+
+
+class TestRowBatches:
+    """Every batched op computes each row as its unbatched form does."""
+
+    def test_lstm_cell_rows(self):
+        rng = np.random.default_rng(25)
+        cell = random_cell(rng, 3, 4)
+        x, h, c = (rng.normal(size=(5, n)) for n in (3, 4, 4))
+        hb, cb = L.lstm_cell_forward(ad.constant(x), ad.constant(h),
+                                     ad.constant(c), cell.stacked())
+        for r in range(5):
+            h1, c1 = L.lstm_cell_forward(ad.constant(x[r]), ad.constant(h[r]),
+                                         ad.constant(c[r]), cell)
+            np.testing.assert_allclose(hb.data[r], h1.data, atol=1e-12)
+            np.testing.assert_allclose(cb.data[r], c1.data, atol=1e-12)
+
+    def test_highway_rows(self):
+        rng = np.random.default_rng(26)
+        p = L.HighwayParams("hw", 4, seed=0)
+        x = rng.normal(size=(3, 4))
+        y = L.highway(ad.constant(x), p)
+        for r in range(3):
+            np.testing.assert_allclose(
+                y.data[r], L.highway(ad.constant(x[r]), p).data, atol=1e-12)
+
+    def test_bilstm_sentences_of_their_own_lengths(self):
+        rng = np.random.default_rng(27)
+        fwd = random_cell(rng, 2, 3, "f")
+        bwd = random_cell(rng, 2, 3, "b")
+        lengths = [2, 4, 1]
+        X = rng.normal(size=(4, 3, 2))     # padding rows hold noise too
+        states, last_f, last_b = L.bilstm_forward(rows_of(X), fwd, bwd,
+                                                  lengths)
+        for b, n in enumerate(lengths):
+            one, one_f, one_b = L.bilstm_forward(rows_of(X[:n, b]), fwd, bwd)
+            for t in range(n):
+                np.testing.assert_allclose(states[t].data[b], one[t].data,
+                                           atol=1e-12)
+            np.testing.assert_allclose(last_f.data[b], one_f.data,
+                                       atol=1e-12)
+            np.testing.assert_allclose(last_b.data[b], one_b.data,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("self_attention", [True, False])
+    def test_attention_masks_padded_keys(self, self_attention):
+        rng = np.random.default_rng(28)
+        p = TestAttention.params(rng, 3, 3, 4)
+        lengths = [3, 1, 2]
+        keys = rows_of(rng.normal(size=(3, 3, 3)))
+        queries = keys if self_attention else [
+            ad.constant(rng.normal(size=3))]       # shared by the batch
+        ctx, w = L.attention(queries, keys, p, lengths)
+        assert w.shape == (3, len(queries), 3)
+        for b, n in enumerate(lengths):
+            own = [ad.constant(k.data[b]) for k in keys[:n]]
+            q1 = own if self_attention else queries
+            ctx1, w1 = L.attention(q1, own, p)
+            np.testing.assert_allclose(w[b, :len(q1), :n], w1, atol=1e-12)
+            assert np.all(w[b, :, n:] == 0.0)
+            for q in range(len(q1)):
+                np.testing.assert_allclose(ctx[q].data[b], ctx1[q].data,
+                                           atol=1e-12)
+
+    def test_decoder_input_matches_concat_lookup_and_mask(self):
+        rng = np.random.default_rng(29)
+        table = ad.Parameter("emb", rng.normal(size=(4, 2)))
+        a, b = (ad.constant(rng.normal(size=(3, n))) for n in (2, 3))
+        rows = np.array([1, 3, 1])
+        mask = rng.random((3, 7))
+        x = L.decoder_input([a, b], table, rows, mask)
+        expected = np.concatenate([a.data, b.data, table.data[rows]],
+                                  axis=1) * mask
+        np.testing.assert_array_equal(x.data, expected)
+
+
+class TestBatchedGradients:
+    """Batched backward passes against central differences, with padded
+    sentences and the inputs as Parameters. Each output feeds a
+    cross-entropy over its last axis with fixed random labels and row
+    weights, so every entry of it carries gradient."""
+
+    @staticmethod
+    def loss_of(outputs, rng):
+        heads = []
+        for out in outputs:
+            rows = out.data.shape[:-1]
+            heads.append((out, rng.integers(0, out.data.shape[-1], rows),
+                          rng.random(rows)))
+
+        def loss():
+            total = None
+            for out, gold, weights in heads:
+                term = L.softmax_cross_entropy(out, gold, weights)
+                total = term if total is None else ad.add(total, term)
+            return total
+
+        return loss
+
+    def test_bilstm_with_lengths(self):
+        from framecmd.autodiff import Parameter
+        rng = np.random.default_rng(30)
+        fwd = random_cell(rng, 2, 3, "f")
+        bwd = random_cell(rng, 2, 3, "b")
+        seq = [Parameter(f"x{t}", rng.normal(size=(3, 2))) for t in range(4)]
+
+        def fwd_fn():
+            states, last_f, last_b = L.bilstm_forward(seq, fwd, bwd,
+                                                      [4, 2, 3])
+            return self.loss_of(states + [last_f, last_b],
+                                np.random.default_rng(0))()
+
+        params = list(fwd.parameters()) + list(bwd.parameters()) + seq
+        assert grad_check(fwd_fn, params) < 1e-4
+
+    @pytest.mark.parametrize("self_attention", [True, False])
+    def test_attention_with_lengths(self, self_attention):
+        from framecmd.autodiff import Parameter
+        rng = np.random.default_rng(31)
+        p = TestAttention.params(rng, 3, 3, 4)
+        keys = [Parameter(f"k{t}", rng.normal(size=(2, 3))) for t in range(3)]
+        queries = keys if self_attention else [
+            Parameter("q", rng.normal(size=3))]     # shared by the batch
+
+        def fwd_fn():
+            contexts, _ = L.attention(queries, keys, p, [3, 2])
+            return self.loss_of(contexts, np.random.default_rng(0))()
+
+        params = p.parameters() + keys + ([] if self_attention else queries)
+        assert grad_check(fwd_fn, params) < 1e-4
+
+    def test_lstm_highway_decoder_input_rows(self):
+        from framecmd.autodiff import Parameter
+        rng = np.random.default_rng(32)
+        cell = random_cell(rng, 5, 3, "rows")
+        hw = L.HighwayParams("hw", 3, seed=1)
+        table = Parameter("emb", rng.normal(size=(4, 2)))
+        a = Parameter("a", rng.normal(size=(2, 3)))
+        h0 = Parameter("h0", rng.normal(size=(2, 3)))
+        c0 = Parameter("c0", rng.normal(size=(2, 3)))
+        mask = rng.random((2, 5))
+
+        def fwd_fn():
+            # both rows look up the same label row: its gradients add up
+            x = L.decoder_input([L.highway(a, hw)], table, np.array([2, 2]),
+                                mask)
+            h, c = L.lstm_cell_forward(x, h0, c0, cell)
+            h, c = L.lstm_cell_forward(x, h, c, cell.stacked())
+            return self.loss_of([h, c], np.random.default_rng(0))()
+
+        params = (list(cell.parameters()) + hw.parameters()
+                  + [table, a, h0, c0])
+        assert grad_check(fwd_fn, params) < 1e-4

@@ -3,7 +3,8 @@ import pytest
 
 from framecmd import autodiff as ad
 from framecmd.autodiff import Parameter
-from framecmd.corpus import AnnotatedSentence, FrameAnnotation, LabelVocab
+from framecmd.corpus import (AnnotatedSentence, FrameAnnotation, LabelVocab,
+                             label_vocab)
 from framecmd.embeddings import embed_sentence, random_embeddings
 from framecmd.gradcheck import grad_check
 from framecmd.model import (CheckpointError, Model, ModelConfig, ModelOutput,
@@ -115,17 +116,17 @@ class TestForward:
         m = build_model(small_config(), VOCAB)
         _, emb = embedded()
         out = forward(m, emb, mode="infer")
-        assert out.ad_logits.data.shape == (3,)
-        assert len(out.seq2_logits) == 6
-        assert all(lg.data.shape == (3,) for lg in out.seq2_logits)
-        assert len(out.seq3_logits) == 6
-        assert all(lg.data.shape == (3,) for lg in out.seq3_logits)
+        # one sentence is a batch of one: (B, n) and (T, B, n)
+        assert out.ad_logits.data.shape == (1, 3)
+        assert out.seq2_logits.data.shape == (6, 1, 3)
+        assert out.seq2_labels.shape == (6, 1)
+        assert out.seq3_logits.data.shape == (6, 1, 3)
 
     def test_output_shapes_2l(self):
         m = build_model(small_config("2L"), VOCAB)
         _, emb = embedded()
         out = forward(m, emb, mode="infer")
-        assert all(lg.data.shape == (5,) for lg in out.seq2_logits)
+        assert out.seq2_logits.data.shape == (6, 1, 5)
         assert out.seq3_logits is None
 
     def test_attention_maps(self):
@@ -133,10 +134,10 @@ class TestForward:
         _, emb = embedded()
         out = forward(m, emb, mode="infer")
         assert set(out.attention_maps) == {"ad", "layer2", "layer3"}
-        assert out.attention_maps["ad"].shape == (1, 6)
-        assert out.attention_maps["layer2"].shape == (6, 6)
+        assert out.attention_maps["ad"].shape == (1, 1, 6)
+        assert out.attention_maps["layer2"].shape == (1, 6, 6)
         for mat in out.attention_maps.values():
-            np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(mat.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_no_attention_maps_when_off(self):
         m = build_model(small_config(attention=False), VOCAB)
@@ -158,13 +159,13 @@ class TestForward:
         infer = forward(m, emb, mode="infer")
         gold = gold_labels(sentence(), VOCAB, variant)
         forced = type(gold)(frame=gold.frame,
-                            seq2=tuple(infer.seq2_labels),
+                            seq2=tuple(infer.seq2_labels[:, 0].tolist()),
                             seq3=gold.seq3)
         trained = forward(m, emb, gold=forced, mode="train")
         np.testing.assert_array_equal(trained.ad_logits.data,
                                       infer.ad_logits.data)
-        for a, b in zip(trained.seq2_logits, infer.seq2_logits):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(trained.seq2_logits.data,
+                                      infer.seq2_logits.data)
 
     def test_forward_purity(self):
         m = build_model(small_config(), VOCAB)
@@ -172,7 +173,7 @@ class TestForward:
         a = forward(m, emb, mode="infer")
         b = forward(m, emb, mode="infer")
         np.testing.assert_array_equal(a.ad_logits.data, b.ad_logits.data)
-        assert a.seq2_labels == b.seq2_labels
+        np.testing.assert_array_equal(a.seq2_labels, b.seq2_labels)
 
 
 class TestJointLoss:
@@ -181,15 +182,21 @@ class TestJointLoss:
         def onehot(size, idx):
             z = np.full(size, -confidence)
             z[idx] = confidence
-            return ad.constant(z)
+            return z
+
+        def steps(size, labels):    # (T, 1, size): a batch of one
+            return ad.constant(np.array([onehot(size, i)
+                                         for i in labels])[:, None])
 
         n2 = len(model.seq2_alphabet)
         return ModelOutput(
-            ad_logits=onehot(len(model.vocab.frames), gold.frame),
-            seq2_logits=[onehot(n2, i) for i in gold.seq2],
-            seq2_labels=list(gold.seq2),
-            seq3_logits=[onehot(len(model.vocab.ac_labels), i)
-                         for i in gold.seq3] if gold.seq3 else None)
+            lengths=np.array([len(gold.seq2)]),
+            ad_logits=ad.constant(onehot(len(model.vocab.frames),
+                                         gold.frame)[None]),
+            seq2_logits=steps(n2, gold.seq2),
+            seq2_labels=np.array(gold.seq2)[:, None],
+            seq3_logits=steps(len(model.vocab.ac_labels), gold.seq3)
+            if gold.seq3 else None)
 
     def test_perfect_prediction_zero_loss(self):
         m = build_model(small_config(), VOCAB)
@@ -206,7 +213,7 @@ class TestJointLoss:
                               FrameAnnotation("F3", (0, 0), s.frame.elements))
         gold = gold_labels(s, vocab, "3L")
         out = self.stub_output(m, gold)
-        out.ad_logits = ad.constant(np.zeros(16))
+        out.ad_logits = ad.constant(np.zeros((1, 16)))
         np.testing.assert_allclose(float(joint_loss(out, gold).data),
                                    np.log(16), atol=1e-9)
 
@@ -218,10 +225,11 @@ class TestJointLoss:
         ad_z = rng.normal(0, 2, 3)
         z2 = [rng.normal(0, 2, 3) for _ in range(T)]
         z3 = [rng.normal(0, 2, 3) for _ in range(T)]
-        out = ModelOutput(ad_logits=ad.constant(ad_z),
-                          seq2_logits=[ad.constant(z) for z in z2],
-                          seq2_labels=list(gold.seq2),
-                          seq3_logits=[ad.constant(z) for z in z3])
+        out = ModelOutput(lengths=np.array([T]),
+                          ad_logits=ad.constant(ad_z[None]),
+                          seq2_logits=ad.constant(np.array(z2)[:, None]),
+                          seq2_labels=np.array(gold.seq2)[:, None],
+                          seq3_logits=ad.constant(np.array(z3)[:, None]))
         expected = cross_entropy_oracle(softmax_oracle(ad_z.tolist()),
                                         gold.frame)
         expected += np.mean([cross_entropy_oracle(
@@ -247,16 +255,21 @@ class TestDecode:
         def onehot(size, idx):
             z = np.zeros(size)
             z[idx] = 10.0
-            return ad.constant(z)
+            return z
+
+        def steps(size, labels):    # (T, 1, size): a batch of one
+            return ad.constant(np.array([onehot(size, i)
+                                         for i in labels])[:, None])
 
         T = len(seq2_labels)
         return ModelOutput(
-            ad_logits=onehot(len(model.vocab.frames), frame_idx),
-            seq2_logits=[onehot(len(model.seq2_alphabet), i)
-                         for i in seq2_labels],
-            seq2_labels=list(seq2_labels),
-            seq3_logits=None if seq3_idx is None else [
-                onehot(len(model.vocab.ac_labels), i) for i in seq3_idx])
+            lengths=np.array([T]),
+            ad_logits=ad.constant(onehot(len(model.vocab.frames),
+                                         frame_idx)[None]),
+            seq2_logits=steps(len(model.seq2_alphabet), seq2_labels),
+            seq2_labels=np.array(seq2_labels)[:, None],
+            seq3_logits=None if seq3_idx is None else steps(
+                len(model.vocab.ac_labels), seq3_idx))
 
     def test_gold_one_hots_decode_exactly(self):
         m = build_model(small_config(), VOCAB)
@@ -300,10 +313,11 @@ class TestDecode:
         gold = gold_labels(sentence(), VOCAB, "3L")
         out = self.output_from_labels(m, gold.frame, gold.seq2, gold.seq3)
         shifted = ModelOutput(
+            lengths=out.lengths,
             ad_logits=ad.constant(out.ad_logits.data + 7.5),
-            seq2_logits=[ad.constant(z.data + 3.0) for z in out.seq2_logits],
+            seq2_logits=ad.constant(out.seq2_logits.data + 3.0),
             seq2_labels=out.seq2_labels,
-            seq3_logits=[ad.constant(z.data - 2.0) for z in out.seq3_logits])
+            seq3_logits=ad.constant(out.seq3_logits.data - 2.0))
         assert decode_output(m, out) == decode_output(m, shifted)
 
     def test_2l_typed_decode(self):
@@ -388,6 +402,161 @@ class TestGraphSize:
         assert len(seen) / emb.shape[0] < 50
 
 
+def batch_of(sentences, table, variant):
+    """Packed embeddings, lengths and gold labels of a batch."""
+    embs = [embed_sentence(table, list(s.tokens)) for s in sentences]
+    return (np.concatenate(embs), [len(e) for e in embs],
+            [gold_labels(s, VOCAB, variant) for s in sentences])
+
+
+def sentences_3_to_7():
+    """Four sentences of 3, 4, 6 and 7 tokens, in that order."""
+    return [
+        AnnotatedSentence("b0", ("go", "to", "kitchen"), FrameAnnotation(
+            "Motion", (0, 0), (("Goal", (1, 2)),))),
+        AnnotatedSentence("b1", ("take", "the", "book", "please"),
+                          FrameAnnotation("Taking", (0, 0),
+                                          (("Theme", (1, 2)),))),
+        sentence(),
+        AnnotatedSentence(
+            "b3", ("bring", "the", "red", "book", "to", "the", "bed"),
+            FrameAnnotation("Bringing", (0, 0),
+                            (("Theme", (1, 3)), ("Goal", (4, 6))))),
+    ]
+
+
+ARCHITECTURES = [("2L", True), ("2L", False), ("3L", True), ("3L", False)]
+
+
+class TestBatch:
+    """A right-padded batch computes each sentence exactly as the
+    one-sentence call does: padding never reaches a sentence's outputs,
+    and the batch loss is the mean of the sentences' losses."""
+
+    @pytest.mark.parametrize("variant,attention", ARCHITECTURES)
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_rows_match_one_sentence_runs(self, variant, attention, mode):
+        sents = sentences_3_to_7()
+        table = random_embeddings([t for s in sents for t in s.tokens], 6,
+                                  seed=1)
+        m = build_model(small_config(variant, attention), VOCAB)
+        emb, lengths, golds = batch_of(sents, table, variant)
+        out = forward(m, emb, gold=golds, mode=mode, lengths=lengths)
+        T = max(lengths)
+        assert out.seq2_logits.data.shape[:2] == (T, 4)
+        start = 0
+        for b, (n, gold) in enumerate(zip(lengths, golds)):
+            one = forward(m, emb[start:start + n], gold=gold, mode=mode)
+            start += n
+            np.testing.assert_allclose(out.ad_logits.data[b],
+                                       one.ad_logits.data[0], atol=1e-12)
+            np.testing.assert_allclose(out.seq2_logits.data[:n, b],
+                                       one.seq2_logits.data[:, 0], atol=1e-12)
+            np.testing.assert_array_equal(out.seq2_labels[:n, b],
+                                          one.seq2_labels[:, 0])
+            if variant == "3L":
+                np.testing.assert_allclose(out.seq3_logits.data[:n, b],
+                                           one.seq3_logits.data[:, 0],
+                                           atol=1e-12)
+            for key, w in (out.attention_maps or {}).items():
+                w1 = one.attention_maps[key][0]
+                np.testing.assert_allclose(w[b, :w1.shape[0], :n], w1,
+                                           atol=1e-12)
+                assert np.all(w[b, :, n:] == 0.0)   # padded keys
+
+    @pytest.mark.parametrize("variant,attention", ARCHITECTURES)
+    def test_gradient_is_mean_of_sentence_gradients(self, variant,
+                                                    attention):
+        sents = sentences_3_to_7()
+        table = random_embeddings([t for s in sents for t in s.tokens], 6,
+                                  seed=1)
+        m = build_model(small_config(variant, attention), VOCAB)
+        emb, lengths, golds = batch_of(sents, table, variant)
+        m.zero_grads()
+        loss = joint_loss(forward(m, emb, gold=golds, mode="train",
+                                  lengths=lengths), golds)
+        ad.backward(loss)
+        batch_grads = {p.name: p.grad.copy() for p in m.parameters()}
+        mean = {name: np.zeros_like(g) for name, g in batch_grads.items()}
+        losses = []
+        start = 0
+        for n, gold in zip(lengths, golds):
+            m.zero_grads()
+            one = joint_loss(forward(m, emb[start:start + n], gold=gold,
+                                     mode="train"), gold)
+            start += n
+            ad.backward(one)
+            losses.append(float(one.data))
+            for p in m.parameters():
+                mean[p.name] += p.grad / len(sents)
+        np.testing.assert_allclose(float(loss.data), np.mean(losses),
+                                   atol=1e-12)
+        for name, g in batch_grads.items():
+            np.testing.assert_allclose(g, mean[name], atol=1e-12, rtol=0,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("variant,attention", ARCHITECTURES)
+    def test_gradients_of_padded_batch_match_finite_differences(
+            self, variant, attention):
+        sents = sentences_3_to_7()[:3]      # 3, 4 and 6 tokens
+        table = random_embeddings([t for s in sents for t in s.tokens], 6,
+                                  seed=1)
+        m = build_model(small_config(variant, attention), VOCAB)
+        emb, lengths, golds = batch_of(sents, table, variant)
+
+        def fwd():
+            return joint_loss(forward(m, emb, gold=golds, mode="train",
+                                      lengths=lengths), golds)
+
+        assert grad_check(fwd, m.parameters(), max_coords=6, seed=2) < 1e-4
+
+    def test_lengths_must_cover_the_tokens(self):
+        m = build_model(small_config(), VOCAB)
+        _, emb = embedded()
+        for lengths in ([2, 3], [6, 0], [7]):
+            with pytest.raises(ValueError):
+                forward(m, emb, mode="infer", lengths=lengths)
+
+    def test_decode_takes_one_sentence(self):
+        sents = sentences_3_to_7()[:2]
+        table = random_embeddings([t for s in sents for t in s.tokens], 6,
+                                  seed=1)
+        m = build_model(small_config(), VOCAB)
+        emb, lengths, _ = batch_of(sents, table, "3L")
+        with pytest.raises(ValueError):
+            decode_output(m, forward(m, emb, lengths=lengths))
+
+
+class TestBatchGraphSize:
+    def test_3l_att_training_batch_under_6_nodes_per_token(self):
+        # A batch shares every node of a step among its rows; at preset
+        # sizes 8 sentences of one graph need a sixth of the nodes per
+        # token that one sentence alone does.
+        from framecmd.cli import build_configs, load_config
+        from framecmd.synth import generate_synthetic
+        model_cfg, _ = build_configs(load_config("3l_att"))
+        sents = generate_synthetic(seed=4, n=8)
+        vocab = label_vocab(sents)
+        table = random_embeddings([t for s in sents for t in s.tokens],
+                                  model_cfg.embedding_dim, seed=4)
+        m = build_model(model_cfg, vocab)
+        assert m.config.dropout > 0
+        embs = [embed_sentence(table, list(s.tokens)) for s in sents]
+        golds = [gold_labels(s, vocab, "3L") for s in sents]
+        loss = joint_loss(forward(m, np.concatenate(embs), gold=golds,
+                                  mode="train", lengths=[len(e) for e in embs],
+                                  dropout_rng=np.random.default_rng(0)),
+                          golds)
+        seen = set()
+        stack = [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.parents)
+        assert len(seen) / sum(len(e) for e in embs) < 6
+
+
 class TestPredict:
     def test_overfit_parses_held_in_command(self, overfit_bundle):
         model, table = overfit_bundle["model"], overfit_bundle["table"]
@@ -409,8 +578,8 @@ class TestPredict:
         with ad.no_grad():
             maps = forward(m, emb, mode="infer").attention_maps
         assert set(parsed.attention) == set(maps)
-        for key, weights in maps.items():
-            np.testing.assert_array_equal(parsed.attention[key], weights)
+        for key, weights in maps.items():     # the batch's only sentence
+            np.testing.assert_array_equal(parsed.attention[key], weights[0])
         plain = ParsedCommand(parsed.frame_type, parsed.elements)
         assert parsed == plain and hash(parsed) == hash(plain)
         m = build_model(small_config(variant, attention=False), VOCAB)
@@ -447,6 +616,25 @@ class TestCheckpoint:
         path.write_bytes(blob[:len(blob) - 64])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+        m = build_model(small_config(), VOCAB)
+        table, _ = embedded()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, table)
+        before = path.read_bytes()
+
+        class DiskFull:     # fails after the header and parameters
+            def astype(self, dtype):
+                raise OSError("no space left on device")
+
+        table.unk_vector = DiskFull()
+        for p in m.parameters():
+            p.data = p.data + 1.0
+        with pytest.raises(OSError):
+            save_checkpoint(path, m, table)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_garbage_header(self, tmp_path):
         path = tmp_path / "bad.ckpt"

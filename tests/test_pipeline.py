@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from framecmd.corpus import AnnotatedSentence, FrameAnnotation, label_vocab
-from framecmd.embeddings import random_embeddings
-from framecmd.model import ModelConfig, ParsedCommand, build_model
+from framecmd.embeddings import embed_sentence, random_embeddings
+from framecmd.model import (ModelConfig, ParsedCommand, build_model, forward,
+                            gold_labels, joint_loss)
 from framecmd import pipeline
 from framecmd.pipeline import (ChainMetrics, StageMetrics, TrainConfig,
                                cross_validate, evaluate, evaluate_stagewise,
@@ -170,6 +172,37 @@ class TestTrain:
         model = build_model(cfg, vocab)
         with pytest.raises(ValueError):
             train(model, table, [], TrainConfig())
+
+    def test_one_graph_per_batch(self, setup, monkeypatch):
+        corpus, vocab, table, cfg = setup
+        calls = []
+        original = pipeline.forward
+
+        def counting(model, embedded, **kwargs):
+            calls.append(list(kwargs["lengths"]))
+            return original(model, embedded, **kwargs)
+
+        monkeypatch.setattr(pipeline, "forward", counting)
+        tc = TrainConfig(epochs=2, batch_size=8, lr=1e-3, patience=0, seed=9)
+        train(build_model(cfg, vocab), table, corpus, tc)
+        # 20 sentences in batches of 8, 8 and 4, per epoch
+        assert [len(c) for c in calls] == [8, 8, 4] * 2
+        assert sum(map(sum, calls)) == 2 * sum(len(s.tokens) for s in corpus)
+
+    def test_history_is_mean_sentence_loss(self, setup):
+        corpus, vocab, table, cfg = setup
+        model = build_model(replace(cfg, dropout=0.0), vocab)
+        # lr 0 leaves the weights as built, so epoch 1's mean can be
+        # recomputed one sentence at a time
+        tc = TrainConfig(epochs=1, batch_size=8, lr=0.0, patience=0, seed=9)
+        history = train(model, table, corpus, tc)
+        losses = []
+        for s in corpus:
+            gold = gold_labels(s, vocab, "3L")
+            out = forward(model, embed_sentence(table, list(s.tokens)),
+                          gold=gold, mode="train")
+            losses.append(float(joint_loss(out, gold).data))
+        np.testing.assert_allclose(history[0], np.mean(losses), atol=1e-12)
 
 
 def tiny_2l_config():
