@@ -4,13 +4,13 @@ The graph is built dynamically. Every op computes its output array and
 ends in `node(data, parents, bwd)`, where `bwd(g)` propagates the
 output gradient g to the parents. `node` is the only code that links a
 tensor into the graph: with gradients on it records the parents, the
-closure and a creation index; under `no_grad` it returns a bare Tensor.
-A node is always made after its parents, so running nodes in
-decreasing creation index runs every consumer of a tensor before the
-tensor itself. `backward` therefore needs no topological sort: it runs
-each non-leaf node reachable from the loss once, newest first. Leaves
-(Parameters, constants, `no_grad` outputs) have no closure and are
-never visited.
+closure and a creation index; under `no_grad`, or over constants only,
+it returns a bare Tensor. A node is always made after its parents, so
+running nodes in decreasing creation index runs every consumer of a
+tensor before the tensor itself. `backward` therefore needs no
+topological sort: it runs each non-leaf node reachable from the loss
+once, newest first. Leaves (Parameters, constants, `no_grad` outputs)
+have no closure and are never visited.
 
 Python overhead per node, not arithmetic, dominates at the sizes used
 here (hidden sizes in the tens, sentences of ~10 tokens). So the
@@ -20,6 +20,11 @@ pass by hand, using `accumulate` to feed its inputs' gradients. The
 elementwise ops below remain for the heads, the loss and tests. 64-bit
 precision makes finite-difference gradient checks exact enough to be
 useful.
+
+A Parameter's `data` and `grad` become views into an optimizer's flat
+buffers when one is built over it (see `optim`). Update them in place
+(`accumulate` does, as do `p.data[...] = x` and `p.grad += g`) and
+never rebind them, or the optimizer no longer sees the parameter.
 """
 
 from __future__ import annotations
@@ -76,7 +81,9 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable tensor with a persistent gradient buffer."""
+    """Named trainable tensor with a persistent gradient buffer. Under an
+    optimizer, data and grad are views into its flat buffers: update
+    them in place, never rebind them."""
 
     __slots__ = ("name",)
 
@@ -96,12 +103,20 @@ def constant(data):
     return Tensor(data)
 
 
+def needs_grad(t):
+    """Whether t takes a gradient: a Parameter or a graph node. Other
+    leaves (constants, `no_grad` outputs) do not."""
+    return t.bwd is not None or isinstance(t, Parameter)
+
+
 def node(data, parents, bwd):
     """The output `data` of an op over the tensors `parents`; `bwd(g)`
     propagates the output gradient g to them with `accumulate`. Under
-    `no_grad` the result is a bare Tensor and `bwd` is dropped."""
+    `no_grad`, or when no parent needs a gradient (an op over constants
+    only), the result is a bare Tensor, a constant, and `bwd` is
+    dropped."""
     out = Tensor(data)
-    if grad_enabled:
+    if grad_enabled and any(needs_grad(p) for p in parents):
         out.parents = parents
         out.bwd = bwd
         out.index = next(_creation)

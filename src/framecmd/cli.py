@@ -18,14 +18,15 @@ from .grounding import MapError, ground_command, load_map, serialize_map
 from .model import (CheckpointError, ModelConfig, build_model, forward,
                     gold_labels, joint_loss, load_checkpoint, predict,
                     save_checkpoint)
-from .pipeline import (TrainConfig, cross_validate, evaluate,
-                       metrics_to_dict, report, train)
+from .pipeline import (TrainConfig, TrainingDiverged, cross_validate,
+                       evaluate, metrics_to_dict, report, train)
 from .synth import demo_map, generate_synthetic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
+EXIT_DIVERGED = 5
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -319,7 +320,8 @@ def build_parser():
 # The exit code of each error a command may raise.
 EXIT_CODES = {ConfigError: EXIT_CONFIG, CorpusError: EXIT_DATA,
               MapError: EXIT_DATA, EmbeddingError: EXIT_DATA,
-              CheckpointError: EXIT_CHECKPOINT}
+              CheckpointError: EXIT_CHECKPOINT,
+              TrainingDiverged: EXIT_DIVERGED}
 
 
 def main(argv=None):

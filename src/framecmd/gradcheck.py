@@ -87,6 +87,10 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
                     suspect.append((p, idx, a_flat[idx]))
 
         if suspect:
+            # The only rebinding of Parameter.data: the long-double
+            # copies are temporary, and the finally block puts back the
+            # very same arrays, the views into an optimizer's flat
+            # buffer where there is one.
             saved = [p.data for p in params]
             try:
                 ad.dtype = np.longdouble

@@ -95,7 +95,16 @@ class StackedCell:
     backward pass, which nothing does: the optimizer steps after
     backward, the gradient check perturbs between passes. W, U and b
     are the cell's per-gate Parameters, which are the ones trained,
-    named and saved."""
+    named and saved.
+
+    The cell is also a graph node, `node`, whose parents are those
+    Parameters. Each step's backward pass hands it the step's
+    pre-activation gradient dZ and inputs x and h (`rows`); the node is
+    older than every step, so backward runs it after all of them, and
+    it forms each weight gradient once for the whole pass: dW = dZ^T X,
+    dU = dZ^T H and db = sum dZ over every row of every step
+    (Appleyard et al., arXiv:1604.01946). A cell therefore serves one
+    graph: stack it again for the next one."""
 
     def __init__(self, cell):
         self.input_dim = cell.input_dim
@@ -104,9 +113,24 @@ class StackedCell:
         self.Ws, self.Us, self.bs = (
             np.concatenate([p[k].data for k in GATES])
             for p in (cell.W, cell.U, cell.b))
+        self.rows = []          # (dZ, x, h) of each step, by c_bwd
+        self.node = ad.node(
+            np.zeros(0), (*self.W.values(), *self.U.values(),
+                          *self.b.values()), self._weight_grads)
 
     def stacked(self):
         return self
+
+    def _weight_grads(self, _):
+        dZ, X, Hs = (np.vstack(part) for part in zip(*self.rows))
+        self.rows = []
+        dW, dU, db = dZ.T @ X, dZ.T @ Hs, dZ.sum(axis=0)
+        H = self.hidden_dim
+        for k, gate in enumerate(GATES):
+            gate_rows = slice(k * H, (k + 1) * H)
+            ad.accumulate(self.W[gate], dW[gate_rows])
+            ad.accumulate(self.U[gate], dU[gate_rows])
+            ad.accumulate(self.b[gate], db[gate_rows])
 
 
 def _sigmoid(z):
@@ -121,17 +145,16 @@ def lstm_cell_forward(x, h, c, params):
     params is an LstmCellParams or, to stack its weights once for many
     steps, its StackedCell. Every gate comes from one pre-activation
     z = x Ws^T + h Us^T + bs (Appleyard et al., arXiv:1604.01946). The
-    step is two graph nodes: c', whose backward pass does all the
-    weight, input and state work of the four gates at once (each weight
-    gradient one dZ^T X product over the batch), and h' = o * tanh(c'),
-    its child, which hands the output gate's pre-activation gradient
-    to c'.
+    step is two graph nodes: c', whose backward pass does the input and
+    state work of the four gates at once and hands its pre-activation
+    gradient dZ to the cell's node, which forms the weight gradients of
+    all steps together, and h' = o * tanh(c'), its child, which hands
+    the output gate's pre-activation gradient to c'.
     """
     cell = params.stacked()
     H = cell.hidden_dim
     if x.data.shape[-1] != cell.input_dim or h.data.shape[-1] != H:
         raise ValueError("LSTM cell dimension mismatch")
-    W, U, b = cell.W, cell.U, cell.b
     xd, hd, cd = x.data, h.data, c.data
     z = xd @ cell.Ws.T + hd @ cell.Us.T + cell.bs
     ifo = _sigmoid(z[..., :3 * H])
@@ -144,21 +167,15 @@ def lstm_cell_forward(x, h, c, params):
                              gc * cd * f * (1.0 - f),
                              np.zeros_like(gc) if dz_o is None else dz_o,
                              gc * i * (1.0 - g * g)], axis=-1)
-        rows = dz.reshape(-1, 4 * H)
-        dW = rows.T @ xd.reshape(rows.shape[0], -1)
-        dU = rows.T @ hd.reshape(rows.shape[0], -1)
-        db = rows.sum(axis=0)
-        for k, gate in enumerate(GATES):
-            gate_rows = slice(k * H, (k + 1) * H)
-            ad.accumulate(W[gate], dW[gate_rows])
-            ad.accumulate(U[gate], dU[gate_rows])
-            ad.accumulate(b[gate], db[gate_rows])
-        ad.accumulate(x, dz @ cell.Ws)
-        ad.accumulate(h, dz @ cell.Us)
-        ad.accumulate(c, gc * f)
+        cell.rows.append((dz, xd, hd))
+        if ad.needs_grad(x):        # not an input constant
+            ad.accumulate(x, dz @ cell.Ws)
+        if ad.needs_grad(h):        # not the zero initial state
+            ad.accumulate(h, dz @ cell.Us)
+        if ad.needs_grad(c):
+            ad.accumulate(c, gc * f)
 
-    c_new = ad.node(f * cd + i * g,
-                    (x, h, c, *W.values(), *U.values(), *b.values()), c_bwd)
+    c_new = ad.node(f * cd + i * g, (x, h, c, cell.node), c_bwd)
     tc = np.tanh(c_new.data)
 
     def h_bwd(gh):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -145,12 +146,15 @@ class Model:
     def parameters(self):
         return list(self._params)
 
-    def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def num_parameters(self):
         return sum(p.data.size for p in self.parameters())
+
+    def uniform_loss(self):
+        """The joint loss of a guess that gives every label of each head
+        the same probability: ln(labels) summed over the heads."""
+        heads = [self.ad_head, self.l2_head] + (
+            [self.l3_head] if self.config.variant == "3L" else [])
+        return sum(math.log(h.b.data.size) for h in heads)
 
 
 def build_model(config, vocab):
@@ -261,11 +265,13 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     labels2 = (_padded([g.seq2 for g in _as_batch(gold)], T)
                if mode == "train" else np.zeros((T, B), dtype=int))
     prev = np.full(B, model.bos_index)
+    # One draw fills every step's mask from the stream in step order,
+    # the same values as one draw per step.
+    masks = _dropout_mask((T, B, cell.input_dim), rate, dropout_rng)
     for t in range(T):
         x = L.decoder_input([h1[t]] if ctx2 is None else [h1[t], ctx2[t]],
                             model.label_emb2, prev,
-                            _dropout_mask((B, cell.input_dim), rate,
-                                          dropout_rng))
+                            None if masks is None else masks[t])
         h, cc = L.lstm_cell_forward(x, h, cc, cell)
         states.append(h)
         if mode != "train":
@@ -288,11 +294,11 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     cell = model.l3_cell.stacked()
     h = cc = zeros
     states = []
+    masks = _dropout_mask((T, B, cell.input_dim), rate, dropout_rng)
     for t in range(T):
         x = L.decoder_input(
             [hw_states[t]] if ctx3 is None else [hw_states[t], ctx3[t]],
-            model.label_emb3, labels2[t],
-            _dropout_mask((B, cell.input_dim), rate, dropout_rng))
+            model.label_emb3, labels2[t], None if masks is None else masks[t])
         h, cc = L.lstm_cell_forward(x, h, cc, cell)
         states.append(h)
     out.seq3_logits = L.affine(ad.stack(states), model.l3_head)
@@ -327,32 +333,58 @@ def joint_loss(output, gold):
     return loss
 
 
+# Sentences per padded graph in predict_many.
+PREDICT_CHUNK = 32
+
+
 def predict(model, table, tokens):
-    """Greedy parse of a token sequence into a frame and typed spans."""
-    if not tokens:
+    """Greedy parse of a token sequence into a frame and typed spans.
+
+    Given a list of token sequences instead, parses them as one padded
+    no-grad graph and returns their parses in order; one sentence is a
+    batch of one through the same code."""
+    one = not tokens or isinstance(tokens[0], str)
+    batch = [tokens] if one else tokens
+    if not all(batch):
         raise ValueError("empty token sequence")
-    embedded = embed_sentence(table, tokens)
+    embedded = np.concatenate([embed_sentence(table, list(t)) for t in batch])
     with ad.no_grad():
-        out = forward(model, embedded, mode="infer")
-    return decode_output(model, out)
+        out = forward(model, embedded, mode="infer",
+                      lengths=[len(t) for t in batch])
+    parses = [decode_output(model, out, b) for b in range(len(batch))]
+    return parses[0] if one else parses
 
 
-def decode_output(model, out):
-    """The parse of a one-sentence output (a batch of one)."""
-    if len(out.lengths) != 1:
-        raise ValueError("decode_output takes the output of one sentence")
-    n = int(out.lengths[0])
+def predict_many(model, table, token_lists):
+    """Greedy parses of many token sequences, in order: one `predict`
+    call, so one padded graph, per PREDICT_CHUNK sentences."""
+    token_lists = list(token_lists)
+    return [parse for i in range(0, len(token_lists), PREDICT_CHUNK)
+            for parse in predict(model, table,
+                                 token_lists[i:i + PREDICT_CHUNK])]
+
+
+def decode_output(model, out, b=None):
+    """The parse of sentence b of a batch output; b may be left out for
+    a batch of one."""
+    if b is None:
+        if len(out.lengths) != 1:
+            raise ValueError("decode_output of a batch needs a sentence")
+        b = 0
+    n = int(out.lengths[b])
     vocab = model.vocab
-    frame = vocab.frames[int(np.argmax(out.ad_logits.data[0]))]
-    labels = [model.seq2_alphabet[i] for i in out.seq2_labels[:n, 0].tolist()]
+    frame = vocab.frames[int(np.argmax(out.ad_logits.data[b]))]
+    labels = [model.seq2_alphabet[i] for i in out.seq2_labels[:n, b].tolist()]
     spans = decode_iob(labels)
     maps = out.attention_maps
-    attention = None if maps is None else {k: w[0] for k, w in maps.items()}
+    # A sentence's own queries and keys; "ad" has a single query.
+    attention = (None if maps is None
+                 else {k: w[b, :n, :n] for k, w in maps.items()})
     if model.config.variant == "2L":
         elements = tuple((t, s) for t, s in spans if t is not None)
         return ParsedCommand(frame_type=frame, elements=elements,
                              attention=attention)
-    type_idx = np.argmax(out.seq3_logits.data[:n, 0], axis=-1).tolist()
+    type_idx = np.argmax(out.seq3_logits.data[:n, b], axis=-1).tolist()
     elements = []
     for _, (s, e) in spans:
         votes = type_idx[s:e + 1]
@@ -446,7 +478,7 @@ def load_checkpoint(path):
     off = 0
     for name, shape in shapes:
         p = by_name[name]
-        p.data = data[off:off + p.data.size].reshape(shape).copy()
+        p.data[...] = data[off:off + p.data.size].reshape(shape)
         off += p.data.size
     vectors = {}
     for tok in tokens:

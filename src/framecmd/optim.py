@@ -1,49 +1,93 @@
-"""Optimizers over named parameter collections."""
+"""Optimizers over named parameter collections.
+
+An optimizer keeps every parameter it trains in one flat `data` array
+and every gradient in one flat `grad` array, so a step is a few
+whole-array numpy operations instead of a dozen per parameter. At
+construction it copies the parameters, sorted by name, into those
+arrays and rebinds each Parameter's `data` and `grad` as views into
+them. From then on a parameter and its gradient must be updated in
+place (`p.data[...] = x`, `p.grad += g`) and never rebound: a rebound
+array is no longer seen by the optimizer. The newest optimizer built
+over a parameter owns it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
+def flatten(params):
+    """Copy params, sorted by name, into one flat data and one flat grad
+    array and rebind each Parameter's data and grad as views into them.
+
+    Returns (params sorted by name, data, grad)."""
+    params = sorted(params, key=lambda p: p.name)
+    size = sum(p.data.size for p in params)
+    data = np.empty(size)
+    grad = np.empty(size)
+    off = 0
+    for p in params:
+        n, shape = p.data.size, p.data.shape
+        data[off:off + n] = p.data.reshape(-1)
+        grad[off:off + n] = p.grad.reshape(-1)
+        p.data = data[off:off + n].reshape(shape)
+        p.grad = grad[off:off + n].reshape(shape)
+        off += n
+    return params, data, grad
+
+
 class Adam:
     """Adam with bias correction. Gradients are zeroed after each step."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = sorted(params, key=lambda p: p.name)
+        self.params, self.data, self.grad = flatten(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        # Preallocated temporaries: a step allocates nothing.
+        self._s1 = np.empty_like(self.data)
+        self._s2 = np.empty_like(self.data)
 
     def step(self):
+        """m = b1 m + (1-b1) g; v = b2 v + ((1-b2) g) g;
+        data -= lr m_hat / (sqrt(v_hat) + eps), each operation in that
+        order, so a step rounds exactly like one parameter at a time."""
         self.step_count += 1
         t = self.step_count
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name] = self.beta1 * self.m[p.name] + (1 - self.beta1) * g
-            v = self.v[p.name] = self.beta2 * self.v[p.name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
+        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, 1 - self.beta1 ** t, out=s1)
+        s1 *= self.lr
+        np.divide(v, 1 - self.beta2 ** t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        self.data -= s1
+        g.fill(0.0)
 
 
 class Sgd:
     """Plain gradient descent, selectable via config."""
 
     def __init__(self, params, lr=0.1):
-        self.params = sorted(params, key=lambda p: p.name)
+        self.params, self.data, self.grad = flatten(params)
         self.lr = lr
         self.step_count = 0
 
     def step(self):
         self.step_count += 1
-        for p in self.params:
-            p.data -= self.lr * p.grad
-            p.zero_grad()
+        self.data -= self.lr * self.grad
+        self.grad.fill(0.0)
 
 
 # The optimizers a TrainConfig may name.

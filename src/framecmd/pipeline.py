@@ -10,6 +10,7 @@ as if they had received gold input from the earlier ones.
 
 from __future__ import annotations
 
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,8 +21,22 @@ from . import autodiff as ad
 from .corpus import label_vocab, make_folds
 from .embeddings import embed_sentence, random_embeddings
 from .grounding import chain_accuracy
-from .model import build_model, forward, gold_labels, joint_loss, predict
+# `predict` is re-exported here for callers that parse one sentence.
+from .model import (build_model, forward, gold_labels, joint_loss, predict,
+                    predict_many)
 from .optim import OPTIMIZERS, make_optimizer
+
+
+# A batch loss this many times the loss of a uniform guess means the
+# run has diverged: the gold labels got, in geometric mean, 1/labels**100
+# of the probability. An untrained model starts near 1 times it and
+# healthy runs stay there or below; Adam at lr=1e9 reaches about 5e9.
+DIVERGED_LOSS_RATIO = 100.0
+
+
+class TrainingDiverged(Exception):
+    """A batch loss was not finite or blew up, or the gradient norm was
+    not finite."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +85,11 @@ def train(model, table, corpus_train, config):
     patience > 0 and the training set is large enough, 10% is held out
     and training stops early once the held-out loss has not improved
     for `patience` consecutive epochs.
+
+    Raises TrainingDiverged, before the step that would apply it, when a
+    batch loss is not finite or above DIVERGED_LOSS_RATIO times the
+    model's uniform-guess loss, or the squared gradient norm is not
+    finite.
     """
     if not corpus_train:
         raise ValueError("empty training set")
@@ -80,6 +100,8 @@ def train(model, table, corpus_train, config):
         cache[s.id] = (embed_sentence(table, list(s.tokens)),
                        gold_labels(s, model.vocab, model.config.variant))
     opt = make_optimizer(model.parameters(), config.optimizer, config.lr)
+    opt.grad.fill(0.0)      # after that, every step zeroes it
+    loss_limit = DIVERGED_LOSS_RATIO * model.uniform_loss()
 
     def batch_loss(batch, dropout_rng=None):
         """Mean loss of the sentences `batch` (ids) as one graph."""
@@ -92,11 +114,16 @@ def train(model, table, corpus_train, config):
     def step(batch):
         """One optimizer step; returns the batch loss. The graph is freed
         on return, before the next batch builds its own."""
-        model.zero_grads()
         loss = batch_loss(batch, drop_rng)
         ad.backward(loss)
+        value = float(loss.data)
+        norm2 = float(opt.grad @ opt.grad)
+        if not (value <= loss_limit and math.isfinite(norm2)):   # NaN too
+            raise TrainingDiverged(
+                f"training diverged in epoch {len(history) + 1}: batch "
+                f"loss {value:g}, squared gradient norm {norm2:g}")
         opt.step()
-        return float(loss.data)
+        return value
 
     ids = [s.id for s in corpus_train]
     val_ids = []
@@ -191,7 +218,8 @@ def evaluate(model, table, sentences, maps=None):
 
     Returns (StageMetrics, ChainMetrics or None).
     """
-    parses = {s.id: predict(model, table, list(s.tokens)) for s in sentences}
+    parses = dict(zip([s.id for s in sentences], predict_many(
+        model, table, [list(s.tokens) for s in sentences])))
     parsed = lambda s: parses[s.id]
     stage = evaluate_stagewise(parsed, sentences)
     if maps is None:

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from framecmd import model as fc_model
 from framecmd import pipeline
 from framecmd.corpus import label_vocab
 from framecmd.embeddings import random_embeddings
@@ -48,13 +49,17 @@ def overfit_bundle(synth50):
 
 @pytest.fixture
 def predict_calls(monkeypatch):
-    """Token tuples of every `pipeline.predict` call made in the test."""
+    """Token tuples of every sentence parsed in the test. Every parse,
+    of one sentence or of a batch (`predict_many` parses its chunks so),
+    is a `predict` call."""
     calls = []
-    original = pipeline.predict
+    original = fc_model.predict
 
     def counting(model, table, tokens):
-        calls.append(tuple(tokens))
+        one = not tokens or isinstance(tokens[0], str)
+        calls.extend([tuple(tokens)] if one else map(tuple, tokens))
         return original(model, table, tokens)
 
+    monkeypatch.setattr(fc_model, "predict", counting)
     monkeypatch.setattr(pipeline, "predict", counting)
     return calls

@@ -1,10 +1,16 @@
-"""Independent scalar-loop transcriptions of the layer formulas.
+"""Independent scalar-loop transcriptions of the layer formulas, and
+per-parameter reference optimizers.
 
-Deliberately written with explicit Python loops and math.* calls so they
-share no code path with the vectorized implementations they check.
+The layer oracles are deliberately written with explicit Python loops
+and math.* calls so they share no code path with the vectorized
+implementations they check. The optimizers step one parameter at a
+time, each with its own moment arrays, which the flat-buffer optimizers
+must reproduce bit for bit.
 """
 
 import math
+
+import numpy as np
 
 
 def sigmoid_scalar(x):
@@ -105,3 +111,41 @@ def softmax_oracle(logits):
 
 def cross_entropy_oracle(probs, gold):
     return -math.log(max(probs[gold], 1e-12))
+
+
+class AdamOracle:
+    """Adam with bias correction, one parameter at a time."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = sorted(params, key=lambda p: p.name)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        for p in self.params:
+            g = p.grad
+            m = self.m[p.name] = (self.beta1 * self.m[p.name]
+                                  + (1 - self.beta1) * g)
+            v = self.v[p.name] = (self.beta2 * self.v[p.name]
+                                  + (1 - self.beta2) * g * g)
+            m_hat = m / (1 - self.beta1 ** t)
+            v_hat = v / (1 - self.beta2 ** t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.zero_grad()
+
+
+class SgdOracle:
+    """Plain gradient descent, one parameter at a time."""
+
+    def __init__(self, params, lr=0.1):
+        self.params = sorted(params, key=lambda p: p.name)
+        self.lr = lr
+
+    def step(self):
+        for p in self.params:
+            p.data -= self.lr * p.grad
+            p.zero_grad()

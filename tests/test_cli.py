@@ -77,6 +77,20 @@ class TestTrain:
         assert header["config"]["variant"] == "2L"
         assert header["config"]["attention"] is False
 
+    def test_diverging_run_exit_5_and_writes_nothing(self, workdir, tmp_path,
+                                                     capsys):
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(b"an earlier checkpoint")
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--out", str(ckpt), "--override", "lr=1e9"]
+                  + FAST_OVERRIDES)
+        assert rc == 5
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: training diverged")
+        assert sum(line.startswith("error:") for line in err) == 1
+        assert ckpt.read_bytes() == b"an earlier checkpoint"
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_missing_corpus_exit_3(self, tmp_path, capsys):
         rc = main(["train", "--corpus", str(tmp_path / "missing.jsonl")])
         assert rc == 3

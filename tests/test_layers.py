@@ -472,6 +472,38 @@ class TestRowBatches:
         np.testing.assert_array_equal(x.data, expected)
 
 
+class TestSharedCell:
+    def test_weight_gradients_match_a_fresh_cell_per_step(self):
+        """One StackedCell forms each weight gradient once over all the
+        steps that used it; the same steps made with a fresh cell each
+        give the same per-gate gradients."""
+        rng = np.random.default_rng(33)
+        cell = random_cell(rng, 3, 4, "shared")
+        seq = [ad.constant(rng.normal(size=(2, 3))) for _ in range(5)]
+        gold = rng.integers(0, 4, (5, 2))
+        weights = rng.random((5, 2))
+
+        def grads(states):
+            for p in cell.parameters():
+                p.zero_grad()
+            ad.backward(L.softmax_cross_entropy(ad.stack(states), gold,
+                                                weights))
+            return {p.name: p.grad.copy() for p in cell.parameters()}
+
+        shared = cell.stacked()
+        together = grads(L.lstm_run(seq, shared))
+        assert shared.rows == []        # consumed by the cell's node
+        h = c = ad.constant(np.zeros((2, 4)))
+        states = []
+        for x in seq:
+            h, c = L.lstm_cell_forward(x, h, c, cell.stacked())
+            states.append(h)
+        apart = grads(states)
+        for name, g in together.items():
+            assert g.any()
+            np.testing.assert_allclose(g, apart[name], rtol=0, atol=1e-12)
+
+
 class TestBatchedGradients:
     """Batched backward passes against central differences, with padded
     sentences and the inputs as Parameters. Each output feeds a

@@ -7,10 +7,12 @@ from framecmd.corpus import (AnnotatedSentence, FrameAnnotation, LabelVocab,
                              label_vocab)
 from framecmd.embeddings import embed_sentence, random_embeddings
 from framecmd.gradcheck import grad_check
+from framecmd import model as model_module
 from framecmd.model import (CheckpointError, Model, ModelConfig, ModelOutput,
-                            ParsedCommand, build_model, decode_output,
-                            forward, gold_labels, joint_loss, load_checkpoint,
-                            predict, save_checkpoint)
+                            ParsedCommand, _dropout_mask, build_model,
+                            decode_output, forward, gold_labels, joint_loss,
+                            load_checkpoint, predict, predict_many,
+                            save_checkpoint)
 from framecmd.optim import Adam
 
 from oracles import cross_entropy_oracle, softmax_oracle
@@ -204,6 +206,20 @@ class TestJointLoss:
         loss = joint_loss(self.stub_output(m, gold), gold)
         assert float(loss.data) < 1e-12
 
+    @pytest.mark.parametrize("variant", ["2L", "3L"])
+    def test_uniform_loss_is_the_loss_of_zero_heads(self, variant):
+        m = build_model(small_config(variant), VOCAB)
+        heads = [m.ad_head, m.l2_head] + ([m.l3_head] if variant == "3L"
+                                          else [])
+        for head in heads:
+            for p in head.parameters():
+                p.data[...] = 0.0       # every label equally likely
+        gold = gold_labels(sentence(), VOCAB, variant)
+        _, emb = embedded()
+        loss = joint_loss(forward(m, emb, gold=gold, mode="train"), gold)
+        np.testing.assert_allclose(float(loss.data), m.uniform_loss(),
+                                   rtol=1e-12)
+
     def test_uniform_ad_over_16(self):
         vocab = LabelVocab(frames=tuple(f"F{i}" for i in range(16)),
                            element_types=("Goal", "Theme"))
@@ -363,11 +379,19 @@ class TestTraining:
         m = build_model(small_config(attention=True), VOCAB)
         _, emb = embedded()
         gold = gold_labels(sentence(), VOCAB, "3L")
-        m.zero_grads()
+        for p in m.parameters():
+            p.zero_grad()
         loss = joint_loss(forward(m, emb, gold=gold, mode="train"), gold)
         ad.backward(loss)
         att = [p for p in m.parameters() if "att" in p.name]
         assert att and all(np.any(p.grad != 0) for p in att)
+
+    def test_one_draw_gives_the_per_step_dropout_masks(self):
+        shape = (7, 3, 11)
+        block = _dropout_mask(shape, 0.3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        steps = [_dropout_mask(shape[1:], 0.3, rng) for _ in range(shape[0])]
+        np.testing.assert_array_equal(block, np.array(steps))
 
     def test_dropout_changes_training_forward_only(self):
         m = build_model(small_config(dropout=0.5), VOCAB)
@@ -472,7 +496,8 @@ class TestBatch:
                                   seed=1)
         m = build_model(small_config(variant, attention), VOCAB)
         emb, lengths, golds = batch_of(sents, table, variant)
-        m.zero_grads()
+        for p in m.parameters():
+            p.zero_grad()
         loss = joint_loss(forward(m, emb, gold=golds, mode="train",
                                   lengths=lengths), golds)
         ad.backward(loss)
@@ -481,7 +506,8 @@ class TestBatch:
         losses = []
         start = 0
         for n, gold in zip(lengths, golds):
-            m.zero_grads()
+            for p in m.parameters():
+                p.zero_grad()
             one = joint_loss(forward(m, emb[start:start + n], gold=gold,
                                      mode="train"), gold)
             start += n
@@ -584,6 +610,30 @@ class TestPredict:
         assert parsed == plain and hash(parsed) == hash(plain)
         m = build_model(small_config(variant, attention=False), VOCAB)
         assert predict(m, table, toks).attention is None
+
+    @pytest.mark.parametrize("variant,attention", ARCHITECTURES)
+    @pytest.mark.parametrize("chunk", [32, 3])
+    def test_predict_many_matches_one_sentence_predict(self, variant,
+                                                       attention, chunk,
+                                                       monkeypatch):
+        sents = sentences_3_to_7()
+        table = random_embeddings([t for s in sents for t in s.tokens], 6,
+                                  seed=1)
+        m = build_model(small_config(variant, attention), VOCAB)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", chunk)
+        many = predict_many(m, table, [list(s.tokens) for s in sents])
+        assert len(many) == len(sents)
+        for s, parsed in zip(sents, many):
+            one = predict(m, table, list(s.tokens))
+            assert parsed == one
+            if attention:
+                assert set(parsed.attention) == set(one.attention)
+                for key, w in one.attention.items():
+                    np.testing.assert_allclose(parsed.attention[key], w,
+                                               atol=1e-12)
+            else:
+                assert parsed.attention is None
+        assert predict_many(m, table, []) == []
 
     def test_prediction_deterministic(self):
         m = build_model(small_config(), VOCAB)

@@ -1,7 +1,15 @@
 import numpy as np
+import pytest
 
 from framecmd.autodiff import Parameter
+from framecmd.corpus import LabelVocab
+from framecmd.model import ModelConfig, build_model
 from framecmd.optim import Adam, Sgd, make_optimizer
+
+from oracles import AdamOracle, SgdOracle
+
+VOCAB = LabelVocab(frames=("Bringing", "Motion", "Taking"),
+                   element_types=("Goal", "Theme"))
 
 
 def test_zero_gradient_no_update():
@@ -35,11 +43,13 @@ def test_deterministic_runs():
         p = Parameter("p", np.array([1.0, 2.0, 3.0]))
         opt = Adam([p], lr=0.01)
         for _ in range(50):
-            p.grad = p.grad + rng.normal(size=3)
+            p.grad += rng.normal(size=3)    # in place: p.grad is a view
             opt.step()
         return p.data.copy()
 
-    np.testing.assert_array_equal(run(), run())
+    first = run()
+    np.testing.assert_array_equal(first, run())
+    assert not np.array_equal(first, [1.0, 2.0, 3.0])
 
 
 def test_sgd_step():
@@ -58,3 +68,40 @@ def test_make_optimizer():
         assert False
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("flat,oracle,lr", [(Adam, AdamOracle, 1e-2),
+                                           (Sgd, SgdOracle, 0.1)])
+def test_flat_optimizer_matches_per_parameter_reference(flat, oracle, lr):
+    """The same random gradients for 50 steps on a 3L-ATT model give
+    bit-identical parameters."""
+    a = build_model(ModelConfig(), VOCAB).parameters()
+    b = build_model(ModelConfig(), VOCAB).parameters()
+    opt_a, opt_b = flat(a, lr=lr), oracle(b, lr=lr)
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        for pa, pb in zip(opt_a.params, opt_b.params):
+            g = rng.normal(size=pa.data.shape)
+            pa.grad[...] = g
+            pb.grad[...] = g
+        opt_a.step()
+        opt_b.step()
+    for pa, pb in zip(opt_a.params, opt_b.params):
+        assert pa.name == pb.name
+        np.testing.assert_array_equal(pa.data, pb.data)
+        assert not pa.grad.any()
+
+
+@pytest.mark.parametrize("flat", [Adam, Sgd])
+def test_parameters_are_views_of_the_flat_buffers(flat):
+    params = build_model(ModelConfig(), VOCAB).parameters()
+    before = {p.name: p.data.copy() for p in params}
+    opt = flat(params)
+    assert opt.data.size == sum(p.data.size for p in params)
+    for p in params:
+        assert np.shares_memory(p.data, opt.data)
+        assert np.shares_memory(p.grad, opt.grad)
+        np.testing.assert_array_equal(p.data, before[p.name])
+    params[0].grad[...] = 1.0
+    opt.step()
+    assert not np.array_equal(params[0].data, before[params[0].name])

@@ -167,6 +167,21 @@ class TestTrain:
         history = train(model, table, corpus, tc)
         assert len(history) <= 4
 
+    @pytest.mark.parametrize("poison", ["nan", "lr"])
+    def test_divergence_stops_before_the_step(self, setup, poison):
+        """A NaN weight makes the first batch loss NaN; lr 1e9 leaves
+        every value finite but blows the loss up past the bound."""
+        corpus, vocab, table, cfg = setup
+        model = build_model(cfg, vocab)
+        lr = 1e-3
+        if poison == "nan":
+            model.parameters()[0].data[0] = np.nan
+        else:
+            lr = 1e9
+        with pytest.raises(pipeline.TrainingDiverged, match="diverged"):
+            train(model, table, corpus, TrainConfig(epochs=3, batch_size=4,
+                                                    lr=lr, patience=0))
+
     def test_empty_training_set(self, setup):
         _, vocab, table, cfg = setup
         model = build_model(cfg, vocab)
