@@ -17,9 +17,10 @@ here (hidden sizes in the tens, sentences of ~10 tokens). So the
 network layers in `layers` are fused ops: each builds one or two nodes
 over whole gate stacks or query-key matrices and writes its backward
 pass by hand, using `accumulate` to feed its inputs' gradients. The
-elementwise ops below remain for the heads, the loss and tests. 64-bit
-precision makes finite-difference gradient checks exact enough to be
-useful.
+ops below join, slice and add those nodes' outputs; `mul`, `dot` and
+`tanh` have no caller in the package and remain as small graph
+builders for the engine's own tests. 64-bit precision makes
+finite-difference gradient checks exact enough to be useful.
 
 A Parameter's `data` and `grad` become views into an optimizer's flat
 buffers when one is built over it (see `optim`). Update them in place
@@ -166,25 +167,6 @@ def mul(a, b):
     return node(a.data * b.data, (a, b), bwd)
 
 
-def scale(a, c):
-    """Multiply by a plain float/ndarray constant (no gradient for c)."""
-    c = np.asarray(c, dtype=np.float64)
-
-    def bwd(g):
-        accumulate(a, g * c)
-
-    return node(a.data * c, (a,), bwd)
-
-
-def matvec(w, x):
-    """(m, n) @ (n,) -> (m,)."""
-    def bwd(g):
-        accumulate(w, np.outer(g, x.data))
-        accumulate(x, w.data.T @ g)
-
-    return node(w.data @ x.data, (w, x), bwd)
-
-
 def dot(a, b):
     def bwd(g):
         accumulate(a, g * b.data)
@@ -237,43 +219,6 @@ def getrow(m, i):
         accumulate_at(m, i, g)
 
     return node(m.data[i], (m,), bwd)
-
-
-def softmax(v):
-    """Stable softmax over a 1-d tensor."""
-    e = np.exp(v.data - np.max(v.data))
-    p = e / np.sum(e)
-
-    def bwd(g):
-        accumulate(v, (g - np.dot(g, p)) * p)
-
-    return node(p, (v,), bwd)
-
-
-def cross_entropy(probs, gold_index):
-    """-ln(p[gold]) with the probability clamped to >= 1e-12."""
-    if not 0 <= gold_index < probs.data.shape[0]:
-        raise IndexError(f"gold index {gold_index} out of range")
-    pg = probs.data[gold_index]
-
-    def bwd(g):
-        gv = np.zeros_like(probs.data)
-        if pg >= 1e-12:
-            gv[gold_index] = -g / pg
-        accumulate(probs, gv)
-
-    return node(-np.log(max(pg, 1e-12)), (probs,), bwd)
-
-
-def mean_of(scalars):
-    scalars = tuple(scalars)
-    n = len(scalars)
-
-    def bwd(g):
-        for s in scalars:
-            accumulate(s, g / n)
-
-    return node(sum(s.data for s in scalars) / n, scalars, bwd)
 
 
 def backward(loss):

@@ -8,12 +8,12 @@ arithmetic in its inputs' dtype and adds one or two graph nodes through
 `autodiff.node`, each with a hand-written backward pass, instead of a
 node per gate, score or elementwise product.
 
-Every op works on rows: a vector (d,) is one sentence's step, and a
-(B, d) matrix the same step of B sentences, one row each. Weight
-gradients are then dZ^T X products over the rows. The sequence ops
+A batch of B sentences right-padded to T steps passes between layers as
+one (T, B, d) tensor, and a decoder step reads its step t. Within a
+step every op works on (B, d) rows, one per sentence, so weight
+gradients are dZ^T X products over the rows. The sequence ops
 (bilstm_forward, attention) take each sentence's length, so that a
-batch right-padded to its longest sentence computes every sentence as
-that sentence alone would."""
+padded batch computes every sentence as that sentence alone would."""
 
 from __future__ import annotations
 
@@ -133,8 +133,13 @@ class StackedCell:
             ad.accumulate(self.b[gate], db[gate_rows])
 
 
+_EXP_MAX = np.log(np.finfo(np.float64).max)     # exp of it is finite
+
+
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    # -z is clamped only where exp(-z) would overflow, which numpy warns
+    # about; the result there is 0 either way, to within 1e-308.
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX)))
 
 
 def lstm_cell_forward(x, h, c, params):
@@ -186,59 +191,49 @@ def lstm_cell_forward(x, h, c, params):
     return ad.node(o * tc, (c_new,), h_bwd), c_new
 
 
-def lstm_run(seq, params):
-    """Unroll an LSTM from zero states over a list of input tensors;
-    returns the hidden states."""
+def lstm_run(X, params):
+    """Unroll an LSTM from zero states over the steps of X, (T, B, d);
+    returns the hidden states stacked, (T, B, H)."""
     cell = params.stacked()
-    zeros = ad.constant(np.zeros(seq[0].data.shape[:-1]
-                                 + (cell.hidden_dim,)))
-    h = c = zeros
+    h = c = ad.constant(np.zeros(X.data.shape[1:-1] + (cell.hidden_dim,)))
     states = []
-    for x in seq:
-        h, c = lstm_cell_forward(x, h, c, cell)
+    for t in range(X.data.shape[0]):
+        h, c = lstm_cell_forward(ad.getrow(X, t), h, c, cell)
         states.append(h)
-    return states
+    return ad.stack(states)
 
 
-def _reversal(seq, lengths):
-    """Indexes into a stack of seq's steps, (T, d) or (T, B, d): the
-    order that reverses each sentence within its own length and leaves
-    its padding in place, and each sentence's last step. The order is
-    its own inverse, so it also puts reversed states back in token
-    order."""
-    T = len(seq)
-    if seq[0].data.ndim == 1:
-        return np.arange(T - 1, -1, -1), T - 1
-    B = seq[0].data.shape[0]
+def _reversal(T, B, lengths):
+    """Indexes into (T, B, d) steps: the order that reverses each
+    sentence within its own length and leaves its padding in place, and
+    each sentence's last step. The order is its own inverse, so it also
+    puts reversed states back in token order."""
     n = np.full(B, T) if lengths is None else np.asarray(lengths)
     t = np.arange(T)[:, None]
     batch = np.arange(B)
     return (np.where(t < n, n - 1 - t, t), batch), (n - 1, batch)
 
 
-def bilstm_forward(seq, fwd, bwd, lengths=None):
-    """Bidirectional LSTM over a list of T input tensors, each (d,) or,
-    for B right-padded sentences with the given lengths, (B, d).
+def bilstm_forward(X, fwd, bwd, lengths=None):
+    """Bidirectional LSTM over X, (T, B, d): B sentences right-padded to
+    T steps, with the given lengths (default: all T).
 
-    Returns (states, last_fwd, last_bwd) where states[t] is the
-    concatenation of the forward state at t and the backward state at t,
-    and last_fwd / last_bwd are each sentence's final forward state
-    (at its last token) and final backward state (at its first token).
-    Both directions start from zero states. The backward direction
-    reads each sentence reversed within its own length through one
-    gather, so it starts at the sentence's last token and no step needs
-    a mask; padding steps only follow a sentence's own steps.
+    Returns (states, last_fwd, last_bwd): states (T, B, 2H) joins the
+    forward and backward state of each step, and last_fwd / last_bwd
+    (B, H) are each sentence's final forward state (at its last token)
+    and final backward state (at its first token). Both directions
+    start from zero states. The backward direction reads each sentence
+    reversed within its own length through one gather, so it starts at
+    the sentence's last token and no step needs a mask; padding steps
+    only follow a sentence's own steps.
     """
-    if len(seq) < 1:
+    T, B = X.data.shape[:2]
+    if T < 1:
         raise ValueError("empty sequence")
-    T = len(seq)
-    order, last = _reversal(seq, lengths)
-    reversed_seq = ad.getrow(ad.stack(seq), order)
-    f_states = ad.stack(lstm_run(seq, fwd))
-    b_states = ad.stack(lstm_run([ad.getrow(reversed_seq, t)
-                                  for t in range(T)], bwd))
-    both = ad.concat([f_states, ad.getrow(b_states, order)])
-    return ([ad.getrow(both, t) for t in range(T)],
+    order, last = _reversal(T, B, lengths)
+    f_states = lstm_run(X, fwd)
+    b_states = lstm_run(ad.getrow(X, order), bwd)
+    return (ad.concat([f_states, ad.getrow(b_states, order)]),
             ad.getrow(f_states, last), ad.getrow(b_states, last))
 
 
@@ -260,48 +255,40 @@ class AttentionParams:
 def attention(queries, keys, params, lengths=None):
     """Attend each query over the keys (values = keys).
 
-    keys is a list of Tk tensors, each (dk,) or, for B right-padded
-    sentences with the given lengths, (B, dk); queries likewise, or
-    vectors shared by every sentence of the batch. All queries are
+    keys is (Tk, B, dk): B sentences right-padded to Tk steps, with the
+    given lengths (default: all Tk). queries is the keys themselves
+    (self-attention, `queries is keys`), or one query (dq,) or matrix
+    of queries (Tq, dq) shared by every sentence. All queries are
     scored at once as one graph node (Bahdanau et al.,
     arXiv:1409.0473): P = softmax(tanh(Q W1^T (+) K W2^T) v) over each
     sentence's own keys (padded keys get weight 0) and C = P K, where
-    (+) adds every query row to every key row. One getrow per query then
-    yields its context. Returns (contexts, weights): the context tensors,
-    shaped like the keys, and the softmax rows as a (B, Tq, Tk) array,
-    or Tq x Tk for unbatched keys. Self-attention (`queries is keys`)
-    feeds each state's query and key gradients back in one step.
+    (+) adds every query row to every key row. Returns (contexts,
+    weights): the contexts, (Tk, B, dk) for self-attention, (B, dk) for
+    one query and (Tq, B, dk) for a matrix, and the softmax rows as a
+    (B, Tq, Tk) array.
     """
     W1, W2, v = params.W1, params.W2, params.v
-    batched = keys[0].data.ndim == 2
-    shared = batched and queries[0].data.ndim == 1
-    # Batch-major (B, T, d) stacks. Unbatched keys are a batch of one;
-    # vector queries over batched keys are one query set (1, Tq, dq)
-    # shared by every sentence.
-    Km = np.array([k.data for k in keys])
-    Km = Km.swapaxes(0, 1) if batched else Km[None]
-    if queries is keys:
-        Qb = Km
-    else:
-        Qb = np.array([q.data for q in queries])
-        Qb = Qb.swapaxes(0, 1) if Qb.ndim == 3 else Qb[None]
+    Km = keys.data.swapaxes(0, 1)       # batch-major (B, Tk, dk)
+    # Shared queries are one query set (1, Tq, dq) for every sentence.
+    Qb = Km if queries is keys else queries.data.reshape(
+        1, -1, queries.data.shape[-1])
     S = np.tanh((Qb @ W1.data.T)[:, :, None, :]
                 + (Km @ W2.data.T)[:, None, :, :])
     E = S @ v.data
-    if lengths is not None and min(lengths) < len(keys):     # padded keys
-        own = np.arange(len(keys)) < np.asarray(lengths)[:, None, None]
+    if lengths is not None and min(lengths) < len(keys.data):  # padding
+        own = np.arange(len(keys.data)) < np.asarray(lengths)[:, None, None]
         E = np.where(own, E, -np.inf)
     P = np.exp(E - E.max(axis=-1, keepdims=True))
     P /= P.sum(axis=-1, keepdims=True)
 
     def bwd(gC):
-        gC = gC.swapaxes(0, 1) if batched else gC[None]
+        gC = gC.reshape(-1, *gC.shape[-2:]).swapaxes(0, 1)  # (B, Tq, dk)
         dP = gC @ Km.swapaxes(1, 2)
         dE = P * (dP - np.sum(dP * P, axis=-1, keepdims=True))
         ad.accumulate(v, np.tensordot(dE, S, axes=3))
         dPre = dE[..., None] * v.data * (1.0 - S * S)
         dA = dPre.sum(axis=2)
-        if shared:
+        if queries is not keys:
             dA = dA.sum(axis=0, keepdims=True)
         dB = dPre.sum(axis=1)
         ad.accumulate(W1, dA.reshape(-1, dA.shape[-1]).T
@@ -313,27 +300,22 @@ def attention(queries, keys, params, lengths=None):
         if queries is keys:
             dK += dQ
         else:
-            dQ = dQ.swapaxes(0, 1) if batched and not shared else dQ[0]
-            for q, dq in zip(queries, dQ):
-                ad.accumulate(q, dq)
-        for k, dk in zip(keys, dK.swapaxes(0, 1) if batched else dK[0]):
-            ad.accumulate(k, dk)
+            ad.accumulate(queries, dQ.reshape(queries.data.shape))
+        ad.accumulate(keys, dK.swapaxes(0, 1))
 
-    inputs = (tuple(keys) if queries is keys
-              else tuple(queries) + tuple(keys))
-    C = P @ Km
-    C = ad.node(C.swapaxes(0, 1) if batched else C[0], inputs + (W1, W2, v),
-                bwd)
-    return ([ad.getrow(C, q) for q in range(len(queries))],
-            P if batched else P[0])
+    C = (P @ Km).swapaxes(0, 1)         # (Tq, B, dk)
+    if queries is not keys:
+        C = C.reshape(queries.data.shape[:-1] + C.shape[1:])
+    inputs = (keys,) if queries is keys else (queries, keys)
+    return ad.node(C, inputs + (W1, W2, v), bwd), P
 
 
-def decoder_input(parts, table, rows, mask=None):
-    """One decoder step's input as one graph node: the parts side by
-    side along the last axis, then the label-embedding rows table[rows]
-    (an index, or one per sentence of a batch), all times the dropout
-    mask when one is given."""
-    data = np.concatenate([p.data for p in parts] + [table.data[rows]],
+def decoder_input(seqs, t, table, rows, mask=None):
+    """One decoder step's input as one graph node: step t of each
+    (T, B, d) sequence side by side along the last axis, then the
+    label-embedding rows table[rows] (one per sentence), all times the
+    dropout mask when one is given."""
+    data = np.concatenate([s.data[t] for s in seqs] + [table.data[rows]],
                           axis=-1)
     if mask is not None:
         data = data * mask
@@ -342,13 +324,13 @@ def decoder_input(parts, table, rows, mask=None):
         if mask is not None:
             g = g * mask
         off = 0
-        for p in parts:
-            n = p.data.shape[-1]
-            ad.accumulate(p, g[..., off:off + n])
+        for s in seqs:
+            n = s.data.shape[-1]
+            ad.accumulate_at(s, t, g[..., off:off + n])
             off += n
         ad.accumulate_at(table, rows, g[..., off:])
 
-    return ad.node(data, (*parts, table), bwd)
+    return ad.node(data, (*seqs, table), bwd)
 
 
 class HighwayParams:
@@ -372,8 +354,8 @@ class HighwayParams:
 
 def highway(x, params):
     """y = t*h + (1 - t)*x with h = tanh(W_h x + b_h) and
-    t = sigmoid(W_t x + b_t), as one graph node; x is (d,) or any
-    stack of such rows, e.g. (B, d) or (T, B, d)."""
+    t = sigmoid(W_t x + b_t), as one graph node over every row of x,
+    e.g. the (T, B, d) states of a batch."""
     W_h, b_h, W_t, b_t = params.W_h, params.b_h, params.W_t, params.b_t
     if W_h.data.shape[0] != W_h.data.shape[1]:
         raise ValueError("highway transform must be square")

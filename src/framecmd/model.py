@@ -11,9 +11,12 @@ token. Optional additive self-attention feeds context vectors to every
 layer and pools the encoder for frame classification.
 
 `forward` runs a batch of B sentences as one graph, right-padded to the
-longest, T tokens: every step is a (B, .) row matrix, the heads' logits
-are (B, frames) and (T, B, labels), and a single sentence is a batch of
-one. `joint_loss` averages the per-sentence losses over the batch.
+longest, T tokens. Each layer hands the next one (T, B, d) tensor: the
+encoder states, the attention contexts and the highway output; a
+decoder step reads step t of them as a (B, d) row matrix. The heads'
+logits are (B, frames) and (T, B, labels), and a single sentence is a
+batch of one. `joint_loss` averages the per-sentence losses over the
+batch.
 """
 
 from __future__ import annotations
@@ -219,9 +222,9 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     embedded packs the sentences' token vectors one after another, an
     (N x d) matrix; lengths gives each sentence's token count (summing
     to N) and defaults to one sentence of N tokens. Inside, the batch is
-    one right-padded graph: every step works on (B, .) rows, and each
-    sentence's padding steps come after its own steps, so they never
-    reach its outputs. In train mode the decoder is teacher-forced with
+    one right-padded graph over (T, B, .) tensors, and each sentence's
+    padding steps come after its own steps, so they never reach its
+    outputs. In train mode the decoder is teacher-forced with
     the gold labels (a GoldLabels, or one per sentence); in infer mode
     it consumes its own greedy predictions, row by row. Dropout is
     applied to layer inputs only when a dropout_rng is supplied
@@ -241,21 +244,19 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     mask = _dropout_mask(X.shape, rate, dropout_rng)
     if mask is not None:    # the inputs are constants: no graph node
         X = X * mask
-    inputs = [ad.constant(x) for x in X]
 
-    h1, last_f, last_b = L.bilstm_forward(inputs, model.l1_fwd, model.l1_bwd,
-                                          lengths)
+    h1, last_f, last_b = L.bilstm_forward(ad.constant(X), model.l1_fwd,
+                                          model.l1_bwd, lengths)
     maps = {} if c.attention else None
 
     if c.attention:
-        pooled, w_ad = L.attention([model.ad_query], h1, model.att1, lengths)
-        sentence_vec = pooled[0]
-        maps["ad"] = w_ad
-        ctx2, w2 = L.attention(h1, h1, model.att1, lengths)
-        maps["layer2"] = w2
+        sentence_vec, maps["ad"] = L.attention(model.ad_query, h1,
+                                               model.att1, lengths)
+        ctx2, maps["layer2"] = L.attention(h1, h1, model.att1, lengths)
+        parts = [h1, ctx2]
     else:
         sentence_vec = ad.concat([last_f, last_b])
-        ctx2 = None
+        parts = [h1]
     ad_logits = L.affine(sentence_vec, model.ad_head)
 
     zeros = ad.constant(np.zeros((B, c.decoder_hidden)))
@@ -269,8 +270,7 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     # the same values as one draw per step.
     masks = _dropout_mask((T, B, cell.input_dim), rate, dropout_rng)
     for t in range(T):
-        x = L.decoder_input([h1[t]] if ctx2 is None else [h1[t], ctx2[t]],
-                            model.label_emb2, prev,
+        x = L.decoder_input(parts, t, model.label_emb2, prev,
                             None if masks is None else masks[t])
         h, cc = L.lstm_cell_forward(x, h, cc, cell)
         states.append(h)
@@ -284,21 +284,20 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     if c.variant != "3L":
         return out
 
-    routed = L.highway(ad.stack(h1), model.hw)     # all steps at once
-    hw_states = [ad.getrow(routed, t) for t in range(T)]
+    routed = L.highway(h1, model.hw)     # all steps at once
     if c.attention:
-        ctx3, w3 = L.attention(hw_states, hw_states, model.att3, lengths)
-        maps["layer3"] = w3
+        ctx3, maps["layer3"] = L.attention(routed, routed, model.att3,
+                                           lengths)
+        parts = [routed, ctx3]
     else:
-        ctx3 = None
+        parts = [routed]
     cell = model.l3_cell.stacked()
     h = cc = zeros
     states = []
     masks = _dropout_mask((T, B, cell.input_dim), rate, dropout_rng)
     for t in range(T):
-        x = L.decoder_input(
-            [hw_states[t]] if ctx3 is None else [hw_states[t], ctx3[t]],
-            model.label_emb3, labels2[t], None if masks is None else masks[t])
+        x = L.decoder_input(parts, t, model.label_emb3, labels2[t],
+                            None if masks is None else masks[t])
         h, cc = L.lstm_cell_forward(x, h, cc, cell)
         states.append(h)
     out.seq3_logits = L.affine(ad.stack(states), model.l3_head)
@@ -364,13 +363,8 @@ def predict_many(model, table, token_lists):
                                  token_lists[i:i + PREDICT_CHUNK])]
 
 
-def decode_output(model, out, b=None):
-    """The parse of sentence b of a batch output; b may be left out for
-    a batch of one."""
-    if b is None:
-        if len(out.lengths) != 1:
-            raise ValueError("decode_output of a batch needs a sentence")
-        b = 0
+def decode_output(model, out, b):
+    """The parse of sentence b of a batch output."""
     n = int(out.lengths[b])
     vocab = model.vocab
     frame = vocab.frames[int(np.argmax(out.ad_logits.data[b]))]

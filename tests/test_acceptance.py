@@ -52,13 +52,16 @@ def test_oracle_equivalence():
     rng = np.random.default_rng(100)
     worst = 0.0
     for _ in range(100):
-        # softmax + cross-entropy
-        z = rng.normal(0, 3, 6)
-        p = ad.softmax(ad.constant(z))
-        ep = softmax_oracle(z.tolist())
-        worst = max(worst, float(np.max(np.abs(p.data - ep))))
+        # softmax + cross-entropy, one fused op; its gradient at weight 1
+        # is p - onehot(k)
+        z = ad.Parameter("z", rng.normal(0, 3, 6))
+        ep = softmax_oracle(z.data.tolist())
         k = int(rng.integers(6))
-        ce = ad.cross_entropy(p, k)
+        ce = L.softmax_cross_entropy(z, k, 1.0)
+        ad.backward(ce)
+        p = z.grad.copy()
+        p[k] += 1.0
+        worst = max(worst, float(np.max(np.abs(p - ep))))
         worst = max(worst, abs(float(ce.data) - cross_entropy_oracle(ep, k)))
 
         # LSTM cell and BiLSTM
@@ -80,11 +83,11 @@ def test_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(h.data - eh))),
                     float(np.max(np.abs(cc.data - ec))))
         seq = [rng.normal(size=3) for _ in range(3)]
-        states, _, _ = L.bilstm_forward([ad.constant(v) for v in seq],
+        states, _, _ = L.bilstm_forward(ad.constant(np.array(seq)[:, None]),
                                         cell_f, cell_b)
         expected = bilstm_oracle([v.tolist() for v in seq], dicts_f, dicts_b)
-        for got, exp in zip(states, expected):
-            worst = max(worst, float(np.max(np.abs(got.data - exp))))
+        for got, exp in zip(states.data[:, 0], expected):
+            worst = max(worst, float(np.max(np.abs(got - exp))))
 
         # attention
         att = L.AttentionParams("a", 2, 3, 4, seed=0)
@@ -93,16 +96,16 @@ def test_oracle_equivalence():
         att.v.data = rng.normal(size=att.v.data.shape)
         queries = [rng.normal(size=2) for _ in range(2)]
         keys = [rng.normal(size=3) for _ in range(3)]
-        ctx, w = L.attention([ad.constant(q) for q in queries],
-                             [ad.constant(k) for k in keys], att)
+        ctx, w = L.attention(ad.constant(np.array(queries)),
+                             ad.constant(np.array(keys)[:, None]), att)
         ectx, ew = attention_oracle([q.tolist() for q in queries],
                                     [k.tolist() for k in keys],
                                     att.W1.data.tolist(),
                                     att.W2.data.tolist(),
                                     att.v.data.tolist())
-        worst = max(worst, float(np.max(np.abs(w - np.array(ew)))))
-        for got, exp in zip(ctx, ectx):
-            worst = max(worst, float(np.max(np.abs(got.data - exp))))
+        worst = max(worst, float(np.max(np.abs(w[0] - np.array(ew)))))
+        for got, exp in zip(ctx.data[:, 0], ectx):
+            worst = max(worst, float(np.max(np.abs(got - exp))))
 
         # highway
         hw = L.HighwayParams("h", 3, seed=0)

@@ -77,17 +77,21 @@ class TestTrain:
         assert header["config"]["variant"] == "2L"
         assert header["config"]["attention"] is False
 
-    def test_diverging_run_exit_5_and_writes_nothing(self, workdir, tmp_path,
-                                                     capsys):
+    def test_diverging_run_exit_5_and_writes_nothing(self, workdir,
+                                                     tmp_path):
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes(b"an earlier checkpoint")
-        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
-                   "--out", str(ckpt), "--override", "lr=1e9"]
-                  + FAST_OVERRIDES)
-        assert rc == 5
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: training diverged")
-        assert sum(line.startswith("error:") for line in err) == 1
+        # A child process, so that numpy's warnings reach stderr as a
+        # user sees them instead of pytest's warning capture.
+        proc = subprocess.run(
+            [sys.executable, "-m", "framecmd", "train", "--corpus",
+             str(workdir / "corpus.jsonl"), "--out", str(ckpt),
+             "--override", "lr=1e9"] + FAST_OVERRIDES,
+            capture_output=True, text=True)
+        assert proc.returncode == 5
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: training diverged")
         assert ckpt.read_bytes() == b"an earlier checkpoint"
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
 

@@ -72,11 +72,11 @@ class TestBilstm:
         fwd = random_cell(rng, 3, 2, "f")
         bwd = random_cell(rng, 3, 2, "b")
         x = rng.normal(size=3)
-        states, _, _ = L.bilstm_forward([ad.constant(x)], fwd, bwd)
+        states, _, _ = L.bilstm_forward(ad.constant(x[None, None]), fwd, bwd)
         zero = ad.constant(np.zeros(2))
         hf, _ = L.lstm_cell_forward(ad.constant(x), zero, zero, fwd)
         hb, _ = L.lstm_cell_forward(ad.constant(x), zero, zero, bwd)
-        np.testing.assert_allclose(states[0].data,
+        np.testing.assert_allclose(states.data[0, 0],
                                    np.concatenate([hf.data, hb.data]),
                                    atol=1e-14)
 
@@ -84,12 +84,13 @@ class TestBilstm:
         rng = np.random.default_rng(9)
         cell = random_cell(rng, 3, 2, "s")
         a, b = rng.normal(size=3), rng.normal(size=3)
-        seq = [ad.constant(v) for v in (a, b, a)]
-        states, _, _ = L.bilstm_forward(seq, cell, cell)
+        X = ad.constant(np.array([a, b, a])[:, None])
+        states, _, _ = L.bilstm_forward(X, cell, cell)
+        states = states.data[:, 0]
         T = 3
         for t in range(T):
-            np.testing.assert_allclose(states[t].data[:2],
-                                       states[T - 1 - t].data[2:],
+            np.testing.assert_allclose(states[t, :2],
+                                       states[T - 1 - t, 2:],
                                        atol=1e-12)
 
     def test_matches_oracle(self):
@@ -98,17 +99,17 @@ class TestBilstm:
             fwd = random_cell(rng, 2, 3, "f")
             bwd = random_cell(rng, 2, 3, "b")
             seq = [rng.normal(size=2) for _ in range(3)]
-            states, _, _ = L.bilstm_forward([ad.constant(v) for v in seq],
-                                            fwd, bwd)
+            states, _, _ = L.bilstm_forward(
+                ad.constant(np.array(seq)[:, None]), fwd, bwd)
             expected = bilstm_oracle([v.tolist() for v in seq],
                                      (cell_dicts(fwd)), (cell_dicts(bwd)))
-            for got, exp in zip(states, expected):
-                np.testing.assert_allclose(got.data, exp, atol=1e-10)
+            for got, exp in zip(states.data[:, 0], expected):
+                np.testing.assert_allclose(got, exp, atol=1e-10)
 
     def test_empty_sequence(self):
         cell = L.LstmCellParams("c", 2, 2, seed=0)
         with pytest.raises(ValueError):
-            L.bilstm_forward([], cell, cell)
+            L.bilstm_forward(ad.constant(np.zeros((0, 1, 2))), cell, cell)
 
 
 class TestAttention:
@@ -124,28 +125,30 @@ class TestAttention:
         rng = np.random.default_rng(11)
         p = self.params(rng, 3, 3, 4)
         key = rng.normal(size=3)
-        keys = [ad.constant(key) for _ in range(5)]
-        ctx, w = L.attention([ad.constant(rng.normal(size=3))], keys, p)
-        np.testing.assert_allclose(w[0], np.full(5, 0.2), atol=1e-12)
-        np.testing.assert_allclose(ctx[0].data, key, atol=1e-12)
+        keys = ad.constant(np.array([key for _ in range(5)])[:, None])
+        ctx, w = L.attention(ad.constant(rng.normal(size=3)), keys, p)
+        np.testing.assert_allclose(w[0, 0], np.full(5, 0.2), atol=1e-12)
+        np.testing.assert_allclose(ctx.data[0], key, atol=1e-12)
 
     def test_single_key(self):
         rng = np.random.default_rng(12)
         p = self.params(rng, 3, 3, 4)
         key = rng.normal(size=3)
-        ctx, w = L.attention([ad.constant(rng.normal(size=3))],
-                             [ad.constant(key)], p)
-        np.testing.assert_allclose(w, [[1.0]], atol=1e-15)
-        np.testing.assert_allclose(ctx[0].data, key, atol=1e-15)
+        ctx, w = L.attention(ad.constant(rng.normal(size=3)),
+                             ad.constant(key[None, None]), p)
+        np.testing.assert_allclose(w[0], [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(ctx.data[0], key, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             p = self.params(rng, 2, 2, 3)
-            queries = [ad.constant(rng.normal(size=2)) for _ in range(3)]
-            keys = [ad.constant(rng.normal(size=2)) for _ in range(4)]
-            _, w = L.attention(queries, keys, p)
-            np.testing.assert_allclose(w.sum(axis=1), np.ones(3), atol=1e-9)
+            queries = np.array([rng.normal(size=2) for _ in range(3)])
+            keys = np.array([rng.normal(size=2) for _ in range(4)])
+            _, w = L.attention(ad.constant(queries),
+                               ad.constant(keys[:, None]), p)
+            np.testing.assert_allclose(w[0].sum(axis=1), np.ones(3),
+                                       atol=1e-9)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(14)
@@ -153,14 +156,14 @@ class TestAttention:
             p = self.params(rng, 2, 3, 4)
             queries = [rng.normal(size=2) for _ in range(2)]
             keys = [rng.normal(size=3) for _ in range(3)]
-            ctx, w = L.attention([ad.constant(q) for q in queries],
-                                 [ad.constant(k) for k in keys], p)
+            ctx, w = L.attention(ad.constant(np.array(queries)),
+                                 ad.constant(np.array(keys)[:, None]), p)
             ectx, ew = attention_oracle(
                 [q.tolist() for q in queries], [k.tolist() for k in keys],
                 p.W1.data.tolist(), p.W2.data.tolist(), p.v.data.tolist())
-            np.testing.assert_allclose(w, ew, atol=1e-10)
-            for got, exp in zip(ctx, ectx):
-                np.testing.assert_allclose(got.data, exp, atol=1e-10)
+            np.testing.assert_allclose(w[0], ew, atol=1e-10)
+            for got, exp in zip(ctx.data[:, 0], ectx):
+                np.testing.assert_allclose(got, exp, atol=1e-10)
 
 
 class TestHighway:
@@ -235,20 +238,23 @@ class TestFusedGradients:
         from framecmd.autodiff import Parameter
         rng = np.random.default_rng(19)
         p = TestAttention.params(rng, 3, 3, 4)
-        keys = [Parameter(f"k{t}", rng.normal(size=3)) for t in range(4)]
+        keys = Parameter("k", np.array([rng.normal(size=3)
+                                        for t in range(4)])[:, None])
         queries = (keys if self_attention
-                   else [Parameter("q", rng.normal(size=3))])
-        weights = [ad.constant(rng.normal(size=3)) for _ in queries]
+                   else Parameter("q", rng.normal(size=(1, 3))))
+        weights = [ad.constant(rng.normal(size=3))
+                   for _ in range(queries.data.shape[0])]
 
         def fwd():
             contexts, _ = L.attention(queries, keys, p)
             loss = ad.constant(0.0)
-            for ctx, w in zip(contexts, weights):
+            for q, w in enumerate(weights):
+                ctx = ad.getrow(contexts, (q, 0))
                 loss = ad.add(loss, ad.dot(ctx, w))
             return loss
 
-        params = p.parameters() + keys + (
-            [] if self_attention else queries)
+        params = p.parameters() + [keys] + (
+            [] if self_attention else [queries])
         assert grad_check(fwd, params) < 1e-4
 
     def test_highway(self):
@@ -270,12 +276,13 @@ class TestFusedGradients:
         cell = random_cell(rng, 3, 3)
         att = TestAttention.params(rng, 3, 3, 2)
         hw = L.HighwayParams("hw", 3, seed=0)
-        x = ad.constant(rng.normal(size=3))
+        x = ad.constant(rng.normal(size=3)[None])
         with ad.no_grad():
             h, c = L.lstm_cell_forward(x, x, x, cell)
-            contexts, _ = L.attention([h, c], [h, c], att)
+            states = ad.stack([h, c])
+            contexts, _ = L.attention(states, states, att)
             y = L.highway(x, hw)
-        for t in [h, c, y] + contexts:
+        for t in [h, c, y, contexts]:
             assert t.parents == ()
             assert t.bwd is None
 
@@ -393,11 +400,6 @@ class TestSoftmaxCrossEntropy:
             L.softmax_cross_entropy(ad.constant([0.0, 1.0, 2.0]), gold, 1.0)
 
 
-def rows_of(matrices):
-    """Per-step (B, d) constants from a (T, B, d) array."""
-    return [ad.constant(m) for m in matrices]
-
-
 class TestRowBatches:
     """Every batched op computes each row as its unbatched form does."""
 
@@ -428,16 +430,16 @@ class TestRowBatches:
         bwd = random_cell(rng, 2, 3, "b")
         lengths = [2, 4, 1]
         X = rng.normal(size=(4, 3, 2))     # padding rows hold noise too
-        states, last_f, last_b = L.bilstm_forward(rows_of(X), fwd, bwd,
+        states, last_f, last_b = L.bilstm_forward(ad.constant(X), fwd, bwd,
                                                   lengths)
         for b, n in enumerate(lengths):
-            one, one_f, one_b = L.bilstm_forward(rows_of(X[:n, b]), fwd, bwd)
-            for t in range(n):
-                np.testing.assert_allclose(states[t].data[b], one[t].data,
-                                           atol=1e-12)
-            np.testing.assert_allclose(last_f.data[b], one_f.data,
+            one, one_f, one_b = L.bilstm_forward(
+                ad.constant(X[:n, b:b + 1]), fwd, bwd)
+            np.testing.assert_allclose(states.data[:n, b], one.data[:, 0],
                                        atol=1e-12)
-            np.testing.assert_allclose(last_b.data[b], one_b.data,
+            np.testing.assert_allclose(last_f.data[b], one_f.data[0],
+                                       atol=1e-12)
+            np.testing.assert_allclose(last_b.data[b], one_b.data[0],
                                        atol=1e-12)
 
     @pytest.mark.parametrize("self_attention", [True, False])
@@ -445,29 +447,32 @@ class TestRowBatches:
         rng = np.random.default_rng(28)
         p = TestAttention.params(rng, 3, 3, 4)
         lengths = [3, 1, 2]
-        keys = rows_of(rng.normal(size=(3, 3, 3)))
-        queries = keys if self_attention else [
-            ad.constant(rng.normal(size=3))]       # shared by the batch
+        keys = ad.constant(rng.normal(size=(3, 3, 3)))
+        queries = keys if self_attention else ad.constant(
+            rng.normal(size=3))                     # shared by the batch
         ctx, w = L.attention(queries, keys, p, lengths)
-        assert w.shape == (3, len(queries), 3)
+        assert w.shape == (3, 3 if self_attention else 1, 3)
         for b, n in enumerate(lengths):
-            own = [ad.constant(k.data[b]) for k in keys[:n]]
+            own = ad.constant(keys.data[:n, b:b + 1])
             q1 = own if self_attention else queries
             ctx1, w1 = L.attention(q1, own, p)
-            np.testing.assert_allclose(w[b, :len(q1), :n], w1, atol=1e-12)
+            np.testing.assert_allclose(w[b, :w1.shape[1], :n], w1[0],
+                                       atol=1e-12)
             assert np.all(w[b, :, n:] == 0.0)
-            for q in range(len(q1)):
-                np.testing.assert_allclose(ctx[q].data[b], ctx1[q].data,
-                                           atol=1e-12)
+            if self_attention:      # (T, B, dk) contexts
+                got, one = ctx.data[:n, b], ctx1.data[:, 0]
+            else:                   # (B, dk): one per sentence
+                got, one = ctx.data[b], ctx1.data[0]
+            np.testing.assert_allclose(got, one, atol=1e-12)
 
     def test_decoder_input_matches_concat_lookup_and_mask(self):
         rng = np.random.default_rng(29)
         table = ad.Parameter("emb", rng.normal(size=(4, 2)))
-        a, b = (ad.constant(rng.normal(size=(3, n))) for n in (2, 3))
+        a, b = (ad.constant(rng.normal(size=(2, 3, n))) for n in (2, 3))
         rows = np.array([1, 3, 1])
         mask = rng.random((3, 7))
-        x = L.decoder_input([a, b], table, rows, mask)
-        expected = np.concatenate([a.data, b.data, table.data[rows]],
+        x = L.decoder_input([a, b], 1, table, rows, mask)
+        expected = np.concatenate([a.data[1], b.data[1], table.data[rows]],
                                   axis=1) * mask
         np.testing.assert_array_equal(x.data, expected)
 
@@ -479,26 +484,25 @@ class TestSharedCell:
         give the same per-gate gradients."""
         rng = np.random.default_rng(33)
         cell = random_cell(rng, 3, 4, "shared")
-        seq = [ad.constant(rng.normal(size=(2, 3))) for _ in range(5)]
+        X = np.array([rng.normal(size=(2, 3)) for _ in range(5)])
         gold = rng.integers(0, 4, (5, 2))
         weights = rng.random((5, 2))
 
         def grads(states):
             for p in cell.parameters():
                 p.zero_grad()
-            ad.backward(L.softmax_cross_entropy(ad.stack(states), gold,
-                                                weights))
+            ad.backward(L.softmax_cross_entropy(states, gold, weights))
             return {p.name: p.grad.copy() for p in cell.parameters()}
 
         shared = cell.stacked()
-        together = grads(L.lstm_run(seq, shared))
+        together = grads(L.lstm_run(ad.constant(X), shared))
         assert shared.rows == []        # consumed by the cell's node
         h = c = ad.constant(np.zeros((2, 4)))
         states = []
-        for x in seq:
-            h, c = L.lstm_cell_forward(x, h, c, cell.stacked())
+        for x in X:
+            h, c = L.lstm_cell_forward(ad.constant(x), h, c, cell.stacked())
             states.append(h)
-        apart = grads(states)
+        apart = grads(ad.stack(states))
         for name, g in together.items():
             assert g.any()
             np.testing.assert_allclose(g, apart[name], rtol=0, atol=1e-12)
@@ -532,15 +536,16 @@ class TestBatchedGradients:
         rng = np.random.default_rng(30)
         fwd = random_cell(rng, 2, 3, "f")
         bwd = random_cell(rng, 2, 3, "b")
-        seq = [Parameter(f"x{t}", rng.normal(size=(3, 2))) for t in range(4)]
+        X = Parameter("x", np.array([rng.normal(size=(3, 2))
+                                     for t in range(4)]))
 
         def fwd_fn():
-            states, last_f, last_b = L.bilstm_forward(seq, fwd, bwd,
+            states, last_f, last_b = L.bilstm_forward(X, fwd, bwd,
                                                       [4, 2, 3])
-            return self.loss_of(states + [last_f, last_b],
+            return self.loss_of([states, last_f, last_b],
                                 np.random.default_rng(0))()
 
-        params = list(fwd.parameters()) + list(bwd.parameters()) + seq
+        params = list(fwd.parameters()) + list(bwd.parameters()) + [X]
         assert grad_check(fwd_fn, params) < 1e-4
 
     @pytest.mark.parametrize("self_attention", [True, False])
@@ -548,15 +553,17 @@ class TestBatchedGradients:
         from framecmd.autodiff import Parameter
         rng = np.random.default_rng(31)
         p = TestAttention.params(rng, 3, 3, 4)
-        keys = [Parameter(f"k{t}", rng.normal(size=(2, 3))) for t in range(3)]
-        queries = keys if self_attention else [
-            Parameter("q", rng.normal(size=3))]     # shared by the batch
+        keys = Parameter("k", np.array([rng.normal(size=(2, 3))
+                                        for t in range(3)]))
+        queries = keys if self_attention else Parameter(
+            "q", rng.normal(size=3))                # shared by the batch
 
         def fwd_fn():
             contexts, _ = L.attention(queries, keys, p, [3, 2])
-            return self.loss_of(contexts, np.random.default_rng(0))()
+            return self.loss_of([contexts], np.random.default_rng(0))()
 
-        params = p.parameters() + keys + ([] if self_attention else queries)
+        params = p.parameters() + [keys] + (
+            [] if self_attention else [queries])
         assert grad_check(fwd_fn, params) < 1e-4
 
     def test_lstm_highway_decoder_input_rows(self):
@@ -565,15 +572,15 @@ class TestBatchedGradients:
         cell = random_cell(rng, 5, 3, "rows")
         hw = L.HighwayParams("hw", 3, seed=1)
         table = Parameter("emb", rng.normal(size=(4, 2)))
-        a = Parameter("a", rng.normal(size=(2, 3)))
+        a = Parameter("a", rng.normal(size=(1, 2, 3)))     # T = 1
         h0 = Parameter("h0", rng.normal(size=(2, 3)))
         c0 = Parameter("c0", rng.normal(size=(2, 3)))
         mask = rng.random((2, 5))
 
         def fwd_fn():
             # both rows look up the same label row: its gradients add up
-            x = L.decoder_input([L.highway(a, hw)], table, np.array([2, 2]),
-                                mask)
+            x = L.decoder_input([L.highway(a, hw)], 0, table,
+                                np.array([2, 2]), mask)
             h, c = L.lstm_cell_forward(x, h0, c0, cell)
             h, c = L.lstm_cell_forward(x, h, c, cell.stacked())
             return self.loss_of([h, c], np.random.default_rng(0))()

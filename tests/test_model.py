@@ -291,7 +291,7 @@ class TestDecode:
         m = build_model(small_config(), VOCAB)
         gold = gold_labels(sentence(), VOCAB, "3L")
         out = self.output_from_labels(m, gold.frame, gold.seq2, gold.seq3)
-        parsed = decode_output(m, out)
+        parsed = decode_output(m, out, 0)
         assert parsed == ParsedCommand("Bringing",
                                        (("Theme", (1, 2)), ("Goal", (3, 5))))
 
@@ -300,20 +300,20 @@ class TestDecode:
         o = VOCAB.iob.index("O")
         theme = VOCAB.ac_labels.index("Theme")
         out = self.output_from_labels(m, 0, [o] * 4, [theme] * 4)
-        assert decode_output(m, out).elements == ()
+        assert decode_output(m, out, 0).elements == ()
 
     def test_unanimous_o_span_dropped(self):
         m = build_model(small_config(), VOCAB)
         b, i = VOCAB.iob.index("B"), VOCAB.iob.index("I")
         out = self.output_from_labels(m, 0, [b, i, 0, 0], [0, 0, 0, 0])
-        assert decode_output(m, out).elements == ()
+        assert decode_output(m, out, 0).elements == ()
 
     def test_majority_vote_with_o_excluded(self):
         m = build_model(small_config(), VOCAB)
         b, i = VOCAB.iob.index("B"), VOCAB.iob.index("I")
         goal = VOCAB.ac_labels.index("Goal")
         out = self.output_from_labels(m, 0, [b, i, i], [0, 0, goal])
-        assert decode_output(m, out).elements == (("Goal", (0, 2)),)
+        assert decode_output(m, out, 0).elements == (("Goal", (0, 2)),)
 
     def test_majority_tie_lowest_index(self):
         m = build_model(small_config(), VOCAB)
@@ -322,7 +322,7 @@ class TestDecode:
         theme = VOCAB.ac_labels.index("Theme")
         out = self.output_from_labels(m, 0, [b, i], [theme, goal])
         # tie between Goal and Theme resolves to the lower index (Goal)
-        assert decode_output(m, out).elements == (("Goal", (0, 1)),)
+        assert decode_output(m, out, 0).elements == (("Goal", (0, 1)),)
 
     def test_argmax_invariance_under_row_shift(self):
         m = build_model(small_config(), VOCAB)
@@ -334,13 +334,13 @@ class TestDecode:
             seq2_logits=ad.constant(out.seq2_logits.data + 3.0),
             seq2_labels=out.seq2_labels,
             seq3_logits=ad.constant(out.seq3_logits.data - 2.0))
-        assert decode_output(m, out) == decode_output(m, shifted)
+        assert decode_output(m, out, 0) == decode_output(m, shifted, 0)
 
     def test_2l_typed_decode(self):
         m = build_model(small_config("2L"), VOCAB)
         gold = gold_labels(sentence(), VOCAB, "2L")
         out = self.output_from_labels(m, gold.frame, gold.seq2)
-        parsed = decode_output(m, out)
+        parsed = decode_output(m, out, 0)
         assert parsed.elements == (("Theme", (1, 2)), ("Goal", (3, 5)))
 
 
@@ -406,6 +406,18 @@ class TestTraining:
         np.testing.assert_array_equal(c.ad_logits.data, d.ad_logits.data)
 
 
+def reachable(loss):
+    """Every tensor the graph of loss reaches, loss included."""
+    seen = {}
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
 class TestGraphSize:
     def test_3l_att_training_graph_under_50_nodes_per_token(self):
         # Each layer op adds one or two nodes; building gates and
@@ -416,14 +428,7 @@ class TestGraphSize:
         loss = joint_loss(forward(m, emb, gold=gold, mode="train",
                                   dropout_rng=np.random.default_rng(0)),
                           gold)
-        seen = set()
-        stack = [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(node.parents)
-        assert len(seen) / emb.shape[0] < 50
+        assert len(reachable(loss)) / emb.shape[0] < 50
 
 
 def batch_of(sentences, table, variant):
@@ -543,15 +548,6 @@ class TestBatch:
             with pytest.raises(ValueError):
                 forward(m, emb, mode="infer", lengths=lengths)
 
-    def test_decode_takes_one_sentence(self):
-        sents = sentences_3_to_7()[:2]
-        table = random_embeddings([t for s in sents for t in s.tokens], 6,
-                                  seed=1)
-        m = build_model(small_config(), VOCAB)
-        emb, lengths, _ = batch_of(sents, table, "3L")
-        with pytest.raises(ValueError):
-            decode_output(m, forward(m, emb, lengths=lengths))
-
 
 class TestBatchGraphSize:
     def test_3l_att_training_batch_under_6_nodes_per_token(self):
@@ -573,14 +569,23 @@ class TestBatchGraphSize:
                                   mode="train", lengths=[len(e) for e in embs],
                                   dropout_rng=np.random.default_rng(0)),
                           golds)
-        seen = set()
-        stack = [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(node.parents)
-        assert len(seen) / sum(len(e) for e in embs) < 6
+        assert len(reachable(loss)) / sum(len(e) for e in embs) < 6
+
+    def test_3l_att_graph_grows_by_10_nodes_per_token(self):
+        # Per token: c' and h' of each of the four LSTM cells' steps and
+        # one input per step of each of the two decoders. Every other op
+        # runs once per sequence, whatever its length.
+        m = build_model(small_config(), VOCAB)
+        counts = []
+        for n in (5, 6, 7):
+            s = AnnotatedSentence(
+                "s", ("go",) * (n - 2) + ("to", "kitchen"),
+                FrameAnnotation("Motion", (0, 0), (("Goal", (n - 1, n - 1)),)))
+            _, emb = embedded(list(s.tokens))
+            gold = gold_labels(s, VOCAB, "3L")
+            loss = joint_loss(forward(m, emb, gold=gold, mode="train"), gold)
+            counts.append(sum(t.bwd is not None for t in reachable(loss)))
+        assert np.diff(counts).tolist() == [10, 10]
 
 
 class TestPredict:
