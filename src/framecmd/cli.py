@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from .corpus import (AnnotatedSentence, CorpusError, FrameAnnotation,
                      label_vocab, parse_corpus, serialize_corpus)
@@ -35,21 +37,30 @@ class ConfigError(Exception):
     pass
 
 
-# Config keys are the dataclass fields; `seed` is in both sets.
+# Config keys are the dataclass fields; `seed` is in both sets. Each
+# value is read as its field's declared type.
 MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+KEY_TYPES = {**get_type_hints(ModelConfig), **get_type_hints(TrainConfig)}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string"}
 
 
-def _parse_value(raw):
+def _parse_value(key, raw, where):
+    """The value of config key `key` read from the text raw; `where`
+    names its source in errors."""
+    kind = KEY_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
     raw = raw.strip().strip('"')
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
+    if kind is bool:
+        if raw.lower() in ("true", "false"):
+            return raw.lower() == "true"
+    else:
+        with contextlib.suppress(ValueError):
+            return kind(raw)        # int, float or str
+    raise ConfigError(f"{where}: {key} must be {_TYPE_NAMES[kind]}; "
+                      f"got {raw!r}")
 
 
 def parse_config_text(text):
@@ -62,9 +73,7 @@ def parse_config_text(text):
             raise ConfigError(f"config line {lineno}: expected key = value")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in MODEL_KEYS | TRAIN_KEYS:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(raw)
+        values[key] = _parse_value(key, raw, f"config line {lineno}")
     return values
 
 
@@ -88,9 +97,7 @@ def build_configs(values, overrides=()):
             raise ConfigError(f"bad override (expected key=value): {ov}")
         key, raw = ov.split("=", 1)
         key = key.strip()
-        if key not in MODEL_KEYS | TRAIN_KEYS:
-            raise ConfigError(f"unknown override key: {key}")
-        values[key] = _parse_value(raw)
+        values[key] = _parse_value(key, raw, "--override")
     try:
         model_cfg = ModelConfig(
             **{k: v for k, v in values.items() if k in MODEL_KEYS})
@@ -119,15 +126,31 @@ def _read_map(path):
     return load_map(_read_text(path, MapError, "map"))
 
 
+def _check_out(path, flag="--out"):
+    """Fail before any work when `path` cannot be written as a file."""
+    out = Path(path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"{flag}: no such directory: {out.parent}")
+    if out.is_dir():
+        raise ConfigError(f"{flag}: {path} is a directory")
+
+
 def _make_table(corpus, model_cfg, embeddings_path, seed):
     if embeddings_path:
-        return load_embeddings(
+        table = load_embeddings(
             _read_text(embeddings_path, EmbeddingError, "embeddings"))
+        if table.dim != model_cfg.embedding_dim:
+            raise EmbeddingError(
+                f"embeddings file {embeddings_path} has {table.dim} values "
+                f"per token; the config's embedding_dim is "
+                f"{model_cfg.embedding_dim}")
+        return table
     tokens = [t for s in corpus for t in s.tokens]
     return random_embeddings(tokens, model_cfg.embedding_dim, seed=seed)
 
 
 def cmd_train(args):
+    _check_out(args.out)
     values = load_config(args.config)
     model_cfg, train_cfg = build_configs(values, args.override)
     corpus = _read_corpus(args.corpus)
@@ -146,6 +169,10 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1; got {args.jobs}")
+    if args.out:
+        _check_out(args.out)
     corpus = _read_corpus(args.corpus)
     maps = {m.id: m for m in map(_read_map, args.maps)} if args.maps else None
     if args.cv is not None:
@@ -247,13 +274,15 @@ def cmd_gradcheck(args):
 
 
 def cmd_gen_corpus(args):
+    map_out = args.map_out or str(Path(args.out).with_suffix("")) + ".map.json"
+    _check_out(args.out)
+    _check_out(map_out, "--map-out")
     frames = args.frames.split(",") if args.frames else None
     try:
         sentences = generate_synthetic(args.seed, args.n, frames)
     except ValueError as exc:
         raise ConfigError(str(exc))
     Path(args.out).write_text(serialize_corpus(sentences), encoding="utf-8")
-    map_out = args.map_out or str(Path(args.out).with_suffix("")) + ".map.json"
     Path(map_out).write_text(serialize_map(demo_map()), encoding="utf-8")
     print(f"wrote {len(sentences)} sentences to {args.out}; "
           f"demo map to {map_out}")

@@ -82,23 +82,51 @@ def parse_corpus(data):
     return sentences
 
 
+def typed(value, kind, what, optional=False):
+    """value, if it is a `kind` (for int, not a bool) or, when optional,
+    None; otherwise a TypeError naming `what`. Loaders use it on decoded
+    JSON fields."""
+    if optional and value is None:
+        return None
+    if not isinstance(value, kind) or (kind is int and
+                                       isinstance(value, bool)):
+        raise TypeError(f"{what} must be of type {kind.__name__}; "
+                        f"got {value!r:.40}")
+    return value
+
+
+def strings(value, what):
+    """A JSON list of strings as a tuple; otherwise a TypeError."""
+    return tuple(typed(v, str, what) for v in typed(value, list, what))
+
+
+def _span(value, what):
+    if len(typed(value, list, what)) != 2:
+        raise TypeError(f"{what} must be [start, end]; got {value!r:.40}")
+    return tuple(typed(i, int, what) for i in value)
+
+
 def _sentence_from_record(rec, lineno):
     try:
         fr = rec["frame"]
         frame = FrameAnnotation(
-            frame_type=fr["frame_type"],
-            lexical_unit=tuple(fr["lexical_unit"]),
-            elements=tuple((el["type"], tuple(el["span"]))
-                           for el in fr["elements"]),
+            frame_type=typed(fr["frame_type"], str, "frame_type"),
+            lexical_unit=_span(fr["lexical_unit"], "lexical_unit"),
+            elements=tuple((typed(el["type"], str, "element type"),
+                            _span(el["span"], "element span"))
+                           for el in typed(fr["elements"], list, "elements")),
         )
         groundings = rec.get("gold_groundings")
         if groundings is not None:
-            groundings = tuple((g["element"], g["entity"]) for g in groundings)
+            groundings = tuple(
+                (typed(g["element"], int, "grounding element"),
+                 typed(g["entity"], str, "grounding entity"))
+                for g in typed(groundings, list, "gold_groundings"))
         return AnnotatedSentence(
-            id=rec["id"],
-            tokens=tuple(rec["tokens"]),
+            id=typed(rec["id"], str, "id"),
+            tokens=strings(rec["tokens"], "tokens"),
             frame=frame,
-            map_id=rec.get("map_id"),
+            map_id=typed(rec.get("map_id"), str, "map_id", optional=True),
             gold_groundings=groundings,
         )
     except (KeyError, TypeError) as exc:

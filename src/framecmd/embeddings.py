@@ -69,6 +69,9 @@ def load_embeddings(stream, expected_dim=None):
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
             raise EmbeddingError(f"line {lineno}: non-numeric field")
+        if not vec.size or not np.isfinite(vec).all():
+            raise EmbeddingError(f"line {lineno}: no values, or a value "
+                                 f"that is not finite")
         if dim is None:
             dim = vec.shape[0]
         if vec.shape[0] != dim:

@@ -7,6 +7,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .corpus import strings, typed
+
 # Function words ignored when matching a span against entity names.
 STOPWORDS = frozenset({"the", "a", "an", "to", "in", "on", "at", "into", "from"})
 
@@ -50,11 +52,15 @@ def load_map(data):
         raise MapError(f"malformed map JSON: {exc.msg}")
     try:
         entities = tuple(
-            Entity(id=e["id"], type=e["type"],
-                   lexical_refs=frozenset(r.lower() for r in e["lexical_refs"]),
-                   location=e.get("location"))
-            for e in rec["entities"])
-        return SemanticMap(id=rec["id"], entities=entities)
+            Entity(id=typed(e["id"], str, "entity id"),
+                   type=typed(e["type"], str, "entity type"),
+                   lexical_refs=frozenset(r.lower() for r in strings(
+                       e["lexical_refs"], "lexical_refs")),
+                   location=typed(e.get("location"), str, "location",
+                                  optional=True))
+            for e in typed(rec["entities"], list, "entities"))
+        return SemanticMap(id=typed(rec["id"], str, "map id"),
+                           entities=entities)
     except (KeyError, TypeError) as exc:
         raise MapError(f"missing or bad map field ({exc})")
 

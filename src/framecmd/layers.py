@@ -9,7 +9,9 @@ arithmetic in its inputs' dtype and adds one or two graph nodes through
 node per gate, score or elementwise product.
 
 A batch of B sentences right-padded to T steps passes between layers as
-one (T, B, d) tensor, and a decoder step reads its step t. Within a
+one (T, B, d) tensor. `lstm_run` unrolls an LSTM over one: the encoder,
+or a decoder whose input `decoder_input` builds for all steps at once;
+only greedy decoding runs `lstm_cell_forward` step by step. Within a
 step every op works on (B, d) rows, one per sentence, so weight
 gradients are dZ^T X products over the rows. The sequence ops
 (bilstm_forward, attention) take each sentence's length, so that a
@@ -310,12 +312,12 @@ def attention(queries, keys, params, lengths=None):
     return ad.node(C, inputs + (W1, W2, v), bwd), P
 
 
-def decoder_input(seqs, t, table, rows, mask=None):
-    """One decoder step's input as one graph node: step t of each
-    (T, B, d) sequence side by side along the last axis, then the
-    label-embedding rows table[rows] (one per sentence), all times the
-    dropout mask when one is given."""
-    data = np.concatenate([s.data[t] for s in seqs] + [table.data[rows]],
+def decoder_input(parts, table, rows, mask=None):
+    """A decoder's input as one graph node: the parts side by side along
+    the last axis, then the label embeddings table[rows], all times the
+    dropout mask if given. (T, B, d) parts and (T, B) rows give every
+    step at once; (B, d) parts and (B,) rows give one step."""
+    data = np.concatenate([p.data for p in parts] + [table.data[rows]],
                           axis=-1)
     if mask is not None:
         data = data * mask
@@ -324,13 +326,13 @@ def decoder_input(seqs, t, table, rows, mask=None):
         if mask is not None:
             g = g * mask
         off = 0
-        for s in seqs:
-            n = s.data.shape[-1]
-            ad.accumulate_at(s, t, g[..., off:off + n])
+        for p in parts:
+            n = p.data.shape[-1]
+            ad.accumulate(p, g[..., off:off + n])
             off += n
         ad.accumulate_at(table, rows, g[..., off:])
 
-    return ad.node(data, (*seqs, table), bwd)
+    return ad.node(data, (*parts, table), bwd)
 
 
 class HighwayParams:

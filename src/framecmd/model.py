@@ -12,11 +12,13 @@ layer and pools the encoder for frame classification.
 
 `forward` runs a batch of B sentences as one graph, right-padded to the
 longest, T tokens. Each layer hands the next one (T, B, d) tensor: the
-encoder states, the attention contexts and the highway output; a
-decoder step reads step t of them as a (B, d) row matrix. The heads'
-logits are (B, frames) and (T, B, labels), and a single sentence is a
-batch of one. `joint_loss` averages the per-sentence losses over the
-batch.
+encoder states, the attention contexts and the highway output. Every
+LSTM whose inputs are known in advance runs through `layers.lstm_run`:
+the encoder, the teacher-forced layer-2 decoder and the layer-3 decoder
+(fed layer 2's labels); only greedy layer-2 decoding steps by hand. The
+heads' logits are (B, frames) and (T, B, labels), and a single sentence
+is a batch of one. `joint_loss` averages the per-sentence losses over
+the batch.
 """
 
 from __future__ import annotations
@@ -224,9 +226,9 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     to N) and defaults to one sentence of N tokens. Inside, the batch is
     one right-padded graph over (T, B, .) tensors, and each sentence's
     padding steps come after its own steps, so they never reach its
-    outputs. In train mode the decoder is teacher-forced with
+    outputs. In train mode the layer-2 decoder is teacher-forced with
     the gold labels (a GoldLabels, or one per sentence); in infer mode
-    it consumes its own greedy predictions, row by row. Dropout is
+    it consumes its own greedy predictions, step by step. Dropout is
     applied to layer inputs only when a dropout_rng is supplied
     (training).
     """
@@ -259,28 +261,29 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
         parts = [h1]
     ad_logits = L.affine(sentence_vec, model.ad_head)
 
-    zeros = ad.constant(np.zeros((B, c.decoder_hidden)))
-    cell = model.l2_cell.stacked()
-    h = cc = zeros
-    states = []
-    labels2 = (_padded([g.seq2 for g in _as_batch(gold)], T)
-               if mode == "train" else np.zeros((T, B), dtype=int))
-    prev = np.full(B, model.bos_index)
-    # One draw fills every step's mask from the stream in step order,
-    # the same values as one draw per step.
-    masks = _dropout_mask((T, B, cell.input_dim), rate, dropout_rng)
-    for t in range(T):
-        x = L.decoder_input(parts, t, model.label_emb2, prev,
-                            None if masks is None else masks[t])
-        h, cc = L.lstm_cell_forward(x, h, cc, cell)
-        states.append(h)
-        if mode != "train":
-            labels2[t] = _greedy(h, model.l2_head)
-        prev = labels2[t]
+    # Row t of labels2 feeds decoder step t; row t + 1 is the label step
+    # t emits: gold when teacher-forced, else that step's greedy argmax.
+    labels2 = np.full((T + 1, B), model.bos_index)
+    mask = _dropout_mask((T, B, model.l2_cell.input_dim), rate, dropout_rng)
+    if mode == "train":
+        labels2[1:] = _padded([g.seq2 for g in _as_batch(gold)], T)
+        states = L.lstm_run(L.decoder_input(parts, model.label_emb2,
+                                            labels2[:-1], mask), model.l2_cell)
+    else:   # no dropout, so no mask
+        cell = model.l2_cell.stacked()
+        h = cc = ad.constant(np.zeros((B, c.decoder_hidden)))
+        states = []
+        for t in range(T):
+            x = L.decoder_input([ad.getrow(p, t) for p in parts],
+                                model.label_emb2, labels2[t])
+            h, cc = L.lstm_cell_forward(x, h, cc, cell)
+            states.append(h)
+            labels2[t + 1] = _greedy(h, model.l2_head)
+        states = ad.stack(states)
 
     out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
-                      seq2_logits=L.affine(ad.stack(states), model.l2_head),
-                      seq2_labels=labels2, attention_maps=maps)
+                      seq2_logits=L.affine(states, model.l2_head),
+                      seq2_labels=labels2[1:], attention_maps=maps)
     if c.variant != "3L":
         return out
 
@@ -291,16 +294,10 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
         parts = [routed, ctx3]
     else:
         parts = [routed]
-    cell = model.l3_cell.stacked()
-    h = cc = zeros
-    states = []
-    masks = _dropout_mask((T, B, cell.input_dim), rate, dropout_rng)
-    for t in range(T):
-        x = L.decoder_input(parts, t, model.label_emb3, labels2[t],
-                            None if masks is None else masks[t])
-        h, cc = L.lstm_cell_forward(x, h, cc, cell)
-        states.append(h)
-    out.seq3_logits = L.affine(ad.stack(states), model.l3_head)
+    mask = _dropout_mask((T, B, model.l3_cell.input_dim), rate, dropout_rng)
+    states = L.lstm_run(L.decoder_input(parts, model.label_emb3,
+                                        labels2[1:], mask), model.l3_cell)
+    out.seq3_logits = L.affine(states, model.l3_head)
     return out
 
 

@@ -54,8 +54,8 @@ class TrainConfig:
                        ("k", 2)):
             if getattr(self, f) < low:
                 raise ValueError(f"{f} must be >= {low}")
-        if not self.lr >= 0:    # 0 freezes the weights; NaN is rejected
-            raise ValueError("lr must be >= 0")
+        if not 0 <= self.lr < math.inf:     # 0 freezes the weights
+            raise ValueError("lr must be >= 0 and finite")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of "
                              f"{', '.join(OPTIMIZERS)}; got {self.optimizer!r}")
@@ -76,6 +76,9 @@ class ChainMetrics:
     per_fold: tuple = ()
 
 
+# Overflow in a diverging run's arithmetic is reported once, by the
+# divergence checks in `train`, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(model, table, corpus_train, config):
     """Train in place; returns the per-epoch mean loss history.
 

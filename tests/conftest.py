@@ -1,6 +1,9 @@
+import shutil
+import tempfile
 import time
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from framecmd import model as fc_model
 from framecmd import pipeline
@@ -9,6 +12,21 @@ from framecmd.embeddings import random_embeddings
 from framecmd.model import ModelConfig, build_model
 from framecmd.pipeline import TrainConfig, train
 from framecmd.synth import demo_map, generate_synthetic
+
+
+# Hypothesis keeps caches under ./.hypothesis even without an example
+# database, and fills them while pytest collects; give it a temporary
+# home for the run instead, so the tests write nothing into the tree.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="framecmd-hypothesis-")
+
+
+def pytest_configure(config):
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

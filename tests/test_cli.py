@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,8 +78,11 @@ class TestTrain:
         assert header["config"]["variant"] == "2L"
         assert header["config"]["attention"] is False
 
+    # lr=1e9 blows the loss up with every value finite; at lr=1e300
+    # the forward pass overflows to NaN.
+    @pytest.mark.parametrize("lr", ["1e9", "1e300"])
     def test_diverging_run_exit_5_and_writes_nothing(self, workdir,
-                                                     tmp_path):
+                                                     tmp_path, lr):
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes(b"an earlier checkpoint")
         # A child process, so that numpy's warnings reach stderr as a
@@ -86,7 +90,7 @@ class TestTrain:
         proc = subprocess.run(
             [sys.executable, "-m", "framecmd", "train", "--corpus",
              str(workdir / "corpus.jsonl"), "--out", str(ckpt),
-             "--override", "lr=1e9"] + FAST_OVERRIDES,
+             "--override", f"lr={lr}"] + FAST_OVERRIDES,
             capture_output=True, text=True)
         assert proc.returncode == 5
         err = proc.stderr.splitlines()
@@ -185,7 +189,7 @@ class TestParse:
         assert "empty sentence" in capsys.readouterr().err
 
     def test_truncated_checkpoint_exit_4(self, overfit_ckpt, tmp_path):
-        blob = open(overfit_ckpt, "rb").read()
+        blob = Path(overfit_ckpt).read_bytes()
         bad = tmp_path / "trunc.ckpt"
         bad.write_bytes(blob[:len(blob) // 2])
         assert main(["parse", str(bad), "go home"]) == 4
@@ -208,7 +212,7 @@ class TestParse:
     def test_trailing_checkpoint_data_exit_4(self, overfit_ckpt, tmp_path,
                                              extra):
         padded = tmp_path / "padded.ckpt"
-        padded.write_bytes(open(overfit_ckpt, "rb").read() + extra)
+        padded.write_bytes(Path(overfit_ckpt).read_bytes() + extra)
         with pytest.raises(CheckpointError):
             load_checkpoint(padded)
         assert main(["parse", str(padded), "go home"]) == 4
@@ -238,9 +242,12 @@ def assert_one_line_error(capsys):
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("override", ["batch_size=0", "lr=-1",
-                                          "patience=-1", "epochs=0",
-                                          "optimizer=foo"])
+    @pytest.mark.parametrize("override", [
+        "batch_size=0", "lr=-1", "lr=inf", "patience=-1", "epochs=0",
+        "optimizer=foo",
+        # values that do not have their field's type
+        "epochs=1.5", "hidden_size=2.5", "seed=1.5", "attention=3",
+        "batch_size=true", "dropout=abc"])
     def test_out_of_range_train_setting_exit_2(self, workdir, tmp_path,
                                                capsys, override):
         rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
@@ -248,6 +255,50 @@ class TestConfigErrors:
         assert rc == 2
         assert override.split("=")[0] in assert_one_line_error(capsys)
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_ill_typed_config_file_value_exit_2(self, workdir, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("variant = 3L\nhidden_size = 2.5\n")
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 2
+        assert "line 2: hidden_size" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_eval_jobs_below_1_exit_2(self, workdir, capsys, jobs):
+        rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--config", "2l_no_att", "--cv", "2", "--jobs", jobs])
+        assert rc == 2
+        assert "--jobs" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--config", "2l_no_att", "--out", "{missing}/m.ckpt"]
+        + FAST_OVERRIDES,
+        ["eval", "--config", "2l_no_att", "--cv", "2",
+         "--out", "{missing}/metrics.json"] + FAST_OVERRIDES,
+        ["gen-corpus", "--n", "3", "--out", "{missing}/c.jsonl"],
+        ["gen-corpus", "--n", "3", "--out", "{tmp}/c.jsonl",
+         "--map-out", "{missing}/c.map.json"],
+        ["train", "--config", "2l_no_att", "--out", "{tmp}"]
+        + FAST_OVERRIDES,
+    ], ids=["train", "eval", "gen-corpus", "gen-corpus-map", "out-is-dir"])
+    def test_out_path_not_writable_exit_2_before_any_work(
+            self, workdir, tmp_path, capsys, monkeypatch, argv):
+        from framecmd import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("train", "cross_validate", "generate_synthetic"):
+            monkeypatch.setattr(cli, name, no_work)
+        argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
+                for a in argv]
+        if argv[0] != "gen-corpus":
+            argv += ["--corpus", str(workdir / "corpus.jsonl")]
+        assert main(argv) == 2
+        assert "-out" in assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("k", ["50", "1", "0"])
     def test_cv_outside_corpus_size_exit_2(self, workdir, capsys, k):
@@ -300,9 +351,73 @@ class TestUnreadableFiles:
         assert_one_line_error(capsys)
 
 
+def good_record():
+    return {"id": "s1", "tokens": ["go", "home"],
+            "frame": {"frame_type": "Motion", "lexical_unit": [0, 0],
+                      "elements": [{"type": "Goal", "span": [1, 1]}]}}
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["frame"]["elements"][0].update(span=[0]),
+        lambda r: r["frame"].update(lexical_unit=[0]),
+        lambda r: r.update(tokens=[1, 2]),
+        lambda r: r.update(tokens="abc"),
+        lambda r: r.update(id=[1]),
+        lambda r: r["frame"].update(frame_type=["Motion"]),
+    ], ids=["span", "lexical-unit", "int-tokens", "string-tokens",
+            "list-id", "list-frame-type"])
+    def test_ill_typed_corpus_field_exit_3(self, tmp_path, capsys, edit):
+        bad = good_record()
+        edit(bad)
+        corpus = tmp_path / "c.jsonl"
+        # the ill-typed record comes second, after a valid one
+        corpus.write_text(json.dumps(good_record()) + "\n"
+                          + json.dumps(bad) + "\n")
+        rc = main(["train", "--corpus", str(corpus),
+                   "--out", str(tmp_path / "m.ckpt")])
+        assert rc == 3
+        assert "line 2" in assert_one_line_error(capsys)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("refs", [[1], "book"])
+    def test_ill_typed_lexical_refs_exit_3(self, overfit_ckpt, tmp_path,
+                                           capsys, refs):
+        smap = tmp_path / "m.json"
+        smap.write_text(json.dumps({"id": "m", "entities": [
+            {"id": "book1", "type": "Book", "lexical_refs": refs}]}))
+        rc = main(["parse", overfit_ckpt, "take the book",
+                   "--map", str(smap)])
+        assert rc == 3
+        assert "lexical_refs" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_embedding_exit_3(self, workdir, tmp_path, capsys,
+                                         value):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("go " + " ".join(["0.5"] * 7 + [value]) + "\n")
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--embeddings", str(emb), "--out", str(tmp_path / "m")]
+                  + FAST_OVERRIDES)
+        assert rc == 3
+        assert "line 1" in assert_one_line_error(capsys)
+
+    def test_embedding_dimension_mismatch_exit_3(self, workdir, tmp_path,
+                                                 capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("go 0.1 0.2 0.3\nhome 0.4 0.5 0.6\n")
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--embeddings", str(emb), "--out", str(tmp_path / "m")]
+                  + FAST_OVERRIDES)       # embedding_dim=8
+        assert rc == 3
+        err = assert_one_line_error(capsys)
+        assert "3 values" in err and "embedding_dim is 8" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["emb.txt"]
+
+
 class TestCheckpointHeader:
     def rewrite_header(self, src, dst, edit):
-        header, payload = open(src, "rb").read().split(b"\n", 1)
+        header, payload = Path(src).read_bytes().split(b"\n", 1)
         doc = json.loads(header)
         edit(doc)
         dst.write_bytes(json.dumps(doc).encode() + b"\n" + payload)

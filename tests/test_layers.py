@@ -469,12 +469,15 @@ class TestRowBatches:
         rng = np.random.default_rng(29)
         table = ad.Parameter("emb", rng.normal(size=(4, 2)))
         a, b = (ad.constant(rng.normal(size=(2, 3, n))) for n in (2, 3))
-        rows = np.array([1, 3, 1])
-        mask = rng.random((3, 7))
-        x = L.decoder_input([a, b], 1, table, rows, mask)
-        expected = np.concatenate([a.data[1], b.data[1], table.data[rows]],
-                                  axis=1) * mask
+        rows = np.array([[1, 3, 1], [0, 2, 2]])     # (T, B): every step
+        mask = rng.random((2, 3, 7))
+        x = L.decoder_input([a, b], table, rows, mask)
+        expected = np.concatenate([a.data, b.data, table.data[rows]],
+                                  axis=-1) * mask
         np.testing.assert_array_equal(x.data, expected)
+        step = L.decoder_input([ad.getrow(a, 1), ad.getrow(b, 1)], table,
+                               rows[1], mask[1])    # one step
+        np.testing.assert_array_equal(step.data, expected[1])
 
 
 class TestSharedCell:
@@ -572,18 +575,19 @@ class TestBatchedGradients:
         cell = random_cell(rng, 5, 3, "rows")
         hw = L.HighwayParams("hw", 3, seed=1)
         table = Parameter("emb", rng.normal(size=(4, 2)))
-        a = Parameter("a", rng.normal(size=(1, 2, 3)))     # T = 1
+        a = Parameter("a", rng.normal(size=(2, 2, 3)))     # T = 2
         h0 = Parameter("h0", rng.normal(size=(2, 3)))
         c0 = Parameter("c0", rng.normal(size=(2, 3)))
-        mask = rng.random((2, 5))
+        mask = rng.random((2, 2, 5))
 
         def fwd_fn():
-            # both rows look up the same label row: its gradients add up
-            x = L.decoder_input([L.highway(a, hw)], 0, table,
-                                np.array([2, 2]), mask)
-            h, c = L.lstm_cell_forward(x, h0, c0, cell)
-            h, c = L.lstm_cell_forward(x, h, c, cell.stacked())
-            return self.loss_of([h, c], np.random.default_rng(0))()
+            # three rows look up the same label row: their gradients add
+            x = L.decoder_input([L.highway(a, hw)], table,
+                                np.array([[2, 2], [2, 0]]), mask)
+            h, c = L.lstm_cell_forward(ad.getrow(x, 0), h0, c0, cell)
+            h, c = L.lstm_cell_forward(ad.getrow(x, 1), h, c, cell.stacked())
+            return self.loss_of([h, c, L.lstm_run(x, cell)],
+                                np.random.default_rng(0))()
 
         params = (list(cell.parameters()) + hw.parameters()
                   + [table, a, h0, c0])

@@ -169,6 +169,30 @@ class TestForward:
         np.testing.assert_array_equal(trained.seq2_logits.data,
                                       infer.seq2_logits.data)
 
+    @pytest.mark.parametrize("variant,mode,calls", [
+        ("3L", "train", 4), ("3L", "infer", 3),
+        ("2L", "train", 3), ("2L", "infer", 2)])
+    def test_every_lstm_but_greedy_decoding_runs_through_lstm_run(
+            self, monkeypatch, variant, mode, calls):
+        # The encoder's two directions, the teacher-forced layer-2
+        # decoder and the layer-3 decoder (both modes) are lstm_run
+        # calls; greedy layer-2 decoding steps by hand.
+        from framecmd import layers
+        seen = []
+        run = layers.lstm_run
+
+        def counting(X, params):
+            seen.append(params)
+            return run(X, params)
+
+        monkeypatch.setattr(layers, "lstm_run", counting)
+        m = build_model(small_config(variant), VOCAB)
+        _, emb = embedded()
+        gold = gold_labels(sentence(), VOCAB, variant)
+        forward(m, emb, gold=gold, mode=mode)
+        assert len(seen) == calls
+        assert (m.l2_cell in seen) == (mode == "train")
+
     def test_forward_purity(self):
         m = build_model(small_config(), VOCAB)
         _, emb = embedded()
