@@ -17,10 +17,9 @@ here (hidden sizes in the tens, sentences of ~10 tokens). So the
 network layers in `layers` are fused ops: each builds one or two nodes
 over whole gate stacks or query-key matrices and writes its backward
 pass by hand, using `accumulate` to feed its inputs' gradients. The
-ops below join, slice and add those nodes' outputs; `mul`, `dot` and
-`tanh` have no caller in the package and remain as small graph
-builders for the engine's own tests. 64-bit precision makes
-finite-difference gradient checks exact enough to be useful.
+ops below only join, slice, stack and add those nodes' outputs.
+64-bit precision makes finite-difference gradient checks exact enough
+to be useful.
 
 A Parameter's `data` and `grad` become views into an optimizer's flat
 buffers when one is built over it (see `optim`). Update them in place
@@ -150,38 +149,6 @@ def add(a, b):
         accumulate(b, g)
 
     return node(a.data + b.data, (a, b), bwd)
-
-
-def mul(a, b):
-    """Elementwise product; shapes must match or one operand be scalar."""
-    def bwd(g):
-        ga = g * b.data
-        gb = g * a.data
-        if a.data.ndim == 0:
-            ga = np.sum(ga)
-        if b.data.ndim == 0:
-            gb = np.sum(gb)
-        accumulate(a, ga)
-        accumulate(b, gb)
-
-    return node(a.data * b.data, (a, b), bwd)
-
-
-def dot(a, b):
-    def bwd(g):
-        accumulate(a, g * b.data)
-        accumulate(b, g * a.data)
-
-    return node(np.dot(a.data, b.data), (a, b), bwd)
-
-
-def tanh(a):
-    t = np.tanh(a.data)
-
-    def bwd(g):
-        accumulate(a, g * (1.0 - t * t))
-
-    return node(t, (a,), bwd)
 
 
 def concat(parts):

@@ -9,13 +9,17 @@ arithmetic in its inputs' dtype and adds one or two graph nodes through
 node per gate, score or elementwise product.
 
 A batch of B sentences right-padded to T steps passes between layers as
-one (T, B, d) tensor. `lstm_run` unrolls an LSTM over one: the encoder,
-or a decoder whose input `decoder_input` builds for all steps at once;
-only greedy decoding runs `lstm_cell_forward` step by step. Within a
-step every op works on (B, d) rows, one per sentence, so weight
-gradients are dZ^T X products over the rows. The sequence ops
-(bilstm_forward, attention) take each sentence's length, so that a
-padded batch computes every sentence as that sentence alone would."""
+one (T, B, d) tensor. `lstm_run` unrolls an LSTM over one: a decoder,
+whose input `decoder_input` builds for all steps at once, or the
+encoder, whose two directions run as one recurrence: `bilstm_forward`
+lays the forward and the reversed input side by side, (T, 2, B, d), and
+unrolls a StackedCell of both directions' cells over it, so each step
+is one `lstm_cell_forward` call. Only greedy decoding runs
+`lstm_cell_forward` step by step. Within a step every op works on
+(B, d) rows, one per sentence, so weight gradients are dZ^T X products
+over the rows. The sequence ops (bilstm_forward, attention) take each
+sentence's length, so that a padded batch computes every sentence as
+that sentence alone would."""
 
 from __future__ import annotations
 
@@ -90,49 +94,66 @@ class LstmCellParams:
 
 
 class StackedCell:
-    """An LSTM cell with its gate weights stacked once in GATES order:
-    Ws (4H x d), Us (4H x H), bs (4H). A forward pass takes one per cell
-    and runs all its steps on it, so it stacks each cell once, not once
-    per step. The weights must not change during the pass and its
-    backward pass, which nothing does: the optimizer steps after
-    backward, the gradient check perturbs between passes. W, U and b
-    are the cell's per-gate Parameters, which are the ones trained,
-    named and saved.
+    """One LSTM cell, or two run side by side, with the gate weights
+    stacked once in GATES order: Ws (4H x d), Us (4H x H) and bs (4H)
+    for one cell; for two, each gains a leading axis of 2 (bs becomes
+    2 x 1 x 4H, to broadcast over a step's rows), and a step's x, h
+    and c do too: (2, B, .), one block of rows per cell. A forward pass
+    takes one per cell or pair and runs all its steps on it, so it
+    stacks each cell once, not once per step. The weights must not
+    change during the pass and its backward pass, which nothing does:
+    the optimizer steps after backward, the gradient check perturbs
+    between passes. W, U and b are the first cell's per-gate
+    Parameters; the cells' Parameters are the ones trained, named and
+    saved.
 
-    The cell is also a graph node, `node`, whose parents are those
-    Parameters. Each step's backward pass hands it the step's
+    The stacked cell is also a graph node, `node`, whose parents are
+    those Parameters. Each step's backward pass hands it the step's
     pre-activation gradient dZ and inputs x and h (`rows`); the node is
     older than every step, so backward runs it after all of them, and
     it forms each weight gradient once for the whole pass: dW = dZ^T X,
-    dU = dZ^T H and db = sum dZ over every row of every step
-    (Appleyard et al., arXiv:1604.01946). A cell therefore serves one
-    graph: stack it again for the next one."""
+    dU = dZ^T H and db = sum dZ over every row of every step, one
+    product per cell (Appleyard et al., arXiv:1604.01946). A stacked
+    cell therefore serves one graph: stack it again for the next one."""
 
-    def __init__(self, cell):
-        self.input_dim = cell.input_dim
-        self.hidden_dim = cell.hidden_dim
-        self.W, self.U, self.b = cell.W, cell.U, cell.b
+    def __init__(self, *cells):
+        first = cells[0]
+        if len(cells) > 2 or len({(c.input_dim, c.hidden_dim)
+                                  for c in cells}) > 1:
+            raise ValueError("stack one LSTM cell or two of the same size")
+        self.cells = cells
+        self.input_dim = first.input_dim
+        self.hidden_dim = first.hidden_dim
+        self.W, self.U, self.b = first.W, first.U, first.b
+        lead = (2,) if len(cells) == 2 else ()
         self.Ws, self.Us, self.bs = (
-            np.concatenate([p[k].data for k in GATES])
-            for p in (cell.W, cell.U, cell.b))
+            np.concatenate([getattr(c, part)[k].data for c in cells
+                            for k in GATES]).reshape(lead + shape)
+            for part, shape in (("W", (-1, self.input_dim)),
+                                ("U", (-1, self.hidden_dim)),
+                                ("b", (1, -1) if lead else (-1,))))
         self.rows = []          # (dZ, x, h) of each step, by c_bwd
         self.node = ad.node(
-            np.zeros(0), (*self.W.values(), *self.U.values(),
-                          *self.b.values()), self._weight_grads)
+            np.zeros(0), tuple(p for c in cells for p in c.parameters()),
+            self._weight_grads)
 
     def stacked(self):
         return self
 
     def _weight_grads(self, _):
-        dZ, X, Hs = (np.vstack(part) for part in zip(*self.rows))
+        pair = len(self.cells) == 2     # rows (2, B, .): join along B
+        dZ, X, Hs = (np.concatenate(part, axis=-2) if pair
+                     else np.vstack(part) for part in zip(*self.rows))
         self.rows = []
-        dW, dU, db = dZ.T @ X, dZ.T @ Hs, dZ.sum(axis=0)
+        dZt = dZ.swapaxes(-1, -2)
+        dW, dU, db = dZt @ X, dZt @ Hs, dZ.sum(axis=-2)
         H = self.hidden_dim
-        for k, gate in enumerate(GATES):
-            gate_rows = slice(k * H, (k + 1) * H)
-            ad.accumulate(self.W[gate], dW[gate_rows])
-            ad.accumulate(self.U[gate], dU[gate_rows])
-            ad.accumulate(self.b[gate], db[gate_rows])
+        for cell, *grads in (zip(self.cells, dW, dU, db) if pair
+                             else [(self.cells[0], dW, dU, db)]):
+            for k, gate in enumerate(GATES):
+                gate_rows = slice(k * H, (k + 1) * H)
+                for params, g in zip((cell.W, cell.U, cell.b), grads):
+                    ad.accumulate(params[gate], g[gate_rows])
 
 
 _EXP_MAX = np.log(np.finfo(np.float64).max)     # exp of it is finite
@@ -150,20 +171,23 @@ def lstm_cell_forward(x, h, c, params):
     x, h and c are (d,), (H,), (H,) vectors or, for a batch of B rows,
     (B, d), (B, H), (B, H) matrices; every row is an independent step.
     params is an LstmCellParams or, to stack its weights once for many
-    steps, its StackedCell. Every gate comes from one pre-activation
-    z = x Ws^T + h Us^T + bs (Appleyard et al., arXiv:1604.01946). The
-    step is two graph nodes: c', whose backward pass does the input and
-    state work of the four gates at once and hands its pre-activation
-    gradient dZ to the cell's node, which forms the weight gradients of
-    all steps together, and h' = o * tanh(c'), its child, which hands
-    the output gate's pre-activation gradient to c'.
+    steps, its StackedCell; a StackedCell of two cells takes (2, B, .)
+    inputs and steps both cells at once. Every gate comes from one
+    pre-activation z = x Ws^T + h Us^T + bs (Appleyard et al.,
+    arXiv:1604.01946). The step is two graph nodes: c', whose backward
+    pass does the input and state work of the four gates at once and
+    hands its pre-activation gradient dZ to the cell's node, which forms
+    the weight gradients of all steps together, and h' = o * tanh(c'),
+    its child, which hands the output gate's pre-activation gradient to
+    c'.
     """
     cell = params.stacked()
     H = cell.hidden_dim
     if x.data.shape[-1] != cell.input_dim or h.data.shape[-1] != H:
         raise ValueError("LSTM cell dimension mismatch")
     xd, hd, cd = x.data, h.data, c.data
-    z = xd @ cell.Ws.T + hd @ cell.Us.T + cell.bs
+    z = (xd @ cell.Ws.swapaxes(-1, -2) + hd @ cell.Us.swapaxes(-1, -2)
+         + cell.bs)
     ifo = _sigmoid(z[..., :3 * H])
     i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
     g = np.tanh(z[..., 3 * H:])
@@ -194,8 +218,9 @@ def lstm_cell_forward(x, h, c, params):
 
 
 def lstm_run(X, params):
-    """Unroll an LSTM from zero states over the steps of X, (T, B, d);
-    returns the hidden states stacked, (T, B, H)."""
+    """Unroll an LSTM from zero states over the steps of X, (T, B, d),
+    or (T, 2, B, d) for a StackedCell of two cells; returns the hidden
+    states stacked, (T, B, H) or (T, 2, B, H)."""
     cell = params.stacked()
     h = c = ad.constant(np.zeros(X.data.shape[1:-1] + (cell.hidden_dim,)))
     states = []
@@ -203,17 +228,6 @@ def lstm_run(X, params):
         h, c = lstm_cell_forward(ad.getrow(X, t), h, c, cell)
         states.append(h)
     return ad.stack(states)
-
-
-def _reversal(T, B, lengths):
-    """Indexes into (T, B, d) steps: the order that reverses each
-    sentence within its own length and leaves its padding in place, and
-    each sentence's last step. The order is its own inverse, so it also
-    puts reversed states back in token order."""
-    n = np.full(B, T) if lengths is None else np.asarray(lengths)
-    t = np.arange(T)[:, None]
-    batch = np.arange(B)
-    return (np.where(t < n, n - 1 - t, t), batch), (n - 1, batch)
 
 
 def bilstm_forward(X, fwd, bwd, lengths=None):
@@ -225,18 +239,30 @@ def bilstm_forward(X, fwd, bwd, lengths=None):
     (B, H) are each sentence's final forward state (at its last token)
     and final backward state (at its first token). Both directions
     start from zero states. The backward direction reads each sentence
-    reversed within its own length through one gather, so it starts at
-    the sentence's last token and no step needs a mask; padding steps
-    only follow a sentence's own steps.
+    reversed within its own length, so it starts at the sentence's last
+    token and no step needs a mask; padding steps only follow a
+    sentence's own steps. One gather lays both directions' inputs side
+    by side, (T, 2, B, d), and one `lstm_run` over the two cells
+    stacked steps both at once, so a step is one `lstm_cell_forward`
+    call and the weight gradients one product per cell.
     """
     T, B = X.data.shape[:2]
     if T < 1:
         raise ValueError("empty sequence")
-    order, last = _reversal(T, B, lengths)
-    f_states = lstm_run(X, fwd)
-    b_states = lstm_run(ad.getrow(X, order), bwd)
-    return (ad.concat([f_states, ad.getrow(b_states, order)]),
-            ad.getrow(f_states, last), ad.getrow(b_states, last))
+    n = np.full(B, T) if lengths is None else np.asarray(lengths)
+    t = np.arange(T)[:, None]
+    batch = np.arange(B)
+    # Step t of the backward direction reads token n - 1 - t, or the
+    # padding step t itself; the order is its own inverse, so it also
+    # puts the backward states back in token order.
+    reverse = np.where(t < n, n - 1 - t, t)                     # (T, B)
+    order = np.stack([np.broadcast_to(t, (T, B)), reverse], axis=1)
+    states = lstm_run(ad.getrow(X, (order, batch)),
+                      StackedCell(fwd, bwd))                   # (T, 2, B, H)
+    return (ad.concat([ad.getrow(states, (slice(None), 0)),
+                       ad.getrow(states, (reverse, 1, batch))]),
+            ad.getrow(states, (n - 1, 0, batch)),
+            ad.getrow(states, (n - 1, 1, batch)))
 
 
 class AttentionParams:
@@ -277,7 +303,7 @@ def attention(queries, keys, params, lengths=None):
     S = np.tanh((Qb @ W1.data.T)[:, :, None, :]
                 + (Km @ W2.data.T)[:, None, :, :])
     E = S @ v.data
-    if lengths is not None and min(lengths) < len(keys.data):  # padding
+    if lengths is not None and np.min(lengths) < len(keys.data):  # padding
         own = np.arange(len(keys.data)) < np.asarray(lengths)[:, None, None]
         E = np.where(own, E, -np.inf)
     P = np.exp(E - E.max(axis=-1, keepdims=True))
@@ -287,7 +313,7 @@ def attention(queries, keys, params, lengths=None):
         gC = gC.reshape(-1, *gC.shape[-2:]).swapaxes(0, 1)  # (B, Tq, dk)
         dP = gC @ Km.swapaxes(1, 2)
         dE = P * (dP - np.sum(dP * P, axis=-1, keepdims=True))
-        ad.accumulate(v, np.tensordot(dE, S, axes=3))
+        ad.accumulate(v, (dE.reshape(1, -1) @ S.reshape(-1, S.shape[-1]))[0])
         dPre = dE[..., None] * v.data * (1.0 - S * S)
         dA = dPre.sum(axis=2)
         if queries is not keys:
@@ -414,20 +440,22 @@ def softmax_cross_entropy(logits, gold, weights):
     weight * (softmax - onehot). A row with weight 0 (padding) adds
     nothing and gets an exactly zero gradient.
     """
-    z = logits.data
+    z = np.ascontiguousarray(logits.data)   # so reshape(-1) is a view
     n = z.shape[-1]
     gold = np.asarray(gold)
-    if gold.shape != z.shape[:-1] or np.any((gold < 0) | (gold >= n)):
+    if gold.shape != z.shape[:-1] or gold.min() < 0 or gold.max() >= n:
         raise IndexError("gold labels out of range or misshapen")
+    # Each row's gold logit by its index into the flattened logits.
+    at_gold = np.arange(gold.size) * n + gold.reshape(-1)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1)
-    picked = np.take_along_axis(shifted, gold[..., None], axis=-1)[..., 0]
+    picked = shifted.reshape(-1)[at_gold].reshape(gold.shape)
     weights = np.asarray(weights)
 
     def bwd(g):
-        onehot = gold[..., None] == np.arange(n)
-        d = e / total[..., None] - onehot
+        d = e / total[..., None]
+        d.reshape(-1)[at_gold] -= 1.0
         ad.accumulate(logits, (g * weights)[..., None] * d)
 
     return ad.node(np.sum(weights * (np.log(total) - picked)), (logits,), bwd)

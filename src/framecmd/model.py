@@ -14,16 +14,20 @@ layer and pools the encoder for frame classification.
 longest, T tokens. Each layer hands the next one (T, B, d) tensor: the
 encoder states, the attention contexts and the highway output. Every
 LSTM whose inputs are known in advance runs through `layers.lstm_run`:
-the encoder, the teacher-forced layer-2 decoder and the layer-3 decoder
-(fed layer 2's labels); only greedy layer-2 decoding steps by hand. The
-heads' logits are (B, frames) and (T, B, labels), and a single sentence
-is a batch of one. `joint_loss` averages the per-sentence losses over
-the batch.
+the encoder, both of whose directions are one run, the teacher-forced
+layer-2 decoder and the layer-3 decoder (fed layer 2's labels); only
+greedy layer-2 decoding steps by hand. The heads' logits are
+(B, frames) and (T, B, labels), and a single sentence is a batch of
+one. A batch's gold labels are padded once, into a GoldBatch that
+teacher forcing and `joint_loss` share; `joint_loss` averages the
+per-sentence losses over the batch.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import json
 import math
 import os
@@ -174,6 +178,11 @@ class GoldLabels:
     seq2: tuple   # decoder label indices (IOB for 3L, typed IOB for 2L)
     seq3: tuple | None = None  # per-token element-type indices (3L)
 
+    @functools.cached_property
+    def batch(self):
+        """These labels as a GoldBatch of one, built on first use."""
+        return GoldBatch([self])
+
 
 def gold_labels(sentence, vocab, variant):
     """Index-space gold labels for teacher forcing and the joint loss."""
@@ -192,17 +201,40 @@ def gold_labels(sentence, vocab, variant):
     return GoldLabels(frame=frame, seq2=seq2, seq3=seq3)
 
 
-def _as_batch(gold):
-    """A GoldLabels, or a sequence of them, as a list."""
-    return [gold] if isinstance(gold, GoldLabels) else list(gold)
+class GoldBatch:
+    """The gold labels of B sentences, padded once to the longest, T
+    tokens, for teacher forcing and the joint loss: lengths and frames
+    (B,), the label sequences seq2 and seq3 (None for 2L labels) as
+    (T, B) arrays right-padded with 0, and the token loss weights
+    (T, B), 1 / (B * length) per token and 0 on padding."""
+
+    def __init__(self, golds):
+        golds = list(golds)
+        self.lengths = np.array([len(g.seq2) for g in golds])
+        B, T = len(golds), int(self.lengths.max())
+        own = np.arange(T)[:, None] < self.lengths
+        self.frames = np.array([g.frame for g in golds])
+        self.weights = own / (B * self.lengths)
+
+        def padded(seqs):
+            out = np.zeros((B, T), dtype=int)
+            out[own.T] = list(itertools.chain.from_iterable(seqs))
+            return out.T
+
+        self.seq2 = padded(g.seq2 for g in golds)
+        self.seq3 = None
+        if any(g.seq3 is not None for g in golds):
+            if any(g.seq3 is None or len(g.seq3) != len(g.seq2)
+                   for g in golds):
+                raise ValueError("gold type label length mismatch")
+            self.seq3 = padded(g.seq3 for g in golds)
 
 
-def _padded(seqs, T):
-    """(T, B) integer array of label sequences, right-padded with 0."""
-    out = np.zeros((T, len(seqs)), dtype=int)
-    for b, seq in enumerate(seqs):
-        out[:len(seq), b] = seq
-    return out
+def _gold_batch(gold):
+    """A GoldBatch, a GoldLabels or a sequence of them, as a GoldBatch."""
+    if isinstance(gold, GoldBatch):
+        return gold
+    return gold.batch if isinstance(gold, GoldLabels) else GoldBatch(gold)
 
 
 def _dropout_mask(shape, rate, rng):
@@ -266,7 +298,10 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     labels2 = np.full((T + 1, B), model.bos_index)
     mask = _dropout_mask((T, B, model.l2_cell.input_dim), rate, dropout_rng)
     if mode == "train":
-        labels2[1:] = _padded([g.seq2 for g in _as_batch(gold)], T)
+        gold = _gold_batch(gold)
+        if not np.array_equal(gold.lengths, lengths):
+            raise ValueError("gold label length mismatch")
+        labels2[1:] = gold.seq2
         states = L.lstm_run(L.decoder_input(parts, model.label_emb2,
                                             labels2[:-1], mask), model.l2_cell)
     else:   # no dropout, so no mask
@@ -304,28 +339,23 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
 def joint_loss(output, gold):
     """Mean over the batch's sentences of each sentence's loss: the sum
     of the per-task cross-entropies, token heads averaged over the
-    sentence so length does not dominate. gold is a GoldLabels, or one
-    per sentence. Each head is one fused cross-entropy node over its
-    stacked logits, weighted 1 / (B * length) per token and 0 on
-    padding."""
-    golds = _as_batch(gold)
-    lengths = output.lengths
-    B = len(lengths)
-    if len(golds) != B or any(len(g.seq2) != n
-                              for g, n in zip(golds, lengths)):
+    sentence so length does not dominate. gold is a GoldBatch, a
+    GoldLabels or one per sentence. Each head is one fused
+    cross-entropy node over its stacked logits, weighted 1 / B per
+    sentence, and 1 / (B * length) per token and 0 on padding."""
+    gold = _gold_batch(gold)
+    B = len(output.lengths)
+    if not np.array_equal(gold.lengths, output.lengths):
         raise ValueError("gold label length mismatch")
-    T = output.seq2_logits.data.shape[0]
-    weights = (np.arange(T)[:, None] < lengths) / (B * lengths)
-    loss = L.softmax_cross_entropy(output.ad_logits,
-                                   [g.frame for g in golds], np.full(B, 1 / B))
+    loss = L.softmax_cross_entropy(output.ad_logits, gold.frames,
+                                   np.full(B, 1 / B))
     loss = ad.add(loss, L.softmax_cross_entropy(
-        output.seq2_logits, _padded([g.seq2 for g in golds], T), weights))
+        output.seq2_logits, gold.seq2, gold.weights))
     if output.seq3_logits is not None:
-        if any(g.seq3 is None or len(g.seq3) != n
-               for g, n in zip(golds, lengths)):
-            raise ValueError("gold type label length mismatch")
+        if gold.seq3 is None:
+            raise ValueError("gold type labels missing")
         loss = ad.add(loss, L.softmax_cross_entropy(
-            output.seq3_logits, _padded([g.seq3 for g in golds], T), weights))
+            output.seq3_logits, gold.seq3, gold.weights))
     return loss
 
 

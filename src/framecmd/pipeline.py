@@ -22,8 +22,8 @@ from .corpus import label_vocab, make_folds
 from .embeddings import embed_sentence, random_embeddings
 from .grounding import chain_accuracy
 # `predict` is re-exported here for callers that parse one sentence.
-from .model import (build_model, forward, gold_labels, joint_loss, predict,
-                    predict_many)
+from .model import (GoldBatch, build_model, forward, gold_labels, joint_loss,
+                    predict, predict_many)
 from .optim import OPTIMIZERS, make_optimizer
 
 
@@ -35,8 +35,8 @@ DIVERGED_LOSS_RATIO = 100.0
 
 
 class TrainingDiverged(Exception):
-    """A batch loss was not finite or blew up, or the gradient norm was
-    not finite."""
+    """A batch loss was not finite or blew up, or the squared norm of
+    the gradient, or of the parameters after an epoch, was not finite."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,9 @@ def train(model, table, corpus_train, config):
     Raises TrainingDiverged, before the step that would apply it, when a
     batch loss is not finite or above DIVERGED_LOSS_RATIO times the
     model's uniform-guess loss, or the squared gradient norm is not
-    finite.
+    finite; and at the end of each epoch when the squared norm of the
+    parameters is not finite (a weight above about 1e154), which
+    catches a last step that no later batch loss checks.
     """
     if not corpus_train:
         raise ValueError("empty training set")
@@ -108,11 +110,11 @@ def train(model, table, corpus_train, config):
 
     def batch_loss(batch, dropout_rng=None):
         """Mean loss of the sentences `batch` (ids) as one graph."""
-        golds = [cache[sid][1] for sid in batch]
+        gold = GoldBatch(cache[sid][1] for sid in batch)
         out = forward(model, np.concatenate([cache[sid][0] for sid in batch]),
-                      gold=golds, mode="train", dropout_rng=dropout_rng,
-                      lengths=[len(g.seq2) for g in golds])
-        return joint_loss(out, golds)
+                      gold=gold, mode="train", dropout_rng=dropout_rng,
+                      lengths=gold.lengths)
+        return joint_loss(out, gold)
 
     def step(batch):
         """One optimizer step; returns the batch loss. The graph is freed
@@ -145,6 +147,11 @@ def train(model, table, corpus_train, config):
         rng.shuffle(ids)
         total = sum(step(b) * len(b) for b in _batches(ids, batch_size))
         history.append(total / len(ids))
+        norm2 = float(opt.data @ opt.data)     # what the last step did
+        if not math.isfinite(norm2):
+            raise TrainingDiverged(
+                f"training diverged in epoch {len(history)}: squared "
+                f"parameter norm {norm2:g} after its last step")
         if val_ids:
             with ad.no_grad():
                 total = sum(float(batch_loss(b).data) * len(b)

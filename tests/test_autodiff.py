@@ -10,6 +10,7 @@ from framecmd import layers as L
 from framecmd.autodiff import Parameter
 from framecmd.gradcheck import grad_check
 
+import graph_ops as G
 from oracles import softmax_oracle
 
 
@@ -87,9 +88,9 @@ def test_backward_parameter_used_twice():
     # loss = (w.x)^2-ish through two paths; grads sum over both uses.
     w = Parameter("w", np.array([0.3, -0.7]))
     x = ad.constant([1.0, 2.0])
-    a = ad.dot(w, x)
-    b = ad.dot(w, x)
-    loss = ad.mul(a, b)
+    a = G.dot(w, x)
+    b = G.dot(w, x)
+    loss = G.mul(a, b)
     ad.backward(loss)
     eps = 1e-6
     numeric = np.zeros(2)
@@ -109,10 +110,10 @@ def test_backward_node_consumed_upstream_and_downstream(a_first):
     # that runs a as soon as c hands it a gradient gets it wrong for one
     # of the two parent orders of c.
     w = Parameter("w", np.array([0.4, -1.3, 0.9]))
-    a = ad.tanh(w)
-    b = ad.tanh(a)
-    c = ad.mul(a, b) if a_first else ad.mul(b, a)
-    loss = ad.dot(c, ad.constant(np.ones(3)))
+    a = G.tanh(w)
+    b = G.tanh(a)
+    c = G.mul(a, b) if a_first else G.mul(b, a)
+    loss = G.dot(c, ad.constant(np.ones(3)))
     ad.backward(loss)
     a_grad = b.data + a.data * (1.0 - b.data ** 2)
     np.testing.assert_allclose(a.grad, a_grad, rtol=1e-14)
@@ -124,8 +125,8 @@ def test_backward_releases_each_closure_after_running_it():
     # What a closure saved for the backward pass is freed as soon as the
     # closure has run, so a graph is differentiated once.
     w = Parameter("w", np.array([0.4, -1.3]))
-    a = ad.tanh(w)
-    loss = ad.dot(a, a)
+    a = G.tanh(w)
+    loss = G.dot(a, a)
     ad.backward(loss)
     assert a.bwd is None and loss.bwd is None
     grad = w.grad.copy()
@@ -148,7 +149,7 @@ def test_backward_rejects_non_scalar():
 def test_no_grad_builds_no_graph():
     w = Parameter("w", np.array([1.0]))
     with ad.no_grad():
-        out = ad.mul(w, w)
+        out = G.mul(w, w)
     assert out.parents == ()
     assert out.bwd is None
 
@@ -157,7 +158,7 @@ def test_grad_check_fails_when_errors_are_nan():
     # epsilon = 0 makes every central difference 0/0.
     w = Parameter("w", np.array([0.3, -0.7]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = grad_check(lambda: ad.dot(w, w), [w], epsilon=0.0)
+        err = grad_check(lambda: G.dot(w, w), [w], epsilon=0.0)
     assert not err < 1e-4
 
 
@@ -175,13 +176,9 @@ def test_only_autodiff_links_graph_nodes():
     assert offenders == []
 
 
-# Graph builders kept for the engine's own tests (see `autodiff`).
-TEST_ONLY_OPS = {"mul", "dot", "tanh"}
-
-
 def test_every_op_has_a_caller_in_the_package():
     # An autodiff or layers function that nothing in the package calls
-    # is dead code, unless it is one of the named test-only builders.
+    # is dead code; graph builders only tests use live in graph_ops.
     package = Path(ad.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
@@ -190,7 +187,7 @@ def test_every_op_has_a_caller_in_the_package():
     called = {getattr(n.func, "attr", getattr(n.func, "id", None))
               for tree in trees.values() for n in ast.walk(tree)
               if isinstance(n, ast.Call)}
-    assert defined - called - TEST_ONLY_OPS == set()
+    assert defined - called == set()
 
 
 def test_forward_purity():
@@ -198,6 +195,6 @@ def test_forward_purity():
     w = L.AffineParams("w", 3, 3, seed=0)
     w.W.data[...] = rng.normal(size=(3, 3))
     x = ad.constant(rng.normal(size=3))
-    r1 = ad.tanh(L.affine(x, w)).data
-    r2 = ad.tanh(L.affine(x, w)).data
+    r1 = G.tanh(L.affine(x, w)).data
+    r2 = G.tanh(L.affine(x, w)).data
     np.testing.assert_array_equal(r1, r2)

@@ -79,18 +79,24 @@ class TestTrain:
         assert header["config"]["attention"] is False
 
     # lr=1e9 blows the loss up with every value finite; at lr=1e300
-    # the forward pass overflows to NaN.
-    @pytest.mark.parametrize("lr", ["1e9", "1e300"])
+    # the forward pass overflows to NaN. SGD at lr=1.7e308 takes one
+    # step, the run's last, that leaves weights overflowed to inf.
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(["lr=1e9"], id="1e9"),
+        pytest.param(["lr=1e300"], id="1e300"),
+        pytest.param(["optimizer=sgd", "lr=1.7e308", "batch_size=64",
+                      "epochs=1"], id="sgd-last-step")])
     def test_diverging_run_exit_5_and_writes_nothing(self, workdir,
-                                                     tmp_path, lr):
+                                                     tmp_path, overrides):
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes(b"an earlier checkpoint")
         # A child process, so that numpy's warnings reach stderr as a
         # user sees them instead of pytest's warning capture.
         proc = subprocess.run(
             [sys.executable, "-m", "framecmd", "train", "--corpus",
-             str(workdir / "corpus.jsonl"), "--out", str(ckpt),
-             "--override", f"lr={lr}"] + FAST_OVERRIDES,
+             str(workdir / "corpus.jsonl"), "--out", str(ckpt)]
+            + FAST_OVERRIDES + [a for ov in overrides
+                                for a in ("--override", ov)],
             capture_output=True, text=True)
         assert proc.returncode == 5
         err = proc.stderr.splitlines()

@@ -5,6 +5,7 @@ from framecmd import autodiff as ad
 from framecmd import layers as L
 from framecmd.gradcheck import grad_check
 
+import graph_ops as G
 from oracles import (attention_oracle, bilstm_oracle, cross_entropy_oracle,
                      highway_oracle, lstm_cell_oracle, softmax_oracle)
 
@@ -110,6 +111,66 @@ class TestBilstm:
         cell = L.LstmCellParams("c", 2, 2, seed=0)
         with pytest.raises(ValueError):
             L.bilstm_forward(ad.constant(np.zeros((0, 1, 2))), cell, cell)
+
+    def test_directions_of_different_sizes_rejected(self):
+        fwd = L.LstmCellParams("f", 3, 4, seed=0)
+        bwd = L.LstmCellParams("b", 3, 5, seed=0)
+        with pytest.raises(ValueError):
+            L.bilstm_forward(ad.constant(np.zeros((2, 1, 3))), fwd, bwd)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_stacked_directions_match_a_per_direction_unroll(self, shared):
+        """One recurrence over both directions gives what unrolling each
+        direction step by step gives: states, final states and the
+        gradients of the input and of every weight, on a padded batch
+        and with one cell serving both directions."""
+        rng = np.random.default_rng(34)
+        fwd = random_cell(rng, 2, 3, "f")
+        bwd = fwd if shared else random_cell(rng, 2, 3, "b")
+        lengths = [4, 2, 3]
+        T, B, H = 4, 3, 3
+        X = ad.Parameter("x", rng.normal(size=(T, B, 2)))
+        params = [X] + list(fwd.parameters()) + (
+            [] if shared else list(bwd.parameters()))
+        heads = [(rng.integers(0, n, rows), rng.random(rows))
+                 for n, rows in ((2 * H, (T, B)), (H, (B,)), (H, (B,)))]
+
+        def run(outputs):
+            for p in params:
+                p.zero_grad()
+            loss = None
+            for out, (gold, weights) in zip(outputs, heads):
+                term = L.softmax_cross_entropy(out, gold, weights)
+                loss = term if loss is None else ad.add(loss, term)
+            ad.backward(loss)
+            return ([out.data for out in outputs],
+                    {p.name: p.grad.copy() for p in params})
+
+        def unroll(cell, inputs):
+            h = c = ad.constant(np.zeros((B, H)))
+            states = []
+            for x in inputs:
+                h, c = L.lstm_cell_forward(x, h, c, cell)
+                states.append(h)
+            return ad.stack(states)
+
+        batch = np.arange(B)
+        n = np.array(lengths)
+        # step t of the backward direction reads token n - 1 - t
+        order = np.array([[k - 1 - t if t < k else t for k in lengths]
+                          for t in range(T)])
+        f = unroll(fwd, [ad.getrow(X, t) for t in range(T)])
+        b = unroll(bwd, [ad.getrow(X, (order[t], batch)) for t in range(T)])
+        apart = run([ad.concat([f, ad.getrow(b, (order, batch))]),
+                     ad.getrow(f, (n - 1, batch)),
+                     ad.getrow(b, (n - 1, batch))])
+        together = run(L.bilstm_forward(X, fwd, bwd, lengths))
+        for got, want in zip(together[0], apart[0]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name, g in apart[1].items():
+            assert g.any()
+            np.testing.assert_allclose(together[1][name], g, rtol=0,
+                                       atol=1e-12, err_msg=name)
 
 
 class TestAttention:
@@ -226,9 +287,9 @@ class TestFusedGradients:
         def fwd():
             h, c = L.lstm_cell_forward(x1, h0, c0, cell)
             h, c = L.lstm_cell_forward(x2, h, c, cell)
-            loss = ad.dot(c, wc)
+            loss = G.dot(c, wc)
             # without h the last step's c' gets no output-gate gradient
-            return ad.add(ad.dot(h, wh), loss) if reads_h else loss
+            return ad.add(G.dot(h, wh), loss) if reads_h else loss
 
         params = list(cell.parameters()) + [x1, x2, h0, c0]
         assert grad_check(fwd, params) < 1e-4
@@ -250,7 +311,7 @@ class TestFusedGradients:
             loss = ad.constant(0.0)
             for q, w in enumerate(weights):
                 ctx = ad.getrow(contexts, (q, 0))
-                loss = ad.add(loss, ad.dot(ctx, w))
+                loss = ad.add(loss, G.dot(ctx, w))
             return loss
 
         params = p.parameters() + [keys] + (
@@ -267,7 +328,7 @@ class TestFusedGradients:
         w = ad.constant(rng.normal(size=4))
 
         def fwd():
-            return ad.dot(L.highway(x, p), w)
+            return G.dot(L.highway(x, p), w)
 
         assert grad_check(fwd, p.parameters() + [x]) < 1e-4
 
@@ -321,7 +382,7 @@ class TestGradCheckHarness:
         x = np.array([1.0, 2.0, 3.0])
 
         def fwd():
-            return ad.dot(w, ad.constant(x))
+            return G.dot(w, ad.constant(x))
 
         assert grad_check(fwd, [w]) < 1e-10
 
@@ -331,7 +392,7 @@ class TestGradCheckHarness:
         x = np.array([1.0, 2.0, 3.0])
 
         def fwd():
-            return ad.dot(w, ad.constant(x))
+            return G.dot(w, ad.constant(x))
 
         err = grad_check(fwd, [w], corrupt=True)
         assert err > 0.1
@@ -349,7 +410,7 @@ class TestGradCheckHarness:
                                        ad.constant(np.zeros(4)),
                                        ad.constant(np.zeros(4)), cell)
             y = L.highway(h, hw)
-            return ad.dot(y, y)
+            return G.dot(y, y)
 
         params = list(cell.parameters()) + hw.parameters()
         assert grad_check(fwd, params) < 1e-4

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,11 @@ from framecmd.corpus import (AnnotatedSentence, FrameAnnotation, LabelVocab,
 from framecmd.embeddings import embed_sentence, random_embeddings
 from framecmd.gradcheck import grad_check
 from framecmd import model as model_module
-from framecmd.model import (CheckpointError, Model, ModelConfig, ModelOutput,
-                            ParsedCommand, _dropout_mask, build_model,
-                            decode_output, forward, gold_labels, joint_loss,
-                            load_checkpoint, predict, predict_many,
-                            save_checkpoint)
+from framecmd.model import (CheckpointError, GoldBatch, Model, ModelConfig,
+                            ModelOutput, ParsedCommand, _dropout_mask,
+                            build_model, decode_output, forward, gold_labels,
+                            joint_loss, load_checkpoint, predict,
+                            predict_many, save_checkpoint)
 from framecmd.optim import Adam
 
 from oracles import cross_entropy_oracle, softmax_oracle
@@ -170,13 +172,13 @@ class TestForward:
                                       infer.seq2_logits.data)
 
     @pytest.mark.parametrize("variant,mode,calls", [
-        ("3L", "train", 4), ("3L", "infer", 3),
-        ("2L", "train", 3), ("2L", "infer", 2)])
+        ("3L", "train", 3), ("3L", "infer", 2),
+        ("2L", "train", 2), ("2L", "infer", 1)])
     def test_every_lstm_but_greedy_decoding_runs_through_lstm_run(
             self, monkeypatch, variant, mode, calls):
-        # The encoder's two directions, the teacher-forced layer-2
-        # decoder and the layer-3 decoder (both modes) are lstm_run
-        # calls; greedy layer-2 decoding steps by hand.
+        # The encoder (one run over both directions), the teacher-forced
+        # layer-2 decoder and the layer-3 decoder (both modes) are
+        # lstm_run calls; greedy layer-2 decoding steps by hand.
         from framecmd import layers
         seen = []
         run = layers.lstm_run
@@ -287,6 +289,62 @@ class TestJointLoss:
                          seq3=gold.seq3)
         with pytest.raises(ValueError):
             joint_loss(out, bad)
+
+    @pytest.mark.parametrize("variant", ["2L", "3L"])
+    def test_gold_forms_give_the_same_loss(self, variant):
+        # A list of GoldLabels, the GoldBatch padded from it and, for one
+        # sentence, its GoldLabels alone teach and score alike.
+        sents = sentences_3_to_7()
+        table = random_embeddings([t for s in sents for t in s.tokens], 6,
+                                  seed=1)
+        m = build_model(small_config(variant), VOCAB)
+        emb, lengths, golds = batch_of(sents, table, variant)
+        batch = GoldBatch(golds)
+        np.testing.assert_array_equal(batch.lengths, lengths)
+
+        def loss(emb, gold, lengths=None):
+            return float(joint_loss(forward(m, emb, gold=gold, mode="train",
+                                            lengths=lengths), gold).data)
+
+        assert loss(emb, golds, lengths) == loss(emb, batch, batch.lengths)
+        one = emb[:lengths[0]]
+        gold = golds[0]
+        assert loss(one, gold) == loss(one, [gold]) == loss(
+            one, GoldBatch([gold]))
+        assert gold.batch is gold.batch     # padded once per GoldLabels
+
+    def test_mismatched_gold_lengths_raise_value_error(self):
+        m = build_model(small_config(), VOCAB)
+        _, emb = embedded()
+        gold = gold_labels(sentence(), VOCAB, "3L")
+        out = forward(m, emb, gold=gold, mode="train")
+        short = type(gold)(frame=gold.frame, seq2=gold.seq2[:-1],
+                           seq3=gold.seq3[:-1])
+        for bad in (short, [short], GoldBatch([short]), [gold, gold]):
+            with pytest.raises(ValueError):
+                joint_loss(out, bad)
+            with pytest.raises(ValueError):
+                forward(m, emb, gold=bad, mode="train")
+        with pytest.raises(ValueError):     # seq3 shorter than seq2
+            GoldBatch([type(gold)(frame=gold.frame, seq2=gold.seq2,
+                                  seq3=gold.seq3[:-1])])
+        with pytest.raises(ValueError):     # no type labels for layer 3
+            joint_loss(out, replace(gold, seq3=None))
+
+    @pytest.mark.parametrize("field,value", [
+        ("frame", 3), ("frame", -1), ("seq2", 3), ("seq2", -1),
+        ("seq3", 3), ("seq3", -1)])
+    def test_out_of_range_labels_raise_index_error(self, field, value):
+        m = build_model(small_config(), VOCAB)      # 3 labels per head
+        _, emb = embedded()
+        gold = gold_labels(sentence(), VOCAB, "3L")
+        if field == "frame":
+            bad = replace(gold, frame=value)
+        else:
+            seq = getattr(gold, field)
+            bad = replace(gold, **{field: seq[:-1] + (value,)})
+        with pytest.raises(IndexError):
+            joint_loss(forward(m, emb, gold=gold, mode="train"), bad)
 
 
 class TestDecode:
@@ -595,10 +653,11 @@ class TestBatchGraphSize:
                           golds)
         assert len(reachable(loss)) / sum(len(e) for e in embs) < 6
 
-    def test_3l_att_graph_grows_by_10_nodes_per_token(self):
-        # Per token: c' and h' of each of the four LSTM cells' steps and
-        # one input per step of each of the two decoders. Every other op
-        # runs once per sequence, whatever its length.
+    def test_3l_att_graph_grows_by_8_nodes_per_token(self):
+        # Per token: c' and h' of the encoder's step, which runs both
+        # directions, and of each of the two decoders' steps, and one
+        # input per step of each decoder. Every other op runs once per
+        # sequence, whatever its length.
         m = build_model(small_config(), VOCAB)
         counts = []
         for n in (5, 6, 7):
@@ -609,7 +668,7 @@ class TestBatchGraphSize:
             gold = gold_labels(s, VOCAB, "3L")
             loss = joint_loss(forward(m, emb, gold=gold, mode="train"), gold)
             counts.append(sum(t.bwd is not None for t in reachable(loss)))
-        assert np.diff(counts).tolist() == [10, 10]
+        assert np.diff(counts).tolist() == [8, 8]
 
 
 class TestPredict:
