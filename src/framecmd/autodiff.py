@@ -14,10 +14,10 @@ have no closure and are never visited.
 
 Python overhead per node, not arithmetic, dominates at the sizes used
 here (hidden sizes in the tens, sentences of ~10 tokens). So the
-network layers in `layers` are fused ops: each builds one or two nodes
-over whole gate stacks or query-key matrices and writes its backward
-pass by hand, using `accumulate` to feed its inputs' gradients. The
-ops below only join, slice, stack and add those nodes' outputs.
+network layers in `layers` are fused ops: each builds one node over a
+whole LSTM run or query-key matrix and writes its backward pass by
+hand, using `accumulate` to feed its inputs' gradients. The ops below
+only join, slice and add those nodes' outputs.
 64-bit precision makes finite-difference gradient checks exact enough
 to be useful.
 
@@ -133,11 +133,13 @@ def accumulate(t, g):
 
 
 def accumulate_at(t, i, g):
-    """Add g into t's gradient at index i (an int, or index arrays whose
-    repeated entries each add their share)."""
+    """Add g into t's gradient at index i: a basic index (an int, a
+    slice or a tuple of them), which names each entry once, or index
+    arrays, whose repeated entries each add their share."""
     if t.grad is None:
         t.grad = np.zeros(t.data.shape)
-    if isinstance(i, int):
+    if all(isinstance(k, (int, slice))
+           for k in (i if isinstance(i, tuple) else (i,))):
         t.grad[i] += g
     else:
         np.add.at(t.grad, i, g)
@@ -165,17 +167,6 @@ def concat(parts):
 
     return node(np.concatenate([p.data for p in parts], axis=-1), parts,
                 bwd)
-
-
-def stack(parts):
-    """Stack equal-shaped tensors along a new leading axis."""
-    parts = tuple(parts)
-
-    def bwd(g):
-        for p, gp in zip(parts, g):
-            accumulate(p, gp)
-
-    return node(np.array([p.data for p in parts]), parts, bwd)
 
 
 def getrow(m, i):

@@ -59,12 +59,11 @@ class LabelSequence:
 
 
 def parse_corpus(data):
-    """Parse newline-delimited JSON records into validated sentences.
+    """Parse text of newline-delimited JSON records into validated
+    sentences.
 
-    Accepts bytes or str. Order preserved; duplicate ids rejected.
+    Order preserved; duplicate ids rejected.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     sentences = []
     seen = set()
     for lineno, line in enumerate(data.splitlines(), start=1):

@@ -34,21 +34,16 @@ def _default_unk(dim):
     return np.random.default_rng(0).uniform(-0.05, 0.05, dim)
 
 
-def load_embeddings(stream, expected_dim=None):
-    """Read `<token> <f1> ... <fdim>` lines into an EmbeddingTable.
+def load_embeddings(text):
+    """Read `<token> <f1> ... <fdim>` lines of text into an
+    EmbeddingTable.
 
-    The dimension is inferred from the first vector line unless
-    expected_dim is given. A 2-field first line whose second field is an
-    integer is treated as a "count dim" header and skipped. Duplicate
-    tokens keep their first occurrence.
+    The dimension is inferred from the first vector line. A 2-field
+    first line whose second field is an integer is treated as a
+    "count dim" header and skipped. Duplicate tokens keep their first
+    occurrence.
     """
-    if isinstance(stream, (bytes, str)):
-        text = stream.decode("utf-8") if isinstance(stream, bytes) else stream
-    else:
-        text = stream.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    dim = expected_dim
+    dim = None
     vectors = {}
     lines = text.splitlines()
     start = 0

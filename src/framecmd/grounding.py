@@ -44,8 +44,7 @@ class SemanticMap:
 
 
 def load_map(data):
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """Parse a semantic map from its JSON text."""
     try:
         rec = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -2,24 +2,23 @@
 additive attention, highway connection, decoder input, affine head,
 cross-entropy loss, and parameter initialization.
 
-The LSTM step, attention, highway, decoder input, affine head and loss
+The LSTM run, attention, highway, decoder input, affine head and loss
 are fused autodiff ops: each computes its output with whole-array numpy
-arithmetic in its inputs' dtype and adds one or two graph nodes through
-`autodiff.node`, each with a hand-written backward pass, instead of a
-node per gate, score or elementwise product.
+arithmetic in its inputs' dtype and adds one graph node through
+`autodiff.node`, with a hand-written backward pass, instead of a node
+per step, gate, score or elementwise product.
 
 A batch of B sentences right-padded to T steps passes between layers as
-one (T, B, d) tensor. `lstm_run` unrolls an LSTM over one: a decoder,
-whose input `decoder_input` builds for all steps at once, or the
-encoder, whose two directions run as one recurrence: `bilstm_forward`
-lays the forward and the reversed input side by side, (T, 2, B, d), and
-unrolls a StackedCell of both directions' cells over it, so each step
-is one `lstm_cell_forward` call. Only greedy decoding runs
-`lstm_cell_forward` step by step. Within a step every op works on
-(B, d) rows, one per sentence, so weight gradients are dZ^T X products
-over the rows. The sequence ops (bilstm_forward, attention) take each
-sentence's length, so that a padded batch computes every sentence as
-that sentence alone would."""
+one (T, B, d) tensor. `lstm_run` unrolls an LSTM over one as a single
+node: a decoder, whose input `decoder_input` builds for all steps at
+once, or the encoder, whose two directions `bilstm_forward` lays side
+by side, (T, 2, B, d), and runs as one recurrence. Each step is one
+call of `lstm_cell_forward`, the one LSTM step arithmetic, on arrays;
+greedy decoding, which never backpropagates, calls it too. Within a
+step every op works on (B, d) rows, one per sentence, so weight
+gradients are dZ^T X products over the rows. The sequence ops
+(bilstm_forward, attention) take each sentence's length, so that a
+padded batch computes every sentence as that sentence alone would."""
 
 from __future__ import annotations
 
@@ -89,42 +88,24 @@ class LstmCellParams:
             yield self.U[gate]
             yield self.b[gate]
 
-    def stacked(self):
-        return StackedCell(self)
-
 
 class StackedCell:
     """One LSTM cell, or two run side by side, with the gate weights
     stacked once in GATES order: Ws (4H x d), Us (4H x H) and bs (4H)
     for one cell; for two, each gains a leading axis of 2 (bs becomes
     2 x 1 x 4H, to broadcast over a step's rows), and a step's x, h
-    and c do too: (2, B, .), one block of rows per cell. A forward pass
-    takes one per cell or pair and runs all its steps on it, so it
-    stacks each cell once, not once per step. The weights must not
-    change during the pass and its backward pass, which nothing does:
-    the optimizer steps after backward, the gradient check perturbs
-    between passes. W, U and b are the first cell's per-gate
-    Parameters; the cells' Parameters are the ones trained, named and
-    saved.
-
-    The stacked cell is also a graph node, `node`, whose parents are
-    those Parameters. Each step's backward pass hands it the step's
-    pre-activation gradient dZ and inputs x and h (`rows`); the node is
-    older than every step, so backward runs it after all of them, and
-    it forms each weight gradient once for the whole pass: dW = dZ^T X,
-    dU = dZ^T H and db = sum dZ over every row of every step, one
-    product per cell (Appleyard et al., arXiv:1604.01946). A stacked
-    cell therefore serves one graph: stack it again for the next one."""
+    and c do too: (2, B, .), one block of rows per cell. W is the
+    first cell's per-gate dict; the cells' per-gate Parameters are the
+    ones trained, named and saved."""
 
     def __init__(self, *cells):
         first = cells[0]
         if len(cells) > 2 or len({(c.input_dim, c.hidden_dim)
                                   for c in cells}) > 1:
             raise ValueError("stack one LSTM cell or two of the same size")
-        self.cells = cells
         self.input_dim = first.input_dim
         self.hidden_dim = first.hidden_dim
-        self.W, self.U, self.b = first.W, first.U, first.b
+        self.W = first.W
         lead = (2,) if len(cells) == 2 else ()
         self.Ws, self.Us, self.bs = (
             np.concatenate([getattr(c, part)[k].data for c in cells
@@ -132,28 +113,6 @@ class StackedCell:
             for part, shape in (("W", (-1, self.input_dim)),
                                 ("U", (-1, self.hidden_dim)),
                                 ("b", (1, -1) if lead else (-1,))))
-        self.rows = []          # (dZ, x, h) of each step, by c_bwd
-        self.node = ad.node(
-            np.zeros(0), tuple(p for c in cells for p in c.parameters()),
-            self._weight_grads)
-
-    def stacked(self):
-        return self
-
-    def _weight_grads(self, _):
-        pair = len(self.cells) == 2     # rows (2, B, .): join along B
-        dZ, X, Hs = (np.concatenate(part, axis=-2) if pair
-                     else np.vstack(part) for part in zip(*self.rows))
-        self.rows = []
-        dZt = dZ.swapaxes(-1, -2)
-        dW, dU, db = dZt @ X, dZt @ Hs, dZ.sum(axis=-2)
-        H = self.hidden_dim
-        for cell, *grads in (zip(self.cells, dW, dU, db) if pair
-                             else [(self.cells[0], dW, dU, db)]):
-            for k, gate in enumerate(GATES):
-                gate_rows = slice(k * H, (k + 1) * H)
-                for params, g in zip((cell.W, cell.U, cell.b), grads):
-                    ad.accumulate(params[gate], g[gate_rows])
 
 
 _EXP_MAX = np.log(np.finfo(np.float64).max)     # exp of it is finite
@@ -165,69 +124,84 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX)))
 
 
-def lstm_cell_forward(x, h, c, params):
-    """One LSTM step; returns (h', c'). Pure function of its inputs.
+def lstm_cell_forward(x, h, c, cell):
+    """One LSTM step of a StackedCell on arrays, building no graph;
+    returns (h', c', (ifo, g, tanh c')), the last for the backward pass.
 
-    x, h and c are (d,), (H,), (H,) vectors or, for a batch of B rows,
-    (B, d), (B, H), (B, H) matrices; every row is an independent step.
-    params is an LstmCellParams or, to stack its weights once for many
-    steps, its StackedCell; a StackedCell of two cells takes (2, B, .)
-    inputs and steps both cells at once. Every gate comes from one
-    pre-activation z = x Ws^T + h Us^T + bs (Appleyard et al.,
-    arXiv:1604.01946). The step is two graph nodes: c', whose backward
-    pass does the input and state work of the four gates at once and
-    hands its pre-activation gradient dZ to the cell's node, which forms
-    the weight gradients of all steps together, and h' = o * tanh(c'),
-    its child, which hands the output gate's pre-activation gradient to
-    c'.
+    x, h and c are (B, d), (B, H) and (B, H) rows, each an independent
+    step, or (d,), (H,) and (H,) vectors; for two cells, (2, B, .).
+    Every gate comes from one pre-activation z = x Ws^T + h Us^T + bs
+    (Appleyard et al., arXiv:1604.01946).
     """
-    cell = params.stacked()
     H = cell.hidden_dim
-    if x.data.shape[-1] != cell.input_dim or h.data.shape[-1] != H:
+    if x.shape[-1] != cell.input_dim or h.shape[-1] != H:
         raise ValueError("LSTM cell dimension mismatch")
-    xd, hd, cd = x.data, h.data, c.data
-    z = (xd @ cell.Ws.swapaxes(-1, -2) + hd @ cell.Us.swapaxes(-1, -2)
+    z = (x @ cell.Ws.swapaxes(-1, -2) + h @ cell.Us.swapaxes(-1, -2)
          + cell.bs)
     ifo = _sigmoid(z[..., :3 * H])
     i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
     g = np.tanh(z[..., 3 * H:])
-    dz_o = None  # output-gate pre-activation gradient, set by h'.bwd
-
-    def c_bwd(gc):
-        dz = np.concatenate([gc * g * i * (1.0 - i),
-                             gc * cd * f * (1.0 - f),
-                             np.zeros_like(gc) if dz_o is None else dz_o,
-                             gc * i * (1.0 - g * g)], axis=-1)
-        cell.rows.append((dz, xd, hd))
-        if ad.needs_grad(x):        # not an input constant
-            ad.accumulate(x, dz @ cell.Ws)
-        if ad.needs_grad(h):        # not the zero initial state
-            ad.accumulate(h, dz @ cell.Us)
-        if ad.needs_grad(c):
-            ad.accumulate(c, gc * f)
-
-    c_new = ad.node(f * cd + i * g, (x, h, c, cell.node), c_bwd)
-    tc = np.tanh(c_new.data)
-
-    def h_bwd(gh):
-        nonlocal dz_o
-        dz_o = gh * tc * o * (1.0 - o)
-        ad.accumulate(c_new, gh * o * (1.0 - tc * tc))
-
-    return ad.node(o * tc, (c_new,), h_bwd), c_new
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (ifo, g, tc)
 
 
-def lstm_run(X, params):
-    """Unroll an LSTM from zero states over the steps of X, (T, B, d),
-    or (T, 2, B, d) for a StackedCell of two cells; returns the hidden
-    states stacked, (T, B, H) or (T, 2, B, H)."""
-    cell = params.stacked()
-    h = c = ad.constant(np.zeros(X.data.shape[1:-1] + (cell.hidden_dim,)))
-    states = []
-    for t in range(X.data.shape[0]):
-        h, c = lstm_cell_forward(ad.getrow(X, t), h, c, cell)
-        states.append(h)
-    return ad.stack(states)
+def lstm_run(X, *cells):
+    """Unroll an LSTM cell from zero states over the steps of X,
+    (T, B, d), or two cells side by side over (T, 2, B, d); returns the
+    hidden states, (T, B, H) or (T, 2, B, H), as one graph node.
+
+    The forward pass stacks the weights once and calls
+    `lstm_cell_forward` per step. The backward pass runs back through
+    time by hand: h_t's gradient is its output's plus dz_{t+1} Us, c_t's
+    is c_{t+1}'s times f_{t+1} plus h_t's through tanh, and X gets
+    dz_t Ws at step t. Each weight gradient is formed once over every
+    row of every step, one product per cell: dW = dZ^T X, dU = dZ^T H,
+    db = sum dZ. The weights must not change between the forward pass
+    and its backward pass, which nothing does: the optimizer steps
+    after backward, the gradient check perturbs between passes.
+    """
+    cell = StackedCell(*cells)
+    xs = X.data
+    zero = np.zeros(xs.shape[1:-1] + (cell.hidden_dim,), xs.dtype)
+    steps = [(zero, zero, None)]        # (h, c, cache) after each step
+    for x in xs:
+        steps.append(lstm_cell_forward(x, steps[-1][0], steps[-1][1], cell))
+
+    def bwd(gS):
+        H = cell.hidden_dim
+        rows = []           # (dZ, x, h) of each step, newest first
+        dh = dc = None      # what step t + 1 hands back to h_t and c_t
+        x_grad = ad.needs_grad(X)
+        for t in range(len(xs) - 1, -1, -1):
+            (h, c, _), (ifo, g, tc) = steps[t], steps[t + 1][2]
+            i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
+            gh = gS[t] if dh is None else gS[t] + dh
+            gc = gh * o * (1.0 - tc * tc)
+            if dc is not None:
+                gc = dc + gc
+            dz = np.concatenate([gc * g * i * (1.0 - i),
+                                 gc * c * f * (1.0 - f),
+                                 gh * tc * o * (1.0 - o),
+                                 gc * i * (1.0 - g * g)], axis=-1)
+            rows.append((dz, xs[t], h))
+            if x_grad:
+                ad.accumulate_at(X, t, dz @ cell.Ws)
+            if t:           # the initial states are zero constants
+                dh, dc = dz @ cell.Us, gc * f
+        # Join the rows along B; for two cells, one block per cell.
+        dZ, Xr, Hr = (np.concatenate(part, axis=-2) for part in zip(*rows))
+        dZt = dZ.swapaxes(-1, -2)
+        grads = (dZt @ Xr, dZt @ Hr, dZ.sum(axis=-2))
+        for cell_k, cell_grads in zip(cells, zip(*grads) if len(cells) == 2
+                                      else [grads]):
+            for params, grad in zip((cell_k.W, cell_k.U, cell_k.b),
+                                    cell_grads):
+                for k, gate in enumerate(GATES):
+                    ad.accumulate(params[gate], grad[k * H:(k + 1) * H])
+
+    params = tuple(p for c in cells for p in c.parameters())
+    return ad.node(np.array([s[0] for s in steps[1:]]), (X,) + params, bwd)
 
 
 def bilstm_forward(X, fwd, bwd, lengths=None):
@@ -242,9 +216,9 @@ def bilstm_forward(X, fwd, bwd, lengths=None):
     reversed within its own length, so it starts at the sentence's last
     token and no step needs a mask; padding steps only follow a
     sentence's own steps. One gather lays both directions' inputs side
-    by side, (T, 2, B, d), and one `lstm_run` over the two cells
-    stacked steps both at once, so a step is one `lstm_cell_forward`
-    call and the weight gradients one product per cell.
+    by side, (T, 2, B, d), and one `lstm_run` over the two cells steps
+    both at once, so a step is one `lstm_cell_forward` call and the
+    weight gradients one product per cell.
     """
     T, B = X.data.shape[:2]
     if T < 1:
@@ -257,8 +231,7 @@ def bilstm_forward(X, fwd, bwd, lengths=None):
     # puts the backward states back in token order.
     reverse = np.where(t < n, n - 1 - t, t)                     # (T, B)
     order = np.stack([np.broadcast_to(t, (T, B)), reverse], axis=1)
-    states = lstm_run(ad.getrow(X, (order, batch)),
-                      StackedCell(fwd, bwd))                   # (T, 2, B, H)
+    states = lstm_run(ad.getrow(X, (order, batch)), fwd, bwd)  # (T, 2, B, H)
     return (ad.concat([ad.getrow(states, (slice(None), 0)),
                        ad.getrow(states, (reverse, 1, batch))]),
             ad.getrow(states, (n - 1, 0, batch)),

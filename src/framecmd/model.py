@@ -13,14 +13,16 @@ layer and pools the encoder for frame classification.
 `forward` runs a batch of B sentences as one graph, right-padded to the
 longest, T tokens. Each layer hands the next one (T, B, d) tensor: the
 encoder states, the attention contexts and the highway output. Every
-LSTM whose inputs are known in advance runs through `layers.lstm_run`:
+LSTM whose inputs are known in advance is one `layers.lstm_run` node:
 the encoder, both of whose directions are one run, the teacher-forced
-layer-2 decoder and the layer-3 decoder (fed layer 2's labels); only
-greedy layer-2 decoding steps by hand. The heads' logits are
-(B, frames) and (T, B, labels), and a single sentence is a batch of
-one. A batch's gold labels are padded once, into a GoldBatch that
-teacher forcing and `joint_loss` share; `joint_loss` averages the
-per-sentence losses over the batch.
+layer-2 decoder and the layer-3 decoder (fed layer 2's labels). Greedy
+layer-2 decoding, which never backpropagates, steps the same array
+step, `layers.lstm_cell_forward`, and builds no graph. The heads'
+logits are (B, frames) and (T, B, labels), and a single sentence is a
+batch of one. A batch's gold labels are padded once, into a GoldBatch
+that teacher forcing and `joint_loss` share; `joint_loss` averages the
+per-sentence losses over the batch. Parameters must not change between
+a forward pass and its backward pass.
 """
 
 from __future__ import annotations
@@ -244,11 +246,6 @@ def _dropout_mask(shape, rate, rng):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def _greedy(h, head):
-    """Row-wise argmax of a head's logits at one decoder step."""
-    return np.argmax(h.data @ head.W.data.T + head.b.data, axis=-1)
-
-
 def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
             lengths=None):
     """Run the network over a batch of embedded sentences.
@@ -260,9 +257,9 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     padding steps come after its own steps, so they never reach its
     outputs. In train mode the layer-2 decoder is teacher-forced with
     the gold labels (a GoldLabels, or one per sentence); in infer mode
-    it consumes its own greedy predictions, step by step. Dropout is
-    applied to layer inputs only when a dropout_rng is supplied
-    (training).
+    it consumes its own greedy predictions, step by step, and its
+    logits are constants. Dropout is applied to layer inputs only when
+    a dropout_rng is supplied (training).
     """
     if mode == "train" and gold is None:
         raise ValueError("train mode requires gold labels")
@@ -304,21 +301,22 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
         labels2[1:] = gold.seq2
         states = L.lstm_run(L.decoder_input(parts, model.label_emb2,
                                             labels2[:-1], mask), model.l2_cell)
-    else:   # no dropout, so no mask
-        cell = model.l2_cell.stacked()
-        h = cc = ad.constant(np.zeros((B, c.decoder_hidden)))
-        states = []
+        seq2_logits = L.affine(states, model.l2_head)
+    else:   # greedy: array steps and no graph, as nothing backpropagates
+        cell, head = L.StackedCell(model.l2_cell), model.l2_head
+        h = cc = np.zeros((B, c.decoder_hidden), h1.data.dtype)
+        logits = []
         for t in range(T):
-            x = L.decoder_input([ad.getrow(p, t) for p in parts],
-                                model.label_emb2, labels2[t])
-            h, cc = L.lstm_cell_forward(x, h, cc, cell)
-            states.append(h)
-            labels2[t + 1] = _greedy(h, model.l2_head)
-        states = ad.stack(states)
+            x = np.concatenate([p.data[t] for p in parts]
+                               + [model.label_emb2.data[labels2[t]]], axis=-1)
+            h, cc, _ = L.lstm_cell_forward(x, h, cc, cell)
+            logits.append(h @ head.W.data.T + head.b.data)
+            labels2[t + 1] = np.argmax(logits[-1], axis=-1)
+        seq2_logits = ad.constant(np.array(logits))
 
     out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
-                      seq2_logits=L.affine(states, model.l2_head),
-                      seq2_labels=labels2[1:], attention_maps=maps)
+                      seq2_logits=seq2_logits, seq2_labels=labels2[1:],
+                      attention_maps=maps)
     if c.variant != "3L":
         return out
 

@@ -38,3 +38,14 @@ def tanh(a):
         ad.accumulate(a, g * (1.0 - t * t))
 
     return ad.node(t, (a,), bwd)
+
+
+def stack(parts):
+    """Stack equal-shaped tensors along a new leading axis."""
+    parts = tuple(parts)
+
+    def bwd(g):
+        for p, gp in zip(parts, g):
+            ad.accumulate(p, gp)
+
+    return ad.node(np.array([p.data for p in parts]), parts, bwd)

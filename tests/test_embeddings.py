@@ -29,10 +29,6 @@ class TestLoadEmbeddings:
         assert table.dim == 3
         assert len(table) == 2
 
-    def test_expected_dim_enforced(self):
-        with pytest.raises(EmbeddingError, match="line 1"):
-            load_embeddings("a 1.0 2.0\n", expected_dim=3)
-
     def test_load_determinism(self):
         text = "a 1.0 2.0\nb 3.0 4.0\n"
         t1, t2 = load_embeddings(text), load_embeddings(text)

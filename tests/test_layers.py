@@ -17,6 +17,13 @@ def random_cell(rng, input_dim, hidden_dim, prefix="cell"):
     return cell
 
 
+def step(x, h, c, cell):
+    """One array step of a single cell; returns (h', c')."""
+    h, c, _ = L.lstm_cell_forward(np.asarray(x, float), np.asarray(h, float),
+                                  np.asarray(c, float), L.StackedCell(cell))
+    return h, c
+
+
 def cell_dicts(cell):
     W = {g: cell.W[g].data.tolist() for g in L.GATES}
     U = {g: cell.U[g].data.tolist() for g in L.GATES}
@@ -29,22 +36,19 @@ class TestLstmCell:
         cell = L.LstmCellParams("c", 2, 3, seed=0)
         for p in cell.parameters():
             p.data = np.zeros_like(p.data)
-        h, c = L.lstm_cell_forward(ad.constant([0.0, 0.0]),
-                                   ad.constant(np.zeros(3)),
-                                   ad.constant(np.zeros(3)), cell)
-        np.testing.assert_array_equal(h.data, np.zeros(3))
-        np.testing.assert_array_equal(c.data, np.zeros(3))
+        h, c = step([0.0, 0.0], np.zeros(3), np.zeros(3), cell)
+        np.testing.assert_array_equal(h, np.zeros(3))
+        np.testing.assert_array_equal(c, np.zeros(3))
 
     def test_carry_half(self):
         # zero weights/biases, c=1: c' = 0.5, h' = 0.5*tanh(0.5)
         cell = L.LstmCellParams("c", 1, 1, seed=0)
         for p in cell.parameters():
             p.data = np.zeros_like(p.data)
-        h, c = L.lstm_cell_forward(ad.constant([0.0]), ad.constant([0.0]),
-                                   ad.constant([1.0]), cell)
-        np.testing.assert_allclose(c.data, [0.5], atol=1e-12)
-        np.testing.assert_allclose(h.data, [0.5 * np.tanh(0.5)], atol=1e-12)
-        np.testing.assert_allclose(h.data, [0.231059], atol=1e-6)
+        h, c = step([0.0], [0.0], [1.0], cell)
+        np.testing.assert_allclose(c, [0.5], atol=1e-12)
+        np.testing.assert_allclose(h, [0.5 * np.tanh(0.5)], atol=1e-12)
+        np.testing.assert_allclose(h, [0.231059], atol=1e-6)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(7)
@@ -53,18 +57,16 @@ class TestLstmCell:
             x = rng.normal(size=3)
             h0 = rng.normal(size=4)
             c0 = rng.normal(size=4)
-            h, c = L.lstm_cell_forward(ad.constant(x), ad.constant(h0),
-                                       ad.constant(c0), cell)
+            h, c = step(x, h0, c0, cell)
             eh, ec = lstm_cell_oracle(x.tolist(), h0.tolist(), c0.tolist(),
                                       *cell_dicts(cell))
-            np.testing.assert_allclose(h.data, eh, atol=1e-10)
-            np.testing.assert_allclose(c.data, ec, atol=1e-10)
+            np.testing.assert_allclose(h, eh, atol=1e-10)
+            np.testing.assert_allclose(c, ec, atol=1e-10)
 
     def test_dimension_mismatch(self):
         cell = L.LstmCellParams("c", 3, 4, seed=0)
         with pytest.raises(ValueError):
-            L.lstm_cell_forward(ad.constant([1.0]), ad.constant(np.zeros(4)),
-                                ad.constant(np.zeros(4)), cell)
+            step([1.0], np.zeros(4), np.zeros(4), cell)
 
 
 class TestBilstm:
@@ -74,12 +76,10 @@ class TestBilstm:
         bwd = random_cell(rng, 3, 2, "b")
         x = rng.normal(size=3)
         states, _, _ = L.bilstm_forward(ad.constant(x[None, None]), fwd, bwd)
-        zero = ad.constant(np.zeros(2))
-        hf, _ = L.lstm_cell_forward(ad.constant(x), zero, zero, fwd)
-        hb, _ = L.lstm_cell_forward(ad.constant(x), zero, zero, bwd)
+        hf, _ = step(x, np.zeros(2), np.zeros(2), fwd)
+        hb, _ = step(x, np.zeros(2), np.zeros(2), bwd)
         np.testing.assert_allclose(states.data[0, 0],
-                                   np.concatenate([hf.data, hb.data]),
-                                   atol=1e-14)
+                                   np.concatenate([hf, hb]), atol=1e-14)
 
     def test_palindrome_symmetry(self):
         rng = np.random.default_rng(9)
@@ -120,10 +120,10 @@ class TestBilstm:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_stacked_directions_match_a_per_direction_unroll(self, shared):
-        """One recurrence over both directions gives what unrolling each
-        direction step by step gives: states, final states and the
-        gradients of the input and of every weight, on a padded batch
-        and with one cell serving both directions."""
+        """One recurrence over both directions gives what a run of each
+        direction alone gives: states, final states and the gradients of
+        the input and of every weight, on a padded batch and with one
+        cell serving both directions."""
         rng = np.random.default_rng(34)
         fwd = random_cell(rng, 2, 3, "f")
         bwd = fwd if shared else random_cell(rng, 2, 3, "b")
@@ -146,21 +146,13 @@ class TestBilstm:
             return ([out.data for out in outputs],
                     {p.name: p.grad.copy() for p in params})
 
-        def unroll(cell, inputs):
-            h = c = ad.constant(np.zeros((B, H)))
-            states = []
-            for x in inputs:
-                h, c = L.lstm_cell_forward(x, h, c, cell)
-                states.append(h)
-            return ad.stack(states)
-
         batch = np.arange(B)
         n = np.array(lengths)
         # step t of the backward direction reads token n - 1 - t
         order = np.array([[k - 1 - t if t < k else t for k in lengths]
                           for t in range(T)])
-        f = unroll(fwd, [ad.getrow(X, t) for t in range(T)])
-        b = unroll(bwd, [ad.getrow(X, (order[t], batch)) for t in range(T)])
+        f = L.lstm_run(X, fwd)
+        b = L.lstm_run(ad.getrow(X, (order, batch)), bwd)
         apart = run([ad.concat([f, ad.getrow(b, (order, batch))]),
                      ad.getrow(f, (n - 1, batch)),
                      ad.getrow(b, (n - 1, batch))])
@@ -272,27 +264,22 @@ class TestFusedGradients:
     """Hand-written backward passes against central differences, with
     the inputs as Parameters so their gradients are checked too."""
 
-    @pytest.mark.parametrize("reads_h", [True, False])
-    def test_two_chained_lstm_steps(self, reads_h):
+    @pytest.mark.parametrize("every_h", [True, False])
+    def test_two_chained_lstm_steps(self, every_h):
+        # Without a loss on the first h, the first step's gradient comes
+        # only back through time, from the second step.
         from framecmd.autodiff import Parameter
         rng = np.random.default_rng(18)
         cell = random_cell(rng, 3, 4, "two")
-        x1 = Parameter("x1", rng.normal(size=3))
-        x2 = Parameter("x2", rng.normal(size=3))
-        h0 = Parameter("h0", rng.normal(size=4))
-        c0 = Parameter("c0", rng.normal(size=4))
-        wh = ad.constant(rng.normal(size=4))
-        wc = ad.constant(rng.normal(size=4))
+        X = Parameter("x", rng.normal(size=(2, 1, 3)))
+        gold = rng.integers(0, 4, (2, 1))
+        weights = np.array([[1.0 if every_h else 0.0], [0.7]])
 
         def fwd():
-            h, c = L.lstm_cell_forward(x1, h0, c0, cell)
-            h, c = L.lstm_cell_forward(x2, h, c, cell)
-            loss = G.dot(c, wc)
-            # without h the last step's c' gets no output-gate gradient
-            return ad.add(G.dot(h, wh), loss) if reads_h else loss
+            return L.softmax_cross_entropy(L.lstm_run(X, cell), gold,
+                                           weights)
 
-        params = list(cell.parameters()) + [x1, x2, h0, c0]
-        assert grad_check(fwd, params) < 1e-4
+        assert grad_check(fwd, list(cell.parameters()) + [X]) < 1e-4
 
     @pytest.mark.parametrize("self_attention", [True, False])
     def test_attention(self, self_attention):
@@ -337,13 +324,13 @@ class TestFusedGradients:
         cell = random_cell(rng, 3, 3)
         att = TestAttention.params(rng, 3, 3, 2)
         hw = L.HighwayParams("hw", 3, seed=0)
-        x = ad.constant(rng.normal(size=3)[None])
+        x = ad.Parameter("x", rng.normal(size=(2, 1, 3)))
         with ad.no_grad():
-            h, c = L.lstm_cell_forward(x, x, x, cell)
-            states = ad.stack([h, c])
+            states = L.lstm_run(x, cell)
             contexts, _ = L.attention(states, states, att)
             y = L.highway(x, hw)
-        for t in [h, c, y, contexts]:
+        for t in [states, y, contexts]:
+            assert type(t) is ad.Tensor
             assert t.parents == ()
             assert t.bwd is None
 
@@ -406,9 +393,8 @@ class TestGradCheckHarness:
         x = rng.normal(size=3)
 
         def fwd():
-            h, c = L.lstm_cell_forward(ad.constant(x),
-                                       ad.constant(np.zeros(4)),
-                                       ad.constant(np.zeros(4)), cell)
+            h = ad.getrow(L.lstm_run(ad.constant(x[None, None]), cell),
+                          (0, 0))
             y = L.highway(h, hw)
             return G.dot(y, y)
 
@@ -468,13 +454,11 @@ class TestRowBatches:
         rng = np.random.default_rng(25)
         cell = random_cell(rng, 3, 4)
         x, h, c = (rng.normal(size=(5, n)) for n in (3, 4, 4))
-        hb, cb = L.lstm_cell_forward(ad.constant(x), ad.constant(h),
-                                     ad.constant(c), cell.stacked())
+        hb, cb = step(x, h, c, cell)
         for r in range(5):
-            h1, c1 = L.lstm_cell_forward(ad.constant(x[r]), ad.constant(h[r]),
-                                         ad.constant(c[r]), cell)
-            np.testing.assert_allclose(hb.data[r], h1.data, atol=1e-12)
-            np.testing.assert_allclose(cb.data[r], c1.data, atol=1e-12)
+            h1, c1 = step(x[r], h[r], c[r], cell)
+            np.testing.assert_allclose(hb[r], h1, atol=1e-12)
+            np.testing.assert_allclose(cb[r], c1, atol=1e-12)
 
     def test_highway_rows(self):
         rng = np.random.default_rng(26)
@@ -541,35 +525,99 @@ class TestRowBatches:
         np.testing.assert_array_equal(step.data, expected[1])
 
 
-class TestSharedCell:
-    def test_weight_gradients_match_a_fresh_cell_per_step(self):
-        """One StackedCell forms each weight gradient once over all the
-        steps that used it; the same steps made with a fresh cell each
-        give the same per-gate gradients."""
-        rng = np.random.default_rng(33)
-        cell = random_cell(rng, 3, 4, "shared")
-        X = np.array([rng.normal(size=(2, 3)) for _ in range(5)])
-        gold = rng.integers(0, 4, (5, 2))
-        weights = rng.random((5, 2))
+class TestLstmRun:
+    """`lstm_run` is one graph node per run: its forward pass steps with
+    `lstm_cell_forward`, its backward pass runs back through time."""
 
-        def grads(states):
-            for p in cell.parameters():
+    @staticmethod
+    def cross_entropy(states, rng, weights=None):
+        """A loss on every h: a cross-entropy over each state's entries
+        with fixed random labels and row weights."""
+        rows = states.data.shape[:-1]
+        gold = rng.integers(0, states.data.shape[-1], rows)
+        weights = rng.random(rows) if weights is None else weights
+        return L.softmax_cross_entropy(states, gold, weights)
+
+    def test_gradients_at_one_step(self):
+        rng = np.random.default_rng(35)
+        cell = random_cell(rng, 3, 4, "one")
+        X = ad.Parameter("x", rng.normal(size=(1, 2, 3)))
+
+        def fwd():
+            return self.cross_entropy(L.lstm_run(X, cell),
+                                      np.random.default_rng(0))
+
+        assert grad_check(fwd, list(cell.parameters()) + [X]) < 1e-4
+
+    def test_gradients_on_a_padded_batch(self):
+        # Padding steps come after a sentence's own and carry no loss,
+        # so the input's padding rows get an exactly zero gradient.
+        rng = np.random.default_rng(36)
+        cell = random_cell(rng, 3, 4, "pad")
+        X = ad.Parameter("x", rng.normal(size=(4, 3, 3)))
+        own = np.arange(4)[:, None] < np.array([4, 1, 3])
+        weights = own * rng.random(own.shape)
+
+        def fwd():
+            return self.cross_entropy(L.lstm_run(X, cell),
+                                      np.random.default_rng(0), weights)
+
+        assert grad_check(fwd, list(cell.parameters()) + [X]) < 1e-4
+        X.zero_grad()
+        ad.backward(fwd())
+        assert np.all(X.grad[~own] == 0.0)
+        assert np.all(X.grad[own] != 0.0)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_two_cells_match_two_one_cell_runs(self, shared):
+        """Two cells side by side give each cell's own run: states and
+        the gradients of the input and of every weight. A cell in both
+        places gets the sum of both runs' weight gradients."""
+        rng = np.random.default_rng(37)
+        a = random_cell(rng, 3, 4, "a")
+        b = a if shared else random_cell(rng, 3, 4, "b")
+        X = ad.Parameter("x", rng.normal(size=(3, 2, 2, 3)))
+        params = [X] + list(a.parameters()) + (
+            [] if shared else list(b.parameters()))
+
+        def grads(runs):
+            for p in params:
                 p.zero_grad()
-            ad.backward(L.softmax_cross_entropy(states, gold, weights))
-            return {p.name: p.grad.copy() for p in cell.parameters()}
+            rng = np.random.default_rng(0)
+            loss = None
+            for states in runs:
+                term = self.cross_entropy(states, rng)
+                loss = term if loss is None else ad.add(loss, term)
+            ad.backward(loss)
+            return ([s.data for s in runs],
+                    {p.name: p.grad.copy() for p in params})
 
-        shared = cell.stacked()
-        together = grads(L.lstm_run(ad.constant(X), shared))
-        assert shared.rows == []        # consumed by the cell's node
-        h = c = ad.constant(np.zeros((2, 4)))
-        states = []
-        for x in X:
-            h, c = L.lstm_cell_forward(ad.constant(x), h, c, cell.stacked())
-            states.append(h)
-        apart = grads(ad.stack(states))
-        for name, g in together.items():
+        pair = L.lstm_run(X, a, b)
+        together = grads([ad.getrow(pair, (slice(None), k)) for k in (0, 1)])
+        apart = grads([L.lstm_run(ad.getrow(X, (slice(None), k)), cell)
+                       for k, cell in enumerate((a, b))])
+        for got, want in zip(together[0], apart[0]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name, g in apart[1].items():
             assert g.any()
-            np.testing.assert_allclose(g, apart[name], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(together[1][name], g, rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    def test_steps_through_the_module_step(self, monkeypatch):
+        # One `lstm_cell_forward` call per step, looked up as a module
+        # global, on a cell that carries its layer's parameter names.
+        rng = np.random.default_rng(39)
+        cell = random_cell(rng, 3, 4, "layer9.cell")
+        seen = []
+        step_fn = L.lstm_cell_forward
+
+        def counting(x, h, c, stacked):
+            seen.append(stacked.W["i"].name)
+            return step_fn(x, h, c, stacked)
+
+        monkeypatch.setattr(L, "lstm_cell_forward", counting)
+        L.lstm_run(ad.constant(rng.normal(size=(5, 2, 3))), cell)
+        assert seen == ["layer9.cell.W_i"] * 5
 
 
 class TestBatchedGradients:
@@ -637,19 +685,17 @@ class TestBatchedGradients:
         hw = L.HighwayParams("hw", 3, seed=1)
         table = Parameter("emb", rng.normal(size=(4, 2)))
         a = Parameter("a", rng.normal(size=(2, 2, 3)))     # T = 2
-        h0 = Parameter("h0", rng.normal(size=(2, 3)))
-        c0 = Parameter("c0", rng.normal(size=(2, 3)))
         mask = rng.random((2, 2, 5))
 
         def fwd_fn():
             # three rows look up the same label row: their gradients add
             x = L.decoder_input([L.highway(a, hw)], table,
                                 np.array([[2, 2], [2, 0]]), mask)
-            h, c = L.lstm_cell_forward(ad.getrow(x, 0), h0, c0, cell)
-            h, c = L.lstm_cell_forward(ad.getrow(x, 1), h, c, cell.stacked())
-            return self.loss_of([h, c, L.lstm_run(x, cell)],
+            # a second run over the last step also feeds x's gradient
+            return self.loss_of([L.lstm_run(x, cell),
+                                 L.lstm_run(ad.getrow(x, slice(1, None)),
+                                            cell)],
                                 np.random.default_rng(0))()
 
-        params = (list(cell.parameters()) + hw.parameters()
-                  + [table, a, h0, c0])
+        params = list(cell.parameters()) + hw.parameters() + [table, a]
         assert grad_check(fwd_fn, params) < 1e-4

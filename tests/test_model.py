@@ -183,9 +183,9 @@ class TestForward:
         seen = []
         run = layers.lstm_run
 
-        def counting(X, params):
-            seen.append(params)
-            return run(X, params)
+        def counting(X, *cells):
+            seen.append(cells)
+            return run(X, *cells)
 
         monkeypatch.setattr(layers, "lstm_run", counting)
         m = build_model(small_config(variant), VOCAB)
@@ -193,7 +193,8 @@ class TestForward:
         gold = gold_labels(sentence(), VOCAB, variant)
         forward(m, emb, gold=gold, mode=mode)
         assert len(seen) == calls
-        assert (m.l2_cell in seen) == (mode == "train")
+        assert seen[0] == (m.l1_fwd, m.l1_bwd)
+        assert ((m.l2_cell,) in seen) == (mode == "train")
 
     def test_forward_purity(self):
         m = build_model(small_config(), VOCAB)
@@ -653,11 +654,9 @@ class TestBatchGraphSize:
                           golds)
         assert len(reachable(loss)) / sum(len(e) for e in embs) < 6
 
-    def test_3l_att_graph_grows_by_8_nodes_per_token(self):
-        # Per token: c' and h' of the encoder's step, which runs both
-        # directions, and of each of the two decoders' steps, and one
-        # input per step of each decoder. Every other op runs once per
-        # sequence, whatever its length.
+    def test_3l_att_graph_size_does_not_depend_on_length(self):
+        # Every op, each LSTM run included, is one node per sequence,
+        # whatever its length.
         m = build_model(small_config(), VOCAB)
         counts = []
         for n in (5, 6, 7):
@@ -668,7 +667,7 @@ class TestBatchGraphSize:
             gold = gold_labels(s, VOCAB, "3L")
             loss = joint_loss(forward(m, emb, gold=gold, mode="train"), gold)
             counts.append(sum(t.bwd is not None for t in reachable(loss)))
-        assert np.diff(counts).tolist() == [8, 8]
+        assert np.diff(counts).tolist() == [0, 0]
 
 
 class TestPredict:
