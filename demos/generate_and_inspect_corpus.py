@@ -27,8 +27,8 @@ print(f"typed IOB alphabet: {vocab.typed_iob}")
 s = corpus[0]
 print(f"\nIOB encodings for {s.id}:")
 print(f"  tokens: {list(s.tokens)}")
-print(f"  plain:  {list(encode_iob(s, typed=False).labels)}")
-print(f"  typed:  {list(encode_iob(s, typed=True).labels)}")
+print(f"  plain:  {list(encode_iob(s, typed=False))}")
+print(f"  typed:  {list(encode_iob(s, typed=True))}")
 
 folds = make_folds(corpus, k=5, seed=0)
 sizes = [sum(1 for f in folds.assignment.values() if f == i)

@@ -7,7 +7,6 @@ import contextlib
 import json
 import sys
 from dataclasses import fields, replace
-from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
@@ -77,17 +76,24 @@ def parse_config_text(text):
     return values
 
 
+# The paper's four parsers share one set of hyperparameters, the
+# ModelConfig and TrainConfig defaults; a preset names the architecture.
+PRESETS = {"2l_att": {"variant": "2L", "attention": True},
+           "2l_no_att": {"variant": "2L", "attention": False},
+           "3l_att": {"variant": "3L", "attention": True},
+           "3l_no_att": {"variant": "3L", "attention": False}}
+
+
 def load_config(name_or_path):
-    """Read a config file; bare names resolve to the shipped presets
-    (2L-ATT, 2L-NO-ATT, 3L-ATT, 3L-NO-ATT)."""
+    """The config values of a file, or of a preset named 2l_att,
+    2l_no_att, 3l_att or 3l_no_att (any case, - for _)."""
     path = Path(name_or_path)
     if path.exists():
         return parse_config_text(_read_text(path, ConfigError, "config"))
-    preset = name_or_path.lower().replace("-", "_")
-    res = resources.files("framecmd").joinpath(f"configs/{preset}.cfg")
-    if res.is_file():
-        return parse_config_text(res.read_text(encoding="utf-8"))
-    raise ConfigError(f"no such config file or preset: {name_or_path}")
+    preset = PRESETS.get(name_or_path.lower().replace("-", "_"))
+    if preset is None:
+        raise ConfigError(f"no such config file or preset: {name_or_path}")
+    return dict(preset)
 
 
 def build_configs(values, overrides=()):
@@ -207,8 +213,7 @@ def cmd_eval(args):
 
 def cmd_parse(args):
     if not args.sentence.strip():
-        print("error: empty sentence", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("empty sentence")
     model, table = load_checkpoint(args.ckpt)
     tokens = args.sentence.split()
     parsed = predict(model, table, tokens)

@@ -52,12 +52,6 @@ class AnnotatedSentence:
                         f"missing element {idx}")
 
 
-@dataclass(frozen=True)
-class LabelSequence:
-    labels: tuple
-    scheme: str  # "IOB" or "IOB_TYPED"
-
-
 def parse_corpus(data):
     """Parse text of newline-delimited JSON records into validated
     sentences.
@@ -156,13 +150,13 @@ def serialize_corpus(sentences):
 
 
 def encode_iob(sentence, typed):
-    """Element spans -> per-token IOB (or typed IOB) labels."""
+    """Element spans -> per-token IOB (or typed IOB) labels, a tuple."""
     labels = ["O"] * len(sentence.tokens)
     for etype, (s, e) in sentence.frame.elements:
         labels[s] = f"B-{etype}" if typed else "B"
         for i in range(s + 1, e + 1):
             labels[i] = f"I-{etype}" if typed else "I"
-    return LabelSequence(tuple(labels), "IOB_TYPED" if typed else "IOB")
+    return tuple(labels)
 
 
 def decode_iob(labels):
@@ -172,8 +166,6 @@ def decode_iob(labels):
     a compatible open segment is treated as B (or B-t). Untyped spans get
     element_type None.
     """
-    if isinstance(labels, LabelSequence):
-        labels = labels.labels
     spans = []
     open_type = None
     open_start = None
@@ -255,20 +247,14 @@ def make_folds(corpus, k, seed):
     by_frame = {}
     for s in corpus:
         by_frame.setdefault(s.frame.frame_type, []).append(s.id)
-    stratify = all(len(ids) >= k for ids in by_frame.values())
-    assignment = {}
-    counter = 0
-    if stratify:
-        for frame in sorted(by_frame):
-            ids = sorted(by_frame[frame])
-            rng.shuffle(ids)
-            for sid in ids:
-                assignment[sid] = counter % k
-                counter += 1
+    if all(len(ids) >= k for ids in by_frame.values()):
+        groups = [by_frame[frame] for frame in sorted(by_frame)]
     else:
-        ids = sorted(s.id for s in corpus)
+        groups = [[s.id for s in corpus]]
+    order = []
+    for group in groups:
+        ids = sorted(group)
         rng.shuffle(ids)
-        for sid in ids:
-            assignment[sid] = counter % k
-            counter += 1
-    return FoldAssignment(k=k, assignment=assignment)
+        order += ids
+    return FoldAssignment(k=k, assignment={sid: i % k
+                                           for i, sid in enumerate(order)})

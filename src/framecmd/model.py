@@ -189,17 +189,15 @@ class GoldLabels:
 def gold_labels(sentence, vocab, variant):
     """Index-space gold labels for teacher forcing and the joint loss."""
     frame = vocab.frame_index(sentence.frame.frame_type)
+    typed = encode_iob(sentence, typed=True)
     if variant == "2L":
-        typed = encode_iob(sentence, typed=True).labels
         seq2 = tuple(vocab.typed_iob.index(l) for l in typed)
         return GoldLabels(frame=frame, seq2=seq2)
-    plain = encode_iob(sentence, typed=False).labels
+    plain = encode_iob(sentence, typed=False)
     seq2 = tuple(vocab.iob.index(l) for l in plain)
-    types = ["O"] * len(sentence.tokens)
-    for etype, (s, e) in sentence.frame.elements:
-        for i in range(s, e + 1):
-            types[i] = etype
-    seq3 = tuple(vocab.ac_labels.index(t) for t in types)
+    # A token's type is its typed label without the B-/I- prefix.
+    seq3 = tuple(vocab.ac_labels.index("O" if l == "O" else l[2:])
+                 for l in typed)
     return GoldLabels(frame=frame, seq2=seq2, seq3=seq3)
 
 
@@ -233,10 +231,8 @@ class GoldBatch:
 
 
 def _gold_batch(gold):
-    """A GoldBatch, a GoldLabels or a sequence of them, as a GoldBatch."""
-    if isinstance(gold, GoldBatch):
-        return gold
-    return gold.batch if isinstance(gold, GoldLabels) else GoldBatch(gold)
+    """A GoldBatch, or a GoldLabels as its GoldBatch of one."""
+    return gold if isinstance(gold, GoldBatch) else gold.batch
 
 
 def _dropout_mask(shape, rate, rng):
@@ -256,10 +252,10 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     one right-padded graph over (T, B, .) tensors, and each sentence's
     padding steps come after its own steps, so they never reach its
     outputs. In train mode the layer-2 decoder is teacher-forced with
-    the gold labels (a GoldLabels, or one per sentence); in infer mode
-    it consumes its own greedy predictions, step by step, and its
-    logits are constants. Dropout is applied to layer inputs only when
-    a dropout_rng is supplied (training).
+    the gold labels (a GoldBatch, or one sentence's GoldLabels); in
+    infer mode it consumes its own greedy predictions, step by step,
+    and its logits are constants. Dropout is applied to layer inputs
+    only when a dropout_rng is supplied (training).
     """
     if mode == "train" and gold is None:
         raise ValueError("train mode requires gold labels")
@@ -337,10 +333,10 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
 def joint_loss(output, gold):
     """Mean over the batch's sentences of each sentence's loss: the sum
     of the per-task cross-entropies, token heads averaged over the
-    sentence so length does not dominate. gold is a GoldBatch, a
-    GoldLabels or one per sentence. Each head is one fused
-    cross-entropy node over its stacked logits, weighted 1 / B per
-    sentence, and 1 / (B * length) per token and 0 on padding."""
+    sentence so length does not dominate. gold is a GoldBatch, or one
+    sentence's GoldLabels. Each head is one fused cross-entropy node
+    over its stacked logits, weighted 1 / B per sentence, and
+    1 / (B * length) per token and 0 on padding."""
     gold = _gold_batch(gold)
     B = len(output.lengths)
     if not np.array_equal(gold.lengths, output.lengths):
@@ -453,8 +449,9 @@ def save_checkpoint(path, model, table):
 
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint. Any unreadable
-    file, malformed header, or payload whose length is not exactly what
-    the header implies raises CheckpointError."""
+    file, malformed header, payload whose length is not exactly what
+    the header implies, or payload value that is not finite raises
+    CheckpointError."""
     from .embeddings import EmbeddingTable
 
     try:
@@ -494,6 +491,10 @@ def load_checkpoint(path):
             f"checkpoint payload is {len(blob)} bytes; its header implies "
             f"{8 * size} (truncated, padded or trailing data)")
     data = np.frombuffer(blob, dtype="<f8")
+    bad = data.size - np.count_nonzero(np.isfinite(data))
+    if bad:
+        raise CheckpointError(f"checkpoint payload: {bad} of {data.size} "
+                              f"values are not finite (nan or inf)")
     off = 0
     for name, shape in shapes:
         p = by_name[name]

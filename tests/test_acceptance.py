@@ -133,12 +133,12 @@ def test_overfit_experiment(overfit_bundle, demo_maps):
 
     tok_correct = tok_total = 0
     for s in corpus:
-        gold = encode_iob(s, typed=True).labels
+        gold = encode_iob(s, typed=True)
         pred_sentence = AnnotatedSentence(
             id=s.id, tokens=s.tokens,
             frame=FrameAnnotation(s.frame.frame_type, s.frame.lexical_unit,
                                   tuple(parses[s.id].elements)))
-        pred = encode_iob(pred_sentence, typed=True).labels
+        pred = encode_iob(pred_sentence, typed=True)
         tok_correct += sum(g == p for g, p in zip(gold, pred))
         tok_total += len(gold)
     tok_acc = tok_correct / tok_total
@@ -240,10 +240,10 @@ def test_iob_codec_round_trip():
         s = AnnotatedSentence(
             id="r", tokens=tuple(f"w{i}" for i in range(T)),
             frame=FrameAnnotation("Motion", (0, 0), tuple(spans)))
-        typed = decode_iob(encode_iob(s, typed=True).labels)
+        typed = decode_iob(encode_iob(s, typed=True))
         if [(t, sp) for t, sp in typed] != spans:
             failures += 1
-        plain = decode_iob(encode_iob(s, typed=False).labels)
+        plain = decode_iob(encode_iob(s, typed=False))
         if [sp for _, sp in plain] != [sp for _, sp in spans]:
             failures += 1
     _verdict("IOB codec round trip", failures == 0,

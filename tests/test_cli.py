@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framecmd.cli import main
+from framecmd.cli import build_configs, load_config, main
 from framecmd.model import CheckpointError, load_checkpoint, save_checkpoint
 
 FAST_OVERRIDES = ["--override", "epochs=2", "--override", "hidden_size=4",
@@ -123,6 +124,22 @@ class TestTrain:
                    "--config", "9l_att"])
         assert rc == 2
 
+    # The paper's presets: one set of hyperparameters for all four
+    # parsers, written out so that a changed dataclass default fails here.
+    @pytest.mark.parametrize("name,variant,attention", [
+        ("2l_att", "2L", True), ("2l_no_att", "2L", False),
+        ("3l_att", "3L", True), ("3l_no_att", "3L", False),
+        ("3L-NO-ATT", "3L", False)])
+    def test_preset_values(self, name, variant, attention):
+        model_cfg, train_cfg = build_configs(load_config(name))
+        assert asdict(model_cfg) == {
+            "variant": variant, "attention": attention, "embedding_dim": 50,
+            "hidden_size": 32, "decoder_hidden": 32, "attention_size": 16,
+            "label_embedding_dim": 8, "dropout": 0.3, "seed": 42}
+        assert asdict(train_cfg) == {
+            "epochs": 150, "batch_size": 8, "lr": 0.001,
+            "optimizer": "adam", "patience": 10, "seed": 42, "k": 5}
+
 
 class TestEval:
     def test_checkpoint_eval_with_map(self, workdir, capsys):
@@ -222,6 +239,17 @@ class TestParse:
         with pytest.raises(CheckpointError):
             load_checkpoint(padded)
         assert main(["parse", str(padded), "go home"]) == 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_checkpoint_value_exit_4(self, overfit_ckpt, tmp_path,
+                                                capsys, value):
+        # The value replaces the payload's first float, of ad_head.W.
+        header, payload = Path(overfit_ckpt).read_bytes().split(b"\n", 1)
+        bad = tmp_path / "non_finite.ckpt"
+        bad.write_bytes(header + b"\n" + np.array([value], "<f8").tobytes()
+                        + payload[8:])
+        assert main(["parse", str(bad), "go home"]) == 4
+        assert "not finite" in assert_one_line_error(capsys)
 
 
 class TestGradcheck:

@@ -77,16 +77,16 @@ class TestIobCodec:
     def test_encode_typed(self):
         s = make_sentence(["take", "the", "book", "to", "the", "kitchen"],
                           [("Theme", (1, 2)), ("Goal", (3, 5))])
-        assert encode_iob(s, typed=True).labels == (
+        assert encode_iob(s, typed=True) == (
             "O", "B-Theme", "I-Theme", "B-Goal", "I-Goal", "I-Goal")
 
     def test_encode_no_elements(self):
         s = make_sentence(["go", "home"], [])
-        assert encode_iob(s, typed=True).labels == ("O", "O")
+        assert encode_iob(s, typed=True) == ("O", "O")
 
     def test_encode_untyped_single_token(self):
         s = make_sentence(["book", "to", "me", "now"], [("Theme", (0, 0))])
-        assert encode_iob(s, typed=False).labels == ("B", "O", "O", "O")
+        assert encode_iob(s, typed=False) == ("B", "O", "O", "O")
 
     def test_decode_inverse_of_encode(self):
         labels = ["O", "B-Theme", "I-Theme", "B-Goal", "I-Goal", "I-Goal"]

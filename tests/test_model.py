@@ -293,8 +293,8 @@ class TestJointLoss:
 
     @pytest.mark.parametrize("variant", ["2L", "3L"])
     def test_gold_forms_give_the_same_loss(self, variant):
-        # A list of GoldLabels, the GoldBatch padded from it and, for one
-        # sentence, its GoldLabels alone teach and score alike.
+        # A GoldBatch and the same batch padded again teach and score
+        # alike, and so do one sentence's GoldLabels and its GoldBatch.
         sents = sentences_3_to_7()
         table = random_embeddings([t for s in sents for t in s.tokens], 6,
                                   seed=1)
@@ -307,11 +307,11 @@ class TestJointLoss:
             return float(joint_loss(forward(m, emb, gold=gold, mode="train",
                                             lengths=lengths), gold).data)
 
-        assert loss(emb, golds, lengths) == loss(emb, batch, batch.lengths)
+        assert loss(emb, GoldBatch(golds), lengths) == loss(emb, batch,
+                                                            batch.lengths)
         one = emb[:lengths[0]]
         gold = golds[0]
-        assert loss(one, gold) == loss(one, [gold]) == loss(
-            one, GoldBatch([gold]))
+        assert loss(one, gold) == loss(one, GoldBatch([gold]))
         assert gold.batch is gold.batch     # padded once per GoldLabels
 
     def test_mismatched_gold_lengths_raise_value_error(self):
@@ -321,7 +321,7 @@ class TestJointLoss:
         out = forward(m, emb, gold=gold, mode="train")
         short = type(gold)(frame=gold.frame, seq2=gold.seq2[:-1],
                            seq3=gold.seq3[:-1])
-        for bad in (short, [short], GoldBatch([short]), [gold, gold]):
+        for bad in (short, GoldBatch([short]), GoldBatch([gold, gold])):
             with pytest.raises(ValueError):
                 joint_loss(out, bad)
             with pytest.raises(ValueError):
@@ -553,7 +553,8 @@ class TestBatch:
                                   seed=1)
         m = build_model(small_config(variant, attention), VOCAB)
         emb, lengths, golds = batch_of(sents, table, variant)
-        out = forward(m, emb, gold=golds, mode=mode, lengths=lengths)
+        out = forward(m, emb, gold=GoldBatch(golds), mode=mode,
+                      lengths=lengths)
         T = max(lengths)
         assert out.seq2_logits.data.shape[:2] == (T, 4)
         start = 0
@@ -586,8 +587,9 @@ class TestBatch:
         emb, lengths, golds = batch_of(sents, table, variant)
         for p in m.parameters():
             p.zero_grad()
-        loss = joint_loss(forward(m, emb, gold=golds, mode="train",
-                                  lengths=lengths), golds)
+        batch = GoldBatch(golds)
+        loss = joint_loss(forward(m, emb, gold=batch, mode="train",
+                                  lengths=lengths), batch)
         ad.backward(loss)
         batch_grads = {p.name: p.grad.copy() for p in m.parameters()}
         mean = {name: np.zeros_like(g) for name, g in batch_grads.items()}
@@ -617,10 +619,11 @@ class TestBatch:
                                   seed=1)
         m = build_model(small_config(variant, attention), VOCAB)
         emb, lengths, golds = batch_of(sents, table, variant)
+        batch = GoldBatch(golds)
 
         def fwd():
-            return joint_loss(forward(m, emb, gold=golds, mode="train",
-                                      lengths=lengths), golds)
+            return joint_loss(forward(m, emb, gold=batch, mode="train",
+                                      lengths=lengths), batch)
 
         assert grad_check(fwd, m.parameters(), max_coords=6, seed=2) < 1e-4
 
@@ -647,7 +650,7 @@ class TestBatchGraphSize:
         m = build_model(model_cfg, vocab)
         assert m.config.dropout > 0
         embs = [embed_sentence(table, list(s.tokens)) for s in sents]
-        golds = [gold_labels(s, vocab, "3L") for s in sents]
+        golds = GoldBatch(gold_labels(s, vocab, "3L") for s in sents)
         loss = joint_loss(forward(m, np.concatenate(embs), gold=golds,
                                   mode="train", lengths=[len(e) for e in embs],
                                   dropout_rng=np.random.default_rng(0)),
