@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -212,22 +213,37 @@ def cmd_eval(args):
 
 
 def cmd_parse(args):
-    if not args.sentence.strip():
+    """Parse SENTENCE; or, when it is "-", each line of stdin as it
+    arrives, loading the checkpoint and map once. Each answer is one
+    JSON line, flushed at once. A bad line ends the run with its error,
+    after the answers to the lines before it."""
+    stream = args.sentence == "-"
+    if not (stream or args.sentence.strip()):
         raise ConfigError("empty sentence")
+    if stream and sys.stdin is None:
+        raise ConfigError("parse -: stdin is closed")
     model, table = load_checkpoint(args.ckpt)
-    tokens = args.sentence.split()
-    parsed = predict(model, table, tokens)
-    doc = {"tokens": tokens,
-           "frame_type": parsed.frame_type,
-           "elements": [{"type": t, "span": list(s)}
-                        for t, s in parsed.elements]}
-    if args.map:
-        grounded = ground_command(parsed, tokens, _read_map(args.map))
-        doc["groundings"] = [{"type": t, "span": list(s), "entity": e}
-                             for t, s, e in grounded.groundings]
-    if args.show_attention and parsed.attention:
-        doc["attention"] = {k: v.tolist() for k, v in parsed.attention.items()}
-    sys.stdout.write(json.dumps(doc) + "\n")
+    smap = _read_map(args.map) if args.map else None
+    # A stdin line is decoded as the same text given as an argument is.
+    lines = map(os.fsdecode, sys.stdin.buffer) if stream else [args.sentence]
+    for sentence in lines:
+        tokens = sentence.split()
+        if not tokens:
+            raise ConfigError("empty sentence")
+        parsed = predict(model, table, tokens)
+        doc = {"tokens": tokens,
+               "frame_type": parsed.frame_type,
+               "elements": [{"type": t, "span": list(s)}
+                            for t, s in parsed.elements]}
+        if smap is not None:
+            grounded = ground_command(parsed, tokens, smap)
+            doc["groundings"] = [{"type": t, "span": list(s), "entity": e}
+                                 for t, s, e in grounded.groundings]
+        if args.show_attention and parsed.attention:
+            doc["attention"] = {k: v.tolist()
+                                for k, v in parsed.attention.items()}
+        sys.stdout.write(json.dumps(doc) + "\n")
+        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -250,6 +266,8 @@ def cmd_gradcheck(args):
         raise ConfigError(f"--eps must be positive and finite; got {args.eps}")
     if args.hidden < 1:
         raise ConfigError(f"--hidden must be >= 1; got {args.hidden}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0; got {args.seed}")
     vocab, table, sentence = _gradcheck_fixture(args.seed)
     embedded = embed_sentence(table, list(sentence.tokens))
     all_pass = True
@@ -324,9 +342,10 @@ def build_parser():
     p.add_argument("--out", default=None, help="metrics JSON path")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("parse", help="parse one sentence with a checkpoint")
+    p = sub.add_parser("parse", help="parse a sentence with a checkpoint")
     p.add_argument("ckpt")
-    p.add_argument("sentence")
+    p.add_argument("sentence", help='the command; "-" reads one per line '
+                                    'of stdin')
     p.add_argument("--map", default=None)
     p.add_argument("--show-attention", action="store_true")
     p.set_defaults(fn=cmd_parse)

@@ -3,6 +3,7 @@ label vocabularies and deterministic k-fold splitting."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -208,7 +209,8 @@ class LabelVocab:
     iob: tuple = ("O", "B", "I")
     element_types: tuple = ()
 
-    @property
+    # Stored in the instance __dict__, which frozen does not guard.
+    @functools.cached_property
     def typed_iob(self):
         return ("O",) + tuple(sorted(
             f"{p}-{t}" for t in self.element_types for p in ("B", "I")))

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .layers import seeded_rng
+
 
 class EmbeddingError(Exception):
     pass
@@ -85,9 +87,7 @@ def random_embeddings(tokens, dim=50, seed=0):
     the token string and the seed)."""
     vectors = {}
     for tok in sorted(set(tokens)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed)] + list(tok.encode("utf-8"))))
-        vectors[tok] = rng.uniform(-0.5, 0.5, dim)
+        vectors[tok] = seeded_rng(seed, tok).uniform(-0.5, 0.5, dim)
     return EmbeddingTable(dim, vectors)
 
 

@@ -22,6 +22,8 @@ padded batch computes every sentence as that sentence alone would."""
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from . import autodiff as ad
@@ -30,15 +32,49 @@ from .autodiff import Parameter
 GATES = ("i", "f", "o", "g")
 
 
+# Module-level switch, like `autodiff.grad_enabled`: skip_init() turns
+# it off, and init_params then returns zeros.
+seeded_init = True
+
+
+@contextlib.contextmanager
+def skip_init():
+    """Within it, init_params draws no random values and returns zeros:
+    for building a model whose every parameter is then overwritten, as
+    `model.load_checkpoint` does."""
+    global seeded_init
+    prev, seeded_init = seeded_init, False
+    try:
+        yield
+    finally:
+        seeded_init = prev
+
+
+def seeded_rng(seed, name):
+    """The random generator of (seed, name), seed a non-negative integer
+    and name a string. Its SeedSequence entropy is one uint32 array:
+    the seed as 32-bit words, low word first, then the name's UTF-8
+    bytes. That is how numpy reads `[seed] + list(name.encode())`, but
+    a list is converted element by element, about 5x slower."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0; got {seed}")
+    words = [(seed >> k) & 0xFFFFFFFF
+             for k in range(0, max(seed.bit_length(), 1), 32)]
+    return np.random.default_rng(np.random.SeedSequence(
+        np.array(words + list(name.encode("utf-8")), dtype=np.uint32)))
+
+
 def init_params(shape, seed, scheme, name=""):
     """Deterministic initial tensor for a parameter.
 
     schemes: glorot_uniform (weights), zeros (biases),
     forget_bias_one (LSTM forget-gate bias). The RNG stream is derived
     from (seed, name) so every parameter is independent and stable.
+    Under skip_init() every scheme gives zeros.
     """
     shape = tuple(int(s) for s in shape)
-    if scheme == "zeros":
+    if scheme == "zeros" or not seeded_init:
         return np.zeros(shape)
     if scheme == "forget_bias_one":
         return np.ones(shape)
@@ -48,9 +84,7 @@ def init_params(shape, seed, scheme, name=""):
         else:
             fan_in = fan_out = shape[0]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed)] + list(name.encode("utf-8"))))
-        return rng.uniform(-bound, bound, shape)
+        return seeded_rng(seed, name).uniform(-bound, bound, shape)
     raise ValueError(f"unknown init scheme: {scheme}")
 
 

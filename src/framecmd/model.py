@@ -71,6 +71,8 @@ class ModelConfig:
                 raise ValueError(f"{f} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
 
     @property
     def name(self):
@@ -415,10 +417,28 @@ def decode_output(model, out, b):
                          attention=attention)
 
 
+def check_weights(flat):
+    """Raise CheckpointError unless the parameter values `flat` (one
+    vector) are weights `train` could have produced: every value
+    finite, and so the squared norm of all of them, which `train`
+    checks after each epoch (a weight above about 1e154 breaks it)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = float(flat @ flat)
+    if not math.isfinite(norm2):
+        bad = flat.size - np.count_nonzero(np.isfinite(flat))
+        raise CheckpointError(
+            f"{bad} of {flat.size} parameter values are not finite" if bad
+            else "the squared parameter norm overflows: weights this large "
+                 "stop a training run")
+
+
 def save_checkpoint(path, model, table):
     """Single file: one JSON header line, then raw little-endian float64
-    data in header order (parameters, token vectors, unk vector)."""
+    data in header order (parameters, token vectors, unk vector).
+    Weights that fail `check_weights` raise CheckpointError before any
+    file is written."""
     params = sorted(model.parameters(), key=lambda p: p.name)
+    check_weights(np.concatenate([p.data.ravel() for p in params]))
     tokens = sorted(table.vectors)
     header = {
         "format_version": FORMAT_VERSION,
@@ -450,8 +470,13 @@ def save_checkpoint(path, model, table):
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint. Any unreadable
     file, malformed header, payload whose length is not exactly what
-    the header implies, or payload value that is not finite raises
-    CheckpointError."""
+    the header implies, payload value that is not finite, or weights
+    that fail `check_weights` raise CheckpointError.
+
+    The model is built without its seeded initial values (`skip_init`):
+    the header must name exactly the model's parameters and the payload
+    must hold exactly their values, so every value comes from the
+    file."""
     from .embeddings import EmbeddingTable
 
     try:
@@ -465,9 +490,10 @@ def load_checkpoint(path):
         if header.get("format_version") != FORMAT_VERSION:
             raise CheckpointError("unsupported checkpoint format version")
         vocab = header["vocab"]
-        model = build_model(ModelConfig(**header["config"]), LabelVocab(
-            frames=tuple(vocab["frames"]),
-            element_types=tuple(vocab["element_types"])))
+        with L.skip_init():
+            model = build_model(ModelConfig(**header["config"]), LabelVocab(
+                frames=tuple(vocab["frames"]),
+                element_types=tuple(vocab["element_types"])))
         shapes = [(name, tuple(shape)) for name, shape in header["params"]]
         by_name = {p.name: p for p in model.parameters()}
         if (len(shapes) != len(by_name)
@@ -485,7 +511,8 @@ def load_checkpoint(path):
                 f"model {list(by_name[name].data.shape)}")
     if type(dim) is not int or dim < 1:
         raise CheckpointError(f"bad embedding dimension in header: {dim!r}")
-    size = sum(p.data.size for p in by_name.values()) + (len(tokens) + 1) * dim
+    n_params = sum(p.data.size for p in by_name.values())
+    size = n_params + (len(tokens) + 1) * dim
     if len(blob) != 8 * size:
         raise CheckpointError(
             f"checkpoint payload is {len(blob)} bytes; its header implies "
@@ -495,6 +522,7 @@ def load_checkpoint(path):
     if bad:
         raise CheckpointError(f"checkpoint payload: {bad} of {data.size} "
                               f"values are not finite (nan or inf)")
+    check_weights(data[:n_params])
     off = 0
     for name, shape in shapes:
         p = by_name[name]

@@ -56,6 +56,8 @@ class TrainConfig:
                 raise ValueError(f"{f} must be >= {low}")
         if not 0 <= self.lr < math.inf:     # 0 freezes the weights
             raise ValueError("lr must be >= 0 and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of "
                              f"{', '.join(OPTIMIZERS)}; got {self.optimizer!r}")

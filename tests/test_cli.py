@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import select
 import subprocess
 import sys
 from dataclasses import asdict
@@ -251,6 +254,98 @@ class TestParse:
         assert main(["parse", str(bad), "go home"]) == 4
         assert "not finite" in assert_one_line_error(capsys)
 
+    def test_weights_training_cannot_produce_exit_4(self, overfit_ckpt,
+                                                    tmp_path):
+        # Every weight times 1e200 is finite, but the squared parameter
+        # norm overflows. A child process shows any numpy warning.
+        header, payload = Path(overfit_ckpt).read_bytes().split(b"\n", 1)
+        n = sum(int(np.prod(shape)) for _, shape in
+                json.loads(header)["params"])
+        data = np.frombuffer(payload, "<f8").copy()
+        data[:n] *= 1e200
+        big = tmp_path / "big.ckpt"
+        big.write_bytes(header + b"\n" + data.astype("<f8").tobytes())
+        proc = subprocess.run(
+            [sys.executable, "-m", "framecmd", "parse", str(big),
+             "go to the kitchen"], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "norm" in proc.stderr
+
+
+COMMANDS = ["go to the kitchen", "take the book to the kitchen",
+            "bring  the mug to the bathroom ", "look for the towel",
+            "put the book on the table", "café kitchen"]
+
+
+def stdin_of(monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
+
+
+class TestParseStdin:
+    def one_by_one(self, ckpt, flags, capsys):
+        answers = []
+        for line in COMMANDS:
+            assert main(["parse", ckpt, line] + flags) == 0
+            answers.append(capsys.readouterr().out)
+        return answers
+
+    def test_answers_match_separate_calls(self, overfit_ckpt, workdir,
+                                          monkeypatch, capsys):
+        flags = ["--map", str(workdir / "house.map.json"),
+                 "--show-attention"]
+        expected = self.one_by_one(overfit_ckpt, flags, capsys)
+        stdin_of(monkeypatch, "\n".join(COMMANDS) + "\n")
+        assert main(["parse", overfit_ckpt, "-"] + flags) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "".join(expected)
+        assert captured.err == ""
+
+    def test_blank_line_ends_the_run_after_earlier_answers(
+            self, overfit_ckpt, monkeypatch, capsys):
+        expected = self.one_by_one(overfit_ckpt, [], capsys)
+        stdin_of(monkeypatch, "\n".join(COMMANDS[:3] + ["  "] + COMMANDS[3:]))
+        assert main(["parse", overfit_ckpt, "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "".join(expected[:3])
+        assert captured.err == "error: empty sentence\n"
+
+    def test_closed_stdin_exit_2(self, overfit_ckpt, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", None)   # Python's closed fd 0
+        assert main(["parse", overfit_ckpt, "-"]) == 2
+        assert "stdin" in assert_one_line_error(capsys)
+
+    def test_child_answers_before_stdin_closes(self, overfit_ckpt, capsys):
+        assert main(["parse", overfit_ckpt, COMMANDS[0]]) == 0
+        expected = capsys.readouterr().out
+        # Python buffers a piped stdout unless told otherwise.
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "framecmd", "parse", overfit_ckpt, "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            proc.stdin.write(COMMANDS[0] + "\n")
+            proc.stdin.flush()
+            # Without a flush per answer, no line arrives until stdin
+            # closes, and the wait times out instead of hanging.
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no answer within 60 s while stdin was open"
+            assert proc.stdout.readline() == expected
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stdout.read() == ""
+            assert proc.stderr.read() == ""
+        finally:
+            proc.kill()
+            proc.wait()
+            for f in (proc.stdin, proc.stdout, proc.stderr):
+                f.close()
+
 
 class TestGradcheck:
     def test_all_architectures_pass(self, capsys):
@@ -278,7 +373,7 @@ def assert_one_line_error(capsys):
 class TestConfigErrors:
     @pytest.mark.parametrize("override", [
         "batch_size=0", "lr=-1", "lr=inf", "patience=-1", "epochs=0",
-        "optimizer=foo",
+        "optimizer=foo", "seed=-1",
         # values that do not have their field's type
         "epochs=1.5", "hidden_size=2.5", "seed=1.5", "attention=3",
         "batch_size=true", "dropout=abc"])
@@ -343,7 +438,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-0.5"],
                                        ["--eps", "nan"], ["--eps", "inf"],
-                                       ["--hidden", "0"]])
+                                       ["--hidden", "0"], ["--seed", "-3"]])
     def test_gradcheck_bad_setting_exit_2(self, capsys, flags):
         assert main(["gradcheck"] + flags) == 2
         assert flags[0] in assert_one_line_error(capsys)
@@ -463,6 +558,7 @@ class TestCheckpointHeader:
         lambda d: d["config"].update(wheels=4),
         lambda d: d["config"].update(hidden_size="16"),
         lambda d: d["config"].update(variant="4L"),
+        lambda d: d["config"].update(seed=-1),
         lambda d: d.update(config=[1, 2]),
         lambda d: d["params"].append(d["params"][0]),
         lambda d: d["params"][0].__setitem__(1, [1, 1]),
@@ -471,7 +567,8 @@ class TestCheckpointHeader:
         lambda d: d["embeddings"].update(dim=49),
         lambda d: d["embeddings"]["tokens"].pop(),
     ], ids=["no-params", "no-dim", "unknown-config-key",
-            "ill-typed-config", "bad-variant", "config-not-a-dict",
+            "ill-typed-config", "bad-variant", "negative-seed",
+            "config-not-a-dict",
             "repeated-param", "wrong-shape", "unhashable-name",
             "dim-not-int", "dim-wrong", "token-missing"])
     def test_bad_header_exit_4(self, overfit_ckpt, tmp_path, capsys, edit):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -145,6 +146,17 @@ class TestLabelVocab:
                           [("Theme", (1, 2)), ("Goal", (3, 5))])
         v = label_vocab([s])
         assert v.typed_iob == ("O", "B-Goal", "B-Theme", "I-Goal", "I-Theme")
+
+    def test_typed_iob_is_computed_once(self):
+        v = LabelVocab(frames=("A",), element_types=("Goal", "Theme"))
+        fresh = LabelVocab(frames=("A",), element_types=("Goal", "Theme"))
+        assert v.typed_iob is v.typed_iob
+        # The cached alphabet changes neither equality nor the hash, and
+        # a pickled copy (a CV worker's) has the same alphabet.
+        assert v == fresh and hash(v) == hash(fresh)
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == v and hash(copy) == hash(v)
+        assert copy.typed_iob == v.typed_iob
 
     def test_single_sentence(self):
         s = make_sentence(["go"], [], frame_type="Motion")

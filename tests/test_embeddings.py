@@ -80,6 +80,22 @@ class TestEmbedSentence:
             toks = [f"w{rng.integers(0, 30)}" for _ in range(n)]
             assert embed_sentence(table, toks).shape == (n, 7)
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_random_embeddings_follow_the_seed_formula(self, seed):
+        # The spec: each token's generator is seeded with the seed
+        # followed by the token's UTF-8 bytes.
+        tokens = ["go", "kitchen", "café", "台所", ""]
+        table = random_embeddings(tokens, dim=6, seed=seed)
+        for tok in tokens:
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed] + list(tok.encode("utf-8"))))
+            np.testing.assert_array_equal(table.vectors[tok],
+                                          rng.uniform(-0.5, 0.5, 6))
+
+    def test_random_embeddings_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            random_embeddings(["a"], dim=3, seed=-1)
+
     def test_random_embeddings_deterministic(self):
         t1 = random_embeddings(["a", "b"], dim=5, seed=3)
         t2 = random_embeddings(["b", "a"], dim=5, seed=3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framecmd import autodiff as ad
+from framecmd import layers as L
 from framecmd.autodiff import Parameter
 from framecmd.corpus import (AnnotatedSentence, FrameAnnotation, LabelVocab,
                              label_vocab)
@@ -19,6 +20,7 @@ from framecmd.optim import Adam
 
 from oracles import cross_entropy_oracle, softmax_oracle
 
+PRESETS = [("2L", True), ("2L", False), ("3L", True), ("3L", False)]
 VOCAB = LabelVocab(frames=("Bringing", "Motion", "Taking"),
                    element_types=("Goal", "Theme"))
 
@@ -62,6 +64,33 @@ class TestBuildModel:
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert pa.name == pb.name
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_init_follows_the_seed_formula(self, seed):
+        # The spec: a weight's generator is seeded with the seed followed
+        # by the parameter name's UTF-8 bytes; biases are constants.
+        biases = {"b_f": 1.0, "b_t": -2.0}     # LSTM forget, highway gate
+        for variant, attention in PRESETS:
+            m = build_model(ModelConfig(variant=variant, attention=attention,
+                                        seed=seed), VOCAB)
+            for p in m.parameters():
+                last = p.name.rsplit(".", 1)[1]
+                shape = p.data.shape
+                if last.startswith("b"):
+                    expected = np.full(shape, biases.get(last, 0.0))
+                else:
+                    fan_out, fan_in = shape if len(shape) == 2 else shape * 2
+                    bound = np.sqrt(6.0 / (fan_in + fan_out))
+                    rng = np.random.default_rng(np.random.SeedSequence(
+                        [seed] + list(p.name.encode("utf-8"))))
+                    expected = rng.uniform(-bound, bound, shape)
+                np.testing.assert_array_equal(p.data, expected, p.name)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="seed"):
+            ModelConfig(seed=-1)
+        with pytest.raises(ValueError):
+            L.init_params((2, 3), -1, "glorot_uniform", "W")
 
     def test_unique_parameter_names(self):
         m = build_model(small_config(), VOCAB)
@@ -772,6 +801,50 @@ class TestCheckpoint:
         for p in m.parameters():
             p.data = p.data + 1.0
         with pytest.raises(OSError):
+            save_checkpoint(path, m, table)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+    @pytest.mark.parametrize("variant, attention", PRESETS)
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch,
+                                          variant, attention):
+        m = build_model(ModelConfig(variant=variant, attention=attention),
+                        VOCAB)
+        table = random_embeddings(["go", "to", "the", "kitchen"], dim=50,
+                                  seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, table)
+        made = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        m2, t2 = load_checkpoint(path)
+        assert made == []
+        build_model(m.config, VOCAB)        # the count sees a seeded build
+        assert made
+        saved = {p.name: p.data.tobytes() for p in m.parameters()}
+        assert {p.name: p.data.tobytes() for p in m2.parameters()} == saved
+        assert t2.dim == table.dim
+        assert ({k: v.tobytes() for k, v in t2.vectors.items()}
+                == {k: v.tobytes() for k, v in table.vectors.items()})
+        assert t2.unk_vector.tobytes() == table.unk_vector.tobytes()
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 1e200])
+    def test_save_refuses_weights_training_cannot_produce(self, tmp_path,
+                                                          scale):
+        # 1e200 is finite, but its square overflows the parameter norm
+        # that training checks after each epoch.
+        m = build_model(small_config(), VOCAB)
+        table, _ = embedded()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, table)
+        before = path.read_bytes()
+        m.ad_head.W.data[0, 0] = scale
+        with pytest.raises(CheckpointError, match="parameter"):
             save_checkpoint(path, m, table)
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
