@@ -29,6 +29,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CHECKPOINT = 4
 EXIT_DIVERGED = 5
+# stdout's reader went away; what a shell reports for a process that
+# SIGPIPE killed.
+EXIT_BROKEN_PIPE = 141
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -384,6 +387,15 @@ def main(argv=None):
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
+    except BrokenPipeError:
+        # Output still buffered would fail again at the interpreter's
+        # final flush: send it nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before all output was written",
+              file=sys.stderr)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

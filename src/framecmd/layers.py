@@ -12,8 +12,9 @@ A batch of B sentences right-padded to T steps passes between layers as
 one (T, B, d) tensor. `lstm_run` unrolls an LSTM over one as a single
 node: a decoder, whose input `decoder_input` builds for all steps at
 once, or the encoder, whose two directions `bilstm_forward` lays side
-by side, (T, 2, B, d), and runs as one recurrence. Each step is one
-call of `lstm_cell_forward`, the one LSTM step arithmetic, on arrays;
+by side, (T, 2, B, d), and runs as one recurrence. An LstmCell keeps
+its gates stacked, one W, U and b, and each step is one call of
+`lstm_cell_forward`, the one LSTM step arithmetic, on views of them;
 greedy decoding, which never backpropagates, calls it too. Within a
 step every op works on (B, d) rows, one per sentence, so weight
 gradients are dZ^T X products over the rows. The sequence ops
@@ -88,65 +89,57 @@ def init_params(shape, seed, scheme, name=""):
     raise ValueError(f"unknown init scheme: {scheme}")
 
 
-class LstmCellParams:
-    """Per-gate weights of one LSTM cell.
-
-    Standard parameterization: for gate x in {i, f, o, g},
-    pre-activation = W_x input + U_x hidden + b_x; i, f, o pass through
-    the logistic sigmoid, g through tanh; c' = f*c + i*g, h' = o*tanh(c').
+class LstmCell:
+    """One LSTM cell, its gates stacked in GATES order: the Parameters
+    `<prefix>.W` (4H x d), `<prefix>.U` (4H x H) and `<prefix>.b` (4H).
+    Gate x's rows of z = W input + U hidden + b are its pre-activation;
+    i, f, o pass through the logistic sigmoid, g through tanh;
+    c' = f*c + i*g, h' = o*tanh(c'). With directions (the encoder's fwd
+    and bwd), one cell per direction runs side by side and each
+    Parameter gains a leading direction axis, row 0 forward. Each gate
+    block is drawn as its own tensor, named `<stream>.W_<gate>` (`U_`,
+    `b_`), the stream being the prefix or `<prefix>.<direction>`.
     """
 
-    def __init__(self, prefix, input_dim, hidden_dim, seed):
+    def __init__(self, prefix, input_dim, hidden_dim, seed, directions=()):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.W = {}
-        self.U = {}
-        self.b = {}
-        for gate in GATES:
-            wname = f"{prefix}.W_{gate}"
-            uname = f"{prefix}.U_{gate}"
-            bname = f"{prefix}.b_{gate}"
-            self.W[gate] = Parameter(
-                wname, init_params((hidden_dim, input_dim), seed,
-                                   "glorot_uniform", wname))
-            self.U[gate] = Parameter(
-                uname, init_params((hidden_dim, hidden_dim), seed,
-                                   "glorot_uniform", uname))
-            bscheme = "forget_bias_one" if gate == "f" else "zeros"
-            self.b[gate] = Parameter(
-                bname, init_params((hidden_dim,), seed, bscheme, bname))
+        streams = [f"{prefix}.{d}" for d in directions] or [prefix]
+        lead = (len(directions),) if directions else ()
+
+        def stacked(part, shape, schemes):
+            blocks = [init_params(shape, seed, scheme, f"{s}.{part}_{gate}")
+                      for s in streams for gate, scheme in zip(GATES, schemes)]
+            return Parameter(f"{prefix}.{part}", np.concatenate(blocks)
+                             .reshape(lead + (4 * hidden_dim,) + shape[1:]))
+
+        glorot = ["glorot_uniform"] * 4
+        self.W = stacked("W", (hidden_dim, input_dim), glorot)
+        self.U = stacked("U", (hidden_dim, hidden_dim), glorot)
+        self.b = stacked("b", (hidden_dim,),
+                         ["zeros", "forget_bias_one", "zeros", "zeros"])
 
     def parameters(self):
-        for gate in GATES:
-            yield self.W[gate]
-            yield self.U[gate]
-            yield self.b[gate]
+        return [self.W, self.U, self.b]
 
 
-class StackedCell:
-    """One LSTM cell, or two run side by side, with the gate weights
-    stacked once in GATES order: Ws (4H x d), Us (4H x H) and bs (4H)
-    for one cell; for two, each gains a leading axis of 2 (bs becomes
-    2 x 1 x 4H, to broadcast over a step's rows), and a step's x, h
-    and c do too: (2, B, .), one block of rows per cell. W is the
-    first cell's per-gate dict; the cells' per-gate Parameters are the
-    ones trained, named and saved."""
+class CellView:
+    """An LstmCell's weights as `lstm_cell_forward` reads them, taken
+    once per run for step inputs of shape x_shape: Wt (d x 4H) and Ut
+    (H x 4H), W and U transposed, and b, shaped to broadcast over a
+    step's rows; with a direction axis, each has it in front. All are
+    views of the Parameters' arrays, so no weight is copied."""
 
-    def __init__(self, *cells):
-        first = cells[0]
-        if len(cells) > 2 or len({(c.input_dim, c.hidden_dim)
-                                  for c in cells}) > 1:
-            raise ValueError("stack one LSTM cell or two of the same size")
-        self.input_dim = first.input_dim
-        self.hidden_dim = first.hidden_dim
-        self.W = first.W
-        lead = (2,) if len(cells) == 2 else ()
-        self.Ws, self.Us, self.bs = (
-            np.concatenate([getattr(c, part)[k].data for c in cells
-                            for k in GATES]).reshape(lead + shape)
-            for part, shape in (("W", (-1, self.input_dim)),
-                                ("U", (-1, self.hidden_dim)),
-                                ("b", (1, -1) if lead else (-1,))))
+    def __init__(self, cell, x_shape):
+        if (x_shape[-1] != cell.input_dim
+                or tuple(x_shape[:-2]) != cell.W.data.shape[:-2]):
+            raise ValueError("LSTM cell dimension mismatch")
+        self.Wt = cell.W.data.swapaxes(-1, -2)
+        self.Ut = cell.U.data.swapaxes(-1, -2)
+        self.b = cell.b.data[:, None] if cell.b.data.ndim == 2 else cell.b.data
+        # Only for benchmarks/tracing.py, which names a step's layer by
+        # W["i"].name; to be removed by ROADMAP item 1.
+        self.W = {"i": cell.W}
 
 
 _EXP_MAX = np.log(np.finfo(np.float64).max)     # exp of it is finite
@@ -154,24 +147,28 @@ _EXP_MAX = np.log(np.finfo(np.float64).max)     # exp of it is finite
 
 def _sigmoid(z):
     # -z is clamped only where exp(-z) would overflow, which numpy warns
-    # about; the result there is 0 either way, to within 1e-308.
-    return 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX)))
+    # about; the result there is 0 either way, to within 1e-308. The
+    # ops are 1 / (1 + exp(min(-z, _EXP_MAX))), in place on one array.
+    s = np.negative(z)
+    np.minimum(s, _EXP_MAX, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
-def lstm_cell_forward(x, h, c, cell):
-    """One LSTM step of a StackedCell on arrays, building no graph;
+def lstm_cell_forward(x, h, c, view):
+    """One LSTM step on arrays with a CellView, building no graph;
     returns (h', c', (ifo, g, tanh c')), the last for the backward pass.
 
     x, h and c are (B, d), (B, H) and (B, H) rows, each an independent
-    step, or (d,), (H,) and (H,) vectors; for two cells, (2, B, .).
-    Every gate comes from one pre-activation z = x Ws^T + h Us^T + bs
-    (Appleyard et al., arXiv:1604.01946).
+    step, or (d,), (H,) and (H,) vectors; with a direction axis,
+    (2, B, .). Every gate comes from one pre-activation
+    z = x W^T + h U^T + b (Appleyard et al., arXiv:1604.01946).
     """
-    H = cell.hidden_dim
-    if x.shape[-1] != cell.input_dim or h.shape[-1] != H:
-        raise ValueError("LSTM cell dimension mismatch")
-    z = (x @ cell.Ws.swapaxes(-1, -2) + h @ cell.Us.swapaxes(-1, -2)
-         + cell.bs)
+    H = view.Ut.shape[-2]
+    z = x @ view.Wt
+    z += h @ view.Ut
+    z += view.b
     ifo = _sigmoid(z[..., :3 * H])
     i, f, o = ifo[..., :H], ifo[..., H:2 * H], ifo[..., 2 * H:]
     g = np.tanh(z[..., 3 * H:])
@@ -180,30 +177,34 @@ def lstm_cell_forward(x, h, c, cell):
     return o * tc, c_new, (ifo, g, tc)
 
 
-def lstm_run(X, *cells):
-    """Unroll an LSTM cell from zero states over the steps of X,
-    (T, B, d), or two cells side by side over (T, 2, B, d); returns the
-    hidden states, (T, B, H) or (T, 2, B, H), as one graph node.
+def lstm_run(X, cell):
+    """Unroll an LstmCell from zero states over the steps of X, (T, B, d),
+    or (T, 2, B, d) for a cell with directions; returns the hidden
+    states, (T, B, H) or (T, 2, B, H), as one graph node.
 
-    The forward pass stacks the weights once and calls
-    `lstm_cell_forward` per step. The backward pass runs back through
-    time by hand: h_t's gradient is its output's plus dz_{t+1} Us, c_t's
-    is c_{t+1}'s times f_{t+1} plus h_t's through tanh, and X gets
-    dz_t Ws at step t. Each weight gradient is formed once over every
-    row of every step, one product per cell: dW = dZ^T X, dU = dZ^T H,
-    db = sum dZ. The weights must not change between the forward pass
-    and its backward pass, which nothing does: the optimizer steps
-    after backward, the gradient check perturbs between passes.
+    The forward pass calls `lstm_cell_forward` per step on one CellView.
+    The backward pass runs back through time by hand: h_t's gradient is
+    its output's plus dz_{t+1} U, c_t's is c_{t+1}'s times f_{t+1} plus
+    h_t's through tanh, and X gets dz_t W at step t. Each weight
+    gradient is formed once over every row of every step and added to
+    its Parameter whole: dW = dZ^T X, dU = dZ^T H, db = sum dZ. The
+    weights must not change between the forward pass and its backward
+    pass, which nothing does: the optimizer steps after backward, the
+    gradient check perturbs between passes.
     """
-    cell = StackedCell(*cells)
     xs = X.data
+    view = CellView(cell, xs.shape[1:])
     zero = np.zeros(xs.shape[1:-1] + (cell.hidden_dim,), xs.dtype)
     steps = [(zero, zero, None)]        # (h, c, cache) after each step
     for x in xs:
-        steps.append(lstm_cell_forward(x, steps[-1][0], steps[-1][1], cell))
+        steps.append(lstm_cell_forward(x, steps[-1][0], steps[-1][1], view))
+    out = np.array([s[0] for s in steps[1:]])
+    if not ad.grad_enabled:
+        return ad.constant(out)
 
     def bwd(gS):
         H = cell.hidden_dim
+        W, U = cell.W.data, cell.U.data
         rows = []           # (dZ, x, h) of each step, newest first
         dh = dc = None      # what step t + 1 hands back to h_t and c_t
         x_grad = ad.needs_grad(X)
@@ -220,27 +221,23 @@ def lstm_run(X, *cells):
                                  gc * i * (1.0 - g * g)], axis=-1)
             rows.append((dz, xs[t], h))
             if x_grad:
-                ad.accumulate_at(X, t, dz @ cell.Ws)
+                ad.accumulate_at(X, t, dz @ W)
             if t:           # the initial states are zero constants
-                dh, dc = dz @ cell.Us, gc * f
-        # Join the rows along B; for two cells, one block per cell.
+                dh, dc = dz @ U, gc * f
+        # Join the rows along B; with directions, one block per direction.
         dZ, Xr, Hr = (np.concatenate(part, axis=-2) for part in zip(*rows))
         dZt = dZ.swapaxes(-1, -2)
-        grads = (dZt @ Xr, dZt @ Hr, dZ.sum(axis=-2))
-        for cell_k, cell_grads in zip(cells, zip(*grads) if len(cells) == 2
-                                      else [grads]):
-            for params, grad in zip((cell_k.W, cell_k.U, cell_k.b),
-                                    cell_grads):
-                for k, gate in enumerate(GATES):
-                    ad.accumulate(params[gate], grad[k * H:(k + 1) * H])
+        ad.accumulate(cell.W, dZt @ Xr)
+        ad.accumulate(cell.U, dZt @ Hr)
+        ad.accumulate(cell.b, dZ.sum(axis=-2))
 
-    params = tuple(p for c in cells for p in c.parameters())
-    return ad.node(np.array([s[0] for s in steps[1:]]), (X,) + params, bwd)
+    return ad.node(out, (X, cell.W, cell.U, cell.b), bwd)
 
 
-def bilstm_forward(X, fwd, bwd, lengths=None):
-    """Bidirectional LSTM over X, (T, B, d): B sentences right-padded to
-    T steps, with the given lengths (default: all T).
+def bilstm_forward(X, cell, lengths=None):
+    """Bidirectional LSTM by a cell with directions (fwd, bwd) over X,
+    (T, B, d): B sentences right-padded to T steps, with the given
+    lengths (default: all T).
 
     Returns (states, last_fwd, last_bwd): states (T, B, 2H) joins the
     forward and backward state of each step, and last_fwd / last_bwd
@@ -250,9 +247,9 @@ def bilstm_forward(X, fwd, bwd, lengths=None):
     reversed within its own length, so it starts at the sentence's last
     token and no step needs a mask; padding steps only follow a
     sentence's own steps. One gather lays both directions' inputs side
-    by side, (T, 2, B, d), and one `lstm_run` over the two cells steps
-    both at once, so a step is one `lstm_cell_forward` call and the
-    weight gradients one product per cell.
+    by side, (T, 2, B, d), and one `lstm_run` steps both at once, so a
+    step is one `lstm_cell_forward` call and each weight gradient one
+    product per direction.
     """
     T, B = X.data.shape[:2]
     if T < 1:
@@ -265,7 +262,7 @@ def bilstm_forward(X, fwd, bwd, lengths=None):
     # puts the backward states back in token order.
     reverse = np.where(t < n, n - 1 - t, t)                     # (T, B)
     order = np.stack([np.broadcast_to(t, (T, B)), reverse], axis=1)
-    states = lstm_run(ad.getrow(X, (order, batch)), fwd, bwd)  # (T, 2, B, H)
+    states = lstm_run(ad.getrow(X, (order, batch)), cell)   # (T, 2, B, H)
     return (ad.concat([ad.getrow(states, (slice(None), 0)),
                        ad.getrow(states, (reverse, 1, batch))]),
             ad.getrow(states, (n - 1, 0, batch)),

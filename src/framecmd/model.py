@@ -43,7 +43,7 @@ from .autodiff import Parameter
 from .corpus import LabelVocab, decode_iob, encode_iob
 from .embeddings import embed_sentence
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -114,10 +114,8 @@ class Model:
         n2 = len(self.seq2_alphabet)
         self.bos_index = n2  # extra label-embedding row for step 0
 
-        self.l1_fwd = own(L.LstmCellParams("layer1.fwd", c.embedding_dim,
-                                           c.hidden_size, seed))
-        self.l1_bwd = own(L.LstmCellParams("layer1.bwd", c.embedding_dim,
-                                           c.hidden_size, seed))
+        self.l1 = own(L.LstmCell("layer1", c.embedding_dim, c.hidden_size,
+                                 seed, directions=("fwd", "bwd")))
         self.ad_head = own(L.AffineParams("ad_head", len(vocab.frames),
                                           h1_dim, seed))
         if c.attention:
@@ -130,8 +128,8 @@ class Model:
         self.label_emb2 = own(Parameter("layer2.label_emb", L.init_params(
             (n2 + 1, c.label_embedding_dim), seed, "glorot_uniform",
             "layer2.label_emb")))
-        self.l2_cell = own(L.LstmCellParams("layer2.cell", dec_in,
-                                            c.decoder_hidden, seed))
+        self.l2_cell = own(L.LstmCell("layer2.cell", dec_in,
+                                      c.decoder_hidden, seed))
         self.l2_head = own(L.AffineParams("layer2.head", n2, c.decoder_hidden,
                                           seed))
 
@@ -143,8 +141,8 @@ class Model:
             self.label_emb3 = own(Parameter("layer3.label_emb", L.init_params(
                 (len(vocab.iob), c.label_embedding_dim), seed,
                 "glorot_uniform", "layer3.label_emb")))
-            self.l3_cell = own(L.LstmCellParams("layer3.cell", dec_in,
-                                                c.decoder_hidden, seed))
+            self.l3_cell = own(L.LstmCell("layer3.cell", dec_in,
+                                          c.decoder_hidden, seed))
             self.l3_head = own(L.AffineParams("layer3.head",
                                               len(vocab.ac_labels),
                                               c.decoder_hidden, seed))
@@ -274,8 +272,7 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     if mask is not None:    # the inputs are constants: no graph node
         X = X * mask
 
-    h1, last_f, last_b = L.bilstm_forward(ad.constant(X), model.l1_fwd,
-                                          model.l1_bwd, lengths)
+    h1, last_f, last_b = L.bilstm_forward(ad.constant(X), model.l1, lengths)
     maps = {} if c.attention else None
 
     if c.attention:
@@ -301,14 +298,16 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
                                             labels2[:-1], mask), model.l2_cell)
         seq2_logits = L.affine(states, model.l2_head)
     else:   # greedy: array steps and no graph, as nothing backpropagates
-        cell, head = L.StackedCell(model.l2_cell), model.l2_head
+        ctx = np.concatenate([p.data for p in parts], axis=-1)
+        emb = model.label_emb2.data
+        view = L.CellView(model.l2_cell, (B, ctx.shape[-1] + emb.shape[-1]))
+        head_Wt, head_b = model.l2_head.W.data.T, model.l2_head.b.data
         h = cc = np.zeros((B, c.decoder_hidden), h1.data.dtype)
         logits = []
         for t in range(T):
-            x = np.concatenate([p.data[t] for p in parts]
-                               + [model.label_emb2.data[labels2[t]]], axis=-1)
-            h, cc, _ = L.lstm_cell_forward(x, h, cc, cell)
-            logits.append(h @ head.W.data.T + head.b.data)
+            x = np.concatenate([ctx[t], emb[labels2[t]]], axis=-1)
+            h, cc, _ = L.lstm_cell_forward(x, h, cc, view)
+            logits.append(h @ head_Wt + head_b)
             labels2[t + 1] = np.argmax(logits[-1], axis=-1)
         seq2_logits = ad.constant(np.array(logits))
 
@@ -487,8 +486,12 @@ def load_checkpoint(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}")
     try:
         header = json.loads(header_line.decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError("unsupported checkpoint format version")
+        version = header.get("format_version")
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                "checkpoint format 1 (per-gate LSTM weights) is no longer "
+                "read; retrain the model" if version == 1
+                else "unsupported checkpoint format version")
         vocab = header["vocab"]
         with L.skip_init():
             model = build_model(ModelConfig(**header["config"]), LabelVocab(

@@ -270,7 +270,8 @@ def cross_validate(corpus, model_cfg, train_cfg, maps=None, table=None,
         jobs_args.append((fold, train_set, test_set, model_cfg, train_cfg,
                           vocab, table, maps))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        # The pool starts all its workers at once: no more than folds.
+        with ProcessPoolExecutor(max_workers=min(jobs, train_cfg.k)) as ex:
             results = list(ex.map(_run_fold, jobs_args))
     else:
         results = [_run_fold(a) for a in jobs_args]

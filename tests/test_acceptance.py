@@ -65,25 +65,28 @@ def test_oracle_equivalence():
         worst = max(worst, abs(float(ce.data) - cross_entropy_oracle(ep, k)))
 
         # LSTM cell and BiLSTM
-        cell_f = L.LstmCellParams("f", 3, 4, seed=0)
-        cell_b = L.LstmCellParams("b", 3, 4, seed=0)
-        for c in (cell_f, cell_b):
-            for q in c.parameters():
-                q.data = rng.normal(0, 0.5, q.data.shape)
-        dicts_f = tuple({g: getattr(cell_f, n)[g].data.tolist()
-                         for g in L.GATES} for n in ("W", "U", "b"))
-        dicts_b = tuple({g: getattr(cell_b, n)[g].data.tolist()
-                         for g in L.GATES} for n in ("W", "U", "b"))
+        cell = L.LstmCell("l", 3, 4, seed=0, directions=("fwd", "bwd"))
+        for q in cell.parameters():
+            q.data = rng.normal(0, 0.5, q.data.shape)
+        # The oracle's per-gate weights are gate slices of the stacked ones.
+        dicts_f, dicts_b = (tuple({g: q.data[k][j * 4:(j + 1) * 4].tolist()
+                                   for j, g in enumerate(L.GATES)}
+                                  for q in cell.parameters())
+                            for k in (0, 1))
+        cell_f = L.LstmCell("f", 3, 4, seed=0)
+        for q, stacked in zip(cell_f.parameters(), cell.parameters()):
+            q.data = stacked.data[0]
         x = rng.normal(size=3)
         h0, c0 = rng.normal(size=4), rng.normal(size=4)
-        h, cc, _ = L.lstm_cell_forward(x, h0, c0, L.StackedCell(cell_f))
+        h, cc, _ = L.lstm_cell_forward(x, h0, c0,
+                                       L.CellView(cell_f, x.shape))
         eh, ec = lstm_cell_oracle(x.tolist(), h0.tolist(), c0.tolist(),
                                   *dicts_f)
         worst = max(worst, float(np.max(np.abs(h - eh))),
                     float(np.max(np.abs(cc - ec))))
         seq = [rng.normal(size=3) for _ in range(3)]
         states, _, _ = L.bilstm_forward(ad.constant(np.array(seq)[:, None]),
-                                        cell_f, cell_b)
+                                        cell)
         expected = bilstm_oracle([v.tolist() for v in seq], dicts_f, dicts_b)
         for got, exp in zip(states.data[:, 0], expected):
             worst = max(worst, float(np.max(np.abs(got - exp))))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framecmd.cli import build_configs, load_config, main
+from framecmd.cli import EXIT_BROKEN_PIPE, build_configs, load_config, main
 from framecmd.model import CheckpointError, load_checkpoint, save_checkpoint
 
 FAST_OVERRIDES = ["--override", "epochs=2", "--override", "hidden_size=4",
@@ -346,6 +346,29 @@ class TestParseStdin:
             for f in (proc.stdin, proc.stdout, proc.stderr):
                 f.close()
 
+    def test_reader_closing_early_ends_in_one_line(self, overfit_ckpt):
+        # 2,000 answers outgrow the pipe, so the child blocks writing
+        # until its reader closes the pipe after the first line; the
+        # next write then fails with EPIPE.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "framecmd", "parse", overfit_ckpt, "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        try:
+            proc.stdin.write(b"go to the kitchen\n" * 2000)
+            proc.stdin.close()
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.wait()
+            for f in (proc.stdin, proc.stdout, proc.stderr):
+                f.close()
+        assert json.loads(first)["tokens"] == ["go", "to", "the", "kitchen"]
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestGradcheck:
     def test_all_architectures_pass(self, capsys):
@@ -583,6 +606,41 @@ class TestCheckpointHeader:
         path.write_bytes(b'{"format_version":1}\n')
         assert main(["parse", str(path), "go home"]) == 4
         assert_one_line_error(capsys)
+
+    def test_format_1_checkpoint_exit_4(self, overfit_bundle, tmp_path,
+                                        capsys):
+        # Written as format 1 was: every LSTM gate its own parameter,
+        # <stream>.W_<gate> (U_, b_), all sorted by name.
+        model, table = overfit_bundle["model"], overfit_bundle["table"]
+        streams = {"layer1": ["layer1.fwd", "layer1.bwd"],
+                   "layer2.cell": ["layer2.cell"],
+                   "layer3.cell": ["layer3.cell"]}
+        params = []
+        for p in model.parameters():
+            prefix, part = p.name.rsplit(".", 1)
+            if prefix not in streams:
+                params.append((p.name, p.data))
+                continue
+            per_stream = p.data.reshape(
+                (-1,) + p.data.shape[-1 if part == "b" else -2:])
+            for stream, stacked in zip(streams[prefix], per_stream):
+                params += [(f"{stream}.{part}_{gate}", block) for gate, block
+                           in zip("ifog", np.split(stacked, 4))]
+        params.sort(key=lambda kv: kv[0])
+        tokens = sorted(table.vectors)
+        header = {"format_version": 1, "config": asdict(model.config),
+                  "vocab": {"frames": list(model.vocab.frames),
+                            "element_types": list(model.vocab.element_types)},
+                  "params": [[n, list(a.shape)] for n, a in params],
+                  "embeddings": {"dim": table.dim, "tokens": tokens}}
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(
+            a.astype("<f8").tobytes() for a in
+            [a for _, a in params] + [table.vectors[t] for t in tokens]
+            + [table.unk_vector]))
+        assert main(["parse", str(path), "go home"]) == 4
+        err = assert_one_line_error(capsys)
+        assert "format 1" in err and "retrain" in err
 
     def test_non_object_header_exit_4(self, tmp_path, capsys):
         path = tmp_path / "n.ckpt"

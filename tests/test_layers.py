@@ -10,30 +10,74 @@ from oracles import (attention_oracle, bilstm_oracle, cross_entropy_oracle,
                      highway_oracle, lstm_cell_oracle, softmax_oracle)
 
 
-def random_cell(rng, input_dim, hidden_dim, prefix="cell"):
-    cell = L.LstmCellParams(prefix, input_dim, hidden_dim, seed=0)
+BIDI = ("fwd", "bwd")
+
+
+def random_cell(rng, input_dim, hidden_dim, prefix="cell", directions=()):
+    cell = L.LstmCell(prefix, input_dim, hidden_dim, seed=0,
+                      directions=directions)
     for p in cell.parameters():
         p.data = rng.normal(0, 0.5, p.data.shape)
     return cell
 
 
+def direction(cell, k, prefix):
+    """A one-direction cell holding direction k of a two-direction cell."""
+    one = L.LstmCell(prefix, cell.input_dim, cell.hidden_dim, seed=0)
+    for p, q in zip(one.parameters(), cell.parameters()):
+        p.data = q.data[k].copy()
+    return one
+
+
+def two_direction_cell(rng, input_dim, hidden_dim, shared):
+    """A random two-direction cell "l" and one-direction cells "f" and
+    "b" holding its directions; with shared, both directions hold the
+    same weights and "f" serves as both."""
+    cell = random_cell(rng, input_dim, hidden_dim, "l", BIDI)
+    if shared:
+        for p in cell.parameters():
+            p.data[1] = p.data[0]
+    fwd = direction(cell, 0, "f")
+    return cell, fwd, fwd if shared else direction(cell, 1, "b")
+
+
+def assert_per_direction_grads(together, apart, shared):
+    """The gradients (by name) of a run of two_direction_cell's "l"
+    match the runs of "f" and "b": the input's, and each direction's
+    weights' those of its own cell, or, shared, their sum those of "f",
+    which served both runs."""
+    np.testing.assert_allclose(together["x"], apart["x"], rtol=0, atol=1e-12)
+    for part in "WUb":
+        g = together[f"l.{part}"]
+        pairs = ([(g[0] + g[1], apart[f"f.{part}"])] if shared else
+                 [(g[0], apart[f"f.{part}"]), (g[1], apart[f"b.{part}"])])
+        for got, want in pairs:
+            assert want.any()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                       err_msg=part)
+
+
 def step(x, h, c, cell):
     """One array step of a single cell; returns (h', c')."""
-    h, c, _ = L.lstm_cell_forward(np.asarray(x, float), np.asarray(h, float),
-                                  np.asarray(c, float), L.StackedCell(cell))
+    x = np.asarray(x, float)
+    h, c, _ = L.lstm_cell_forward(x, np.asarray(h, float),
+                                  np.asarray(c, float),
+                                  L.CellView(cell, x.shape))
     return h, c
 
 
-def cell_dicts(cell):
-    W = {g: cell.W[g].data.tolist() for g in L.GATES}
-    U = {g: cell.U[g].data.tolist() for g in L.GATES}
-    b = {g: cell.b[g].data.tolist() for g in L.GATES}
-    return W, U, b
+def cell_dicts(cell, k=None):
+    """The oracle's per-gate W, U and b: the gate slices of the stacked
+    weights (of direction k)."""
+    H = cell.hidden_dim
+    return tuple({g: (p.data if k is None else p.data[k])[
+        j * H:(j + 1) * H].tolist() for j, g in enumerate(L.GATES)}
+        for p in cell.parameters())
 
 
 class TestLstmCell:
     def test_all_zero(self):
-        cell = L.LstmCellParams("c", 2, 3, seed=0)
+        cell = L.LstmCell("c", 2, 3, seed=0)
         for p in cell.parameters():
             p.data = np.zeros_like(p.data)
         h, c = step([0.0, 0.0], np.zeros(3), np.zeros(3), cell)
@@ -42,7 +86,7 @@ class TestLstmCell:
 
     def test_carry_half(self):
         # zero weights/biases, c=1: c' = 0.5, h' = 0.5*tanh(0.5)
-        cell = L.LstmCellParams("c", 1, 1, seed=0)
+        cell = L.LstmCell("c", 1, 1, seed=0)
         for p in cell.parameters():
             p.data = np.zeros_like(p.data)
         h, c = step([0.0], [0.0], [1.0], cell)
@@ -64,29 +108,32 @@ class TestLstmCell:
             np.testing.assert_allclose(c, ec, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        cell = L.LstmCellParams("c", 3, 4, seed=0)
+        cell = L.LstmCell("c", 3, 4, seed=0)
         with pytest.raises(ValueError):
             step([1.0], np.zeros(4), np.zeros(4), cell)
+        with pytest.raises(ValueError):
+            L.lstm_run(ad.constant(np.zeros((2, 1, 1))), cell)
 
 
 class TestBilstm:
     def test_t1_is_concat_of_single_steps(self):
         rng = np.random.default_rng(8)
-        fwd = random_cell(rng, 3, 2, "f")
-        bwd = random_cell(rng, 3, 2, "b")
+        cell = random_cell(rng, 3, 2, "l", BIDI)
         x = rng.normal(size=3)
-        states, _, _ = L.bilstm_forward(ad.constant(x[None, None]), fwd, bwd)
-        hf, _ = step(x, np.zeros(2), np.zeros(2), fwd)
-        hb, _ = step(x, np.zeros(2), np.zeros(2), bwd)
+        states, _, _ = L.bilstm_forward(ad.constant(x[None, None]), cell)
+        hf, _ = step(x, np.zeros(2), np.zeros(2), direction(cell, 0, "f"))
+        hb, _ = step(x, np.zeros(2), np.zeros(2), direction(cell, 1, "b"))
         np.testing.assert_allclose(states.data[0, 0],
                                    np.concatenate([hf, hb]), atol=1e-14)
 
     def test_palindrome_symmetry(self):
         rng = np.random.default_rng(9)
-        cell = random_cell(rng, 3, 2, "s")
+        cell = random_cell(rng, 3, 2, "s", BIDI)
+        for p in cell.parameters():     # the same weights both ways
+            p.data[1] = p.data[0]
         a, b = rng.normal(size=3), rng.normal(size=3)
         X = ad.constant(np.array([a, b, a])[:, None])
-        states, _, _ = L.bilstm_forward(X, cell, cell)
+        states, _, _ = L.bilstm_forward(X, cell)
         states = states.data[:, 0]
         T = 3
         for t in range(T):
@@ -97,41 +144,40 @@ class TestBilstm:
     def test_matches_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            fwd = random_cell(rng, 2, 3, "f")
-            bwd = random_cell(rng, 2, 3, "b")
+            cell = random_cell(rng, 2, 3, "l", BIDI)
             seq = [rng.normal(size=2) for _ in range(3)]
             states, _, _ = L.bilstm_forward(
-                ad.constant(np.array(seq)[:, None]), fwd, bwd)
+                ad.constant(np.array(seq)[:, None]), cell)
             expected = bilstm_oracle([v.tolist() for v in seq],
-                                     (cell_dicts(fwd)), (cell_dicts(bwd)))
+                                     cell_dicts(cell, 0), cell_dicts(cell, 1))
             for got, exp in zip(states.data[:, 0], expected):
                 np.testing.assert_allclose(got, exp, atol=1e-10)
 
     def test_empty_sequence(self):
-        cell = L.LstmCellParams("c", 2, 2, seed=0)
+        cell = L.LstmCell("c", 2, 2, seed=0, directions=BIDI)
         with pytest.raises(ValueError):
-            L.bilstm_forward(ad.constant(np.zeros((0, 1, 2))), cell, cell)
+            L.bilstm_forward(ad.constant(np.zeros((0, 1, 2))), cell)
 
-    def test_directions_of_different_sizes_rejected(self):
-        fwd = L.LstmCellParams("f", 3, 4, seed=0)
-        bwd = L.LstmCellParams("b", 3, 5, seed=0)
-        with pytest.raises(ValueError):
-            L.bilstm_forward(ad.constant(np.zeros((2, 1, 3))), fwd, bwd)
+    def test_cell_without_two_directions_rejected(self):
+        # A one-direction cell would broadcast over both directions.
+        for directions in ((), ("a", "b", "c")):
+            cell = L.LstmCell("c", 3, 4, seed=0, directions=directions)
+            with pytest.raises(ValueError):
+                L.bilstm_forward(ad.constant(np.zeros((2, 1, 3))), cell)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_stacked_directions_match_a_per_direction_unroll(self, shared):
         """One recurrence over both directions gives what a run of each
         direction alone gives: states, final states and the gradients of
-        the input and of every weight, on a padded batch and with one
-        cell serving both directions."""
+        the input and of every weight, on a padded batch and with the
+        same weights both ways."""
         rng = np.random.default_rng(34)
-        fwd = random_cell(rng, 2, 3, "f")
-        bwd = fwd if shared else random_cell(rng, 2, 3, "b")
+        cell, fwd, bwd = two_direction_cell(rng, 2, 3, shared)
         lengths = [4, 2, 3]
         T, B, H = 4, 3, 3
         X = ad.Parameter("x", rng.normal(size=(T, B, 2)))
-        params = [X] + list(fwd.parameters()) + (
-            [] if shared else list(bwd.parameters()))
+        params = [X] + cell.parameters() + fwd.parameters() + (
+            [] if shared else bwd.parameters())
         heads = [(rng.integers(0, n, rows), rng.random(rows))
                  for n, rows in ((2 * H, (T, B)), (H, (B,)), (H, (B,)))]
 
@@ -156,13 +202,10 @@ class TestBilstm:
         apart = run([ad.concat([f, ad.getrow(b, (order, batch))]),
                      ad.getrow(f, (n - 1, batch)),
                      ad.getrow(b, (n - 1, batch))])
-        together = run(L.bilstm_forward(X, fwd, bwd, lengths))
+        together = run(L.bilstm_forward(X, cell, lengths))
         for got, want in zip(together[0], apart[0]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for name, g in apart[1].items():
-            assert g.any()
-            np.testing.assert_allclose(together[1][name], g, rtol=0,
-                                       atol=1e-12, err_msg=name)
+        assert_per_direction_grads(together[1], apart[1], shared)
 
 
 class TestAttention:
@@ -471,15 +514,14 @@ class TestRowBatches:
 
     def test_bilstm_sentences_of_their_own_lengths(self):
         rng = np.random.default_rng(27)
-        fwd = random_cell(rng, 2, 3, "f")
-        bwd = random_cell(rng, 2, 3, "b")
+        cell = random_cell(rng, 2, 3, "l", BIDI)
         lengths = [2, 4, 1]
         X = rng.normal(size=(4, 3, 2))     # padding rows hold noise too
-        states, last_f, last_b = L.bilstm_forward(ad.constant(X), fwd, bwd,
+        states, last_f, last_b = L.bilstm_forward(ad.constant(X), cell,
                                                   lengths)
         for b, n in enumerate(lengths):
             one, one_f, one_b = L.bilstm_forward(
-                ad.constant(X[:n, b:b + 1]), fwd, bwd)
+                ad.constant(X[:n, b:b + 1]), cell)
             np.testing.assert_allclose(states.data[:n, b], one.data[:, 0],
                                        atol=1e-12)
             np.testing.assert_allclose(last_f.data[b], one_f.data[0],
@@ -570,15 +612,15 @@ class TestLstmRun:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_two_cells_match_two_one_cell_runs(self, shared):
-        """Two cells side by side give each cell's own run: states and
-        the gradients of the input and of every weight. A cell in both
-        places gets the sum of both runs' weight gradients."""
+        """A two-direction cell, two cells side by side, gives each
+        direction's own run: states and the gradients of the input and
+        of every weight. With the same weights both ways, the directions'
+        weight gradients add up to those of one cell run twice."""
         rng = np.random.default_rng(37)
-        a = random_cell(rng, 3, 4, "a")
-        b = a if shared else random_cell(rng, 3, 4, "b")
+        cell, a, b = two_direction_cell(rng, 3, 4, shared)
         X = ad.Parameter("x", rng.normal(size=(3, 2, 2, 3)))
-        params = [X] + list(a.parameters()) + (
-            [] if shared else list(b.parameters()))
+        params = [X] + cell.parameters() + a.parameters() + (
+            [] if shared else b.parameters())
 
         def grads(runs):
             for p in params:
@@ -592,16 +634,13 @@ class TestLstmRun:
             return ([s.data for s in runs],
                     {p.name: p.grad.copy() for p in params})
 
-        pair = L.lstm_run(X, a, b)
+        pair = L.lstm_run(X, cell)
         together = grads([ad.getrow(pair, (slice(None), k)) for k in (0, 1)])
-        apart = grads([L.lstm_run(ad.getrow(X, (slice(None), k)), cell)
-                       for k, cell in enumerate((a, b))])
+        apart = grads([L.lstm_run(ad.getrow(X, (slice(None), k)), one)
+                       for k, one in enumerate((a, b))])
         for got, want in zip(together[0], apart[0]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for name, g in apart[1].items():
-            assert g.any()
-            np.testing.assert_allclose(together[1][name], g, rtol=0,
-                                       atol=1e-12, err_msg=name)
+        assert_per_direction_grads(together[1], apart[1], shared)
 
     def test_steps_through_the_module_step(self, monkeypatch):
         # One `lstm_cell_forward` call per step, looked up as a module
@@ -611,13 +650,13 @@ class TestLstmRun:
         seen = []
         step_fn = L.lstm_cell_forward
 
-        def counting(x, h, c, stacked):
-            seen.append(stacked.W["i"].name)
-            return step_fn(x, h, c, stacked)
+        def counting(x, h, c, view):
+            seen.append(view.W["i"].name)
+            return step_fn(x, h, c, view)
 
         monkeypatch.setattr(L, "lstm_cell_forward", counting)
         L.lstm_run(ad.constant(rng.normal(size=(5, 2, 3))), cell)
-        assert seen == ["layer9.cell.W_i"] * 5
+        assert seen == ["layer9.cell.W"] * 5
 
 
 class TestBatchedGradients:
@@ -646,18 +685,16 @@ class TestBatchedGradients:
     def test_bilstm_with_lengths(self):
         from framecmd.autodiff import Parameter
         rng = np.random.default_rng(30)
-        fwd = random_cell(rng, 2, 3, "f")
-        bwd = random_cell(rng, 2, 3, "b")
+        cell = random_cell(rng, 2, 3, "l", BIDI)
         X = Parameter("x", np.array([rng.normal(size=(3, 2))
                                      for t in range(4)]))
 
         def fwd_fn():
-            states, last_f, last_b = L.bilstm_forward(X, fwd, bwd,
-                                                      [4, 2, 3])
+            states, last_f, last_b = L.bilstm_forward(X, cell, [4, 2, 3])
             return self.loss_of([states, last_f, last_b],
                                 np.random.default_rng(0))()
 
-        params = list(fwd.parameters()) + list(bwd.parameters()) + [X]
+        params = cell.parameters() + [X]
         assert grad_check(fwd_fn, params) < 1e-4
 
     @pytest.mark.parametrize("self_attention", [True, False])

@@ -68,23 +68,40 @@ class TestBuildModel:
     @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5])
     def test_init_follows_the_seed_formula(self, seed):
         # The spec: a weight's generator is seeded with the seed followed
-        # by the parameter name's UTF-8 bytes; biases are constants.
+        # by the parameter name's UTF-8 bytes; biases are constants. An
+        # LSTM weight is its gate blocks, each drawn as its own tensor
+        # under its per-gate stream name, <stream>.W_<gate> (U_, b_).
         biases = {"b_f": 1.0, "b_t": -2.0}     # LSTM forget, highway gate
+        streams = {"layer1": ["layer1.fwd", "layer1.bwd"],
+                   "layer2.cell": ["layer2.cell"],
+                   "layer3.cell": ["layer3.cell"]}
+
+        def expected(name, shape):
+            last = name.rsplit(".", 1)[1]
+            if last.startswith("b"):
+                return np.full(shape, biases.get(last, 0.0))
+            fan_out, fan_in = shape if len(shape) == 2 else shape * 2
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [seed] + list(name.encode("utf-8"))))
+            return rng.uniform(-bound, bound, shape)
+
         for variant, attention in PRESETS:
             m = build_model(ModelConfig(variant=variant, attention=attention,
                                         seed=seed), VOCAB)
             for p in m.parameters():
-                last = p.name.rsplit(".", 1)[1]
-                shape = p.data.shape
-                if last.startswith("b"):
-                    expected = np.full(shape, biases.get(last, 0.0))
-                else:
-                    fan_out, fan_in = shape if len(shape) == 2 else shape * 2
-                    bound = np.sqrt(6.0 / (fan_in + fan_out))
-                    rng = np.random.default_rng(np.random.SeedSequence(
-                        [seed] + list(p.name.encode("utf-8"))))
-                    expected = rng.uniform(-bound, bound, shape)
-                np.testing.assert_array_equal(p.data, expected, p.name)
+                prefix, part = p.name.rsplit(".", 1)
+                if prefix not in streams:
+                    np.testing.assert_array_equal(
+                        p.data, expected(p.name, p.data.shape), p.name)
+                    continue
+                per_stream = p.data.reshape((len(streams[prefix]),) + (
+                    p.data.shape[-1 if part == "b" else -2:]))
+                for stream, stacked in zip(streams[prefix], per_stream):
+                    for gate, block in zip("ifog", np.split(stacked, 4)):
+                        name = f"{stream}.{part}_{gate}"
+                        np.testing.assert_array_equal(
+                            block, expected(name, block.shape), name)
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError, match="seed"):
@@ -105,11 +122,11 @@ class TestBuildModel:
     @pytest.mark.parametrize("attention", [True, False])
     def test_parameter_names_per_architecture(self, variant, attention):
         def cell(prefix):
-            return {f"{prefix}.{m}_{g}" for m in "WUb" for g in "ifog"}
+            return {f"{prefix}.{m}" for m in "WUb"}
 
-        expected = cell("layer1.fwd") | cell("layer1.bwd") | cell(
-            "layer2.cell") | {"ad_head.W", "ad_head.b", "layer2.label_emb",
-                              "layer2.head.W", "layer2.head.b"}
+        expected = cell("layer1") | cell("layer2.cell") | {
+            "ad_head.W", "ad_head.b", "layer2.label_emb", "layer2.head.W",
+            "layer2.head.b"}
         if attention:
             expected |= {"att1.W1", "att1.W2", "att1.v", "att1.ad_query"}
         if variant == "3L":
@@ -222,8 +239,34 @@ class TestForward:
         gold = gold_labels(sentence(), VOCAB, variant)
         forward(m, emb, gold=gold, mode=mode)
         assert len(seen) == calls
-        assert seen[0] == (m.l1_fwd, m.l1_bwd)
+        assert seen[0] == (m.l1,)
         assert ((m.l2_cell,) in seen) == (mode == "train")
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_steps_read_the_stacked_parameters_in_place(self, monkeypatch,
+                                                        mode):
+        # Every step of the three LSTMs, greedy decoding's too, reads
+        # views of its cell's Parameters, here the optimizer's flat
+        # buffers: no run or step copies a weight.
+        seen = []
+        step = L.lstm_cell_forward
+
+        def recording(x, h, c, view):
+            seen.append(view)
+            return step(x, h, c, view)
+
+        monkeypatch.setattr(L, "lstm_cell_forward", recording)
+        m = build_model(small_config(), VOCAB)
+        Adam(m.parameters())
+        _, emb = embedded()
+        forward(m, emb, gold=gold_labels(sentence(), VOCAB, "3L"), mode=mode)
+        T = len(sentence().tokens)
+        assert len(seen) == 3 * T
+        for k, cell in enumerate((m.l1, m.l2_cell, m.l3_cell)):
+            for view in seen[k * T:(k + 1) * T]:
+                for got, param in ((view.Wt, cell.W), (view.Ut, cell.U),
+                                   (view.b, cell.b)):
+                    assert np.shares_memory(got, param.data)
 
     def test_forward_purity(self):
         m = build_model(small_config(), VOCAB)

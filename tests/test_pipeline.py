@@ -286,6 +286,35 @@ class TestCrossValidate:
         assert len(chain.per_fold) == 3
         assert 0.0 <= chain.chain_accuracy <= 1.0
 
+    def test_pool_has_no_more_workers_than_folds(self, monkeypatch):
+        # A fork pool starts every worker at once, so --jobs 64 over 3
+        # folds would start 61 idle processes.
+        made = []
+
+        class InlinePool:           # records its size, starts nothing
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        corpus = generate_synthetic(17, 18)
+        mc = ModelConfig(variant="2L", attention=False, embedding_dim=8,
+                         hidden_size=4, decoder_hidden=4, attention_size=4,
+                         label_embedding_dim=3, dropout=0.0, seed=0)
+        tc = TrainConfig(epochs=1, batch_size=8, lr=1e-3, patience=0,
+                         seed=5, k=3)
+        for jobs in (64, 2):
+            cross_validate(corpus, mc, tc, jobs=jobs)
+        assert made == [3, 2]
+
     def test_no_maps_no_chain(self):
         corpus = generate_synthetic(17, 18)
         mc = ModelConfig(variant="2L", attention=False, embedding_dim=8,
