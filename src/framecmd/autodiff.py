@@ -29,6 +29,7 @@ never rebind them, or the optimizer no longer sees the parameter.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 
@@ -38,9 +39,12 @@ import numpy as np
 # pure-forward evaluation (e.g. finite differences) cheap. ``dtype`` is
 # float64 in normal operation; the gradient checker temporarily raises it
 # to extended precision where float64 finite differences are
-# noise-limited.
+# noise-limited. ``stages`` is None, except while the gradient checker
+# perturbs weights (`reusing`): then `model.forward` and
+# `model.joint_loss` keep their stages' last outputs in it for reuse.
 grad_enabled = True
 dtype = np.float64
+stages = None
 
 _creation = itertools.count()
 
@@ -58,6 +62,18 @@ class no_grad:
         global grad_enabled
         grad_enabled = self._prev
         return False
+
+
+@contextlib.contextmanager
+def reusing():
+    """Let `model.forward` reuse the outputs of stages whose inputs are
+    unchanged: for the gradient checker, which bumps `version`s."""
+    global stages
+    prev, stages = stages, {}
+    try:
+        yield
+    finally:
+        stages = prev
 
 
 class Tensor:
@@ -83,13 +99,15 @@ class Tensor:
 class Parameter(Tensor):
     """Named trainable tensor with a persistent gradient buffer. Under an
     optimizer, data and grad are views into its flat buffers: update
-    them in place, never rebind them."""
+    them in place, never rebind them. `version` counts the gradient
+    checker's writes to data (see `reusing`)."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "version")
 
     def __init__(self, name, data):
         super().__init__(data)
         self.name = name
+        self.version = 0
         self.grad = np.zeros_like(self.data)
 
     def zero_grad(self):

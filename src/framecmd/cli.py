@@ -300,8 +300,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_gen_corpus(args):
+    _check_out(args.out)    # before deriving the map's path from it
     map_out = args.map_out or str(Path(args.out).with_suffix("")) + ".map.json"
-    _check_out(args.out)
     _check_out(map_out, "--map-out")
     frames = args.frames.split(",") if args.frames else None
     try:
@@ -315,8 +315,28 @@ def cmd_gen_corpus(args):
     return EXIT_OK
 
 
+# The characters str.splitlines() breaks at. An error message shows them
+# escaped, since it quotes arguments and file contents that may hold them
+# and must stay one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1]
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _error_line(message):
+    return f"error: {str(message).translate(_LINE_BREAKS)}\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends like every other error: one `error:` line on
+    stderr (no usage text), exit 2. Subcommand parsers are built from
+    the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, _error_line(f"{self.prog}: {message}"))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framecmd",
         description="Multi-layer LSTM semantic parser for robot commands")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -385,7 +405,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return EXIT_CODES[type(exc)]
     except BrokenPipeError:
         # Output still buffered would fail again at the interpreter's

@@ -17,13 +17,19 @@ REFINE_ABOVE = 1e-5
 NOISE_UNITS = 16
 
 
-def _central_difference(forward_fn, flat, idx, epsilon):
+def _central_difference(forward_fn, p, flat, idx, epsilon):
+    """The central difference of the loss in coordinate idx of p, whose
+    data `flat` views. Every write bumps p's version, so that `forward`
+    reuses no stage output computed from another value of p."""
     orig = flat[idx]
     flat[idx] = orig + epsilon
+    p.version += 1
     lp = forward_fn().data
     flat[idx] = orig - epsilon
+    p.version += 1
     lm = forward_fn().data
     flat[idx] = orig
+    p.version += 1
     return float((lp - lm) / (2.0 * epsilon))
 
 
@@ -36,11 +42,14 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
     """Compare analytic gradients against central differences.
 
     forward_fn() must rebuild the loss graph from the current parameter
-    values and return a scalar Tensor. Per parameter, up to max_coords
-    coordinates are checked (seeded subsample when larger). Returns the
-    max of |a - n| / max(1e-8, |a| + |n|) over all checked coordinates,
-    or NaN when any of them is NaN (e.g. with epsilon = 0), so that a
-    check against a threshold fails.
+    values and return a scalar Tensor. While coordinates are perturbed,
+    `model.forward` reuses the stages no write has reached
+    (`ad.reusing`), so between calls nothing but grad_check may change
+    the weights or the inputs forward_fn passes. Per parameter, up to
+    max_coords coordinates are checked (seeded subsample when larger).
+    Returns the max of |a - n| / max(1e-8, |a| + |n|) over all checked
+    coordinates, or NaN when any of them is NaN (e.g. with epsilon = 0),
+    so that a check against a threshold fails.
 
     Coordinates whose gradient magnitude is near the 1e-8 denominator
     floor are noise-limited in float64: the central difference carries
@@ -68,7 +77,7 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
     rng = np.random.default_rng(seed)
     errors = [0.0]
     suspect = []  # (param, coord, analytic value) pairs to re-check
-    with ad.no_grad():
+    with ad.no_grad(), ad.reusing():
         for p in params:
             flat = p.data.reshape(-1)
             n = flat.shape[0]
@@ -78,7 +87,8 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
                 coords = range(n)
             a_flat = analytic[p.name].reshape(-1)
             for idx in coords:
-                numeric = _central_difference(forward_fn, flat, idx, epsilon)
+                numeric = _central_difference(forward_fn, p, flat, idx,
+                                              epsilon)
                 err = _rel_err(a_flat[idx], numeric)
                 if err <= REFINE_ABOVE or not (
                         abs(a_flat[idx] - numeric) <= noise):   # NaN too
@@ -98,7 +108,7 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
                     p.data = p.data.astype(np.longdouble)
                 for p, idx, a in suspect:
                     flat = p.data.reshape(-1)
-                    numeric = _central_difference(forward_fn, flat, idx,
+                    numeric = _central_difference(forward_fn, p, flat, idx,
                                                   epsilon)
                     errors.append(_rel_err(a, numeric))
             finally:

@@ -105,6 +105,7 @@ class Model:
         self.config = config
         self.vocab = vocab
         self._params = []
+        self.stage_params = {}  # the parameters each stage of forward reads
         own = self._own
         c = config
         seed = c.seed
@@ -115,43 +116,46 @@ class Model:
         self.bos_index = n2  # extra label-embedding row for step 0
 
         self.l1 = own(L.LstmCell("layer1", c.embedding_dim, c.hidden_size,
-                                 seed, directions=("fwd", "bwd")))
+                                 seed, directions=("fwd", "bwd")), "trunk")
         self.ad_head = own(L.AffineParams("ad_head", len(vocab.frames),
-                                          h1_dim, seed))
+                                          h1_dim, seed), "ad_head")
         if c.attention:
             self.att1 = own(L.AttentionParams("att1", h1_dim, h1_dim,
-                                              c.attention_size, seed))
+                                              c.attention_size, seed), "trunk")
             self.ad_query = own(Parameter("att1.ad_query", L.init_params(
-                (h1_dim,), seed, "glorot_uniform", "att1.ad_query")))
+                (h1_dim,), seed, "glorot_uniform", "att1.ad_query")),
+                "trunk")
 
         dec_in = h1_dim + (h1_dim if c.attention else 0) + c.label_embedding_dim
         self.label_emb2 = own(Parameter("layer2.label_emb", L.init_params(
             (n2 + 1, c.label_embedding_dim), seed, "glorot_uniform",
-            "layer2.label_emb")))
+            "layer2.label_emb")), "layer2")
         self.l2_cell = own(L.LstmCell("layer2.cell", dec_in,
-                                      c.decoder_hidden, seed))
+                                      c.decoder_hidden, seed), "layer2")
         self.l2_head = own(L.AffineParams("layer2.head", n2, c.decoder_hidden,
-                                          seed))
+                                          seed), "layer2")
 
         if c.variant == "3L":
-            self.hw = own(L.HighwayParams("highway", h1_dim, seed))
+            self.hw = own(L.HighwayParams("highway", h1_dim, seed), "layer3")
             if c.attention:
-                self.att3 = own(L.AttentionParams("att3", h1_dim, h1_dim,
-                                                  c.attention_size, seed))
+                self.att3 = own(L.AttentionParams(
+                    "att3", h1_dim, h1_dim, c.attention_size, seed), "layer3")
             self.label_emb3 = own(Parameter("layer3.label_emb", L.init_params(
                 (len(vocab.iob), c.label_embedding_dim), seed,
-                "glorot_uniform", "layer3.label_emb")))
+                "glorot_uniform", "layer3.label_emb")), "layer3")
             self.l3_cell = own(L.LstmCell("layer3.cell", dec_in,
-                                          c.decoder_hidden, seed))
+                                          c.decoder_hidden, seed), "layer3")
             self.l3_head = own(L.AffineParams("layer3.head",
                                               len(vocab.ac_labels),
-                                              c.decoder_hidden, seed))
+                                              c.decoder_hidden, seed),
+                               "layer3")
 
-    def _own(self, part):
+    def _own(self, part, stage):
         """Register a layer's parameters, or one Parameter, as trained
-        and saved; returns the part."""
-        self._params += [part] if isinstance(part, Parameter) else (
-            part.parameters())
+        and saved and as read by `stage` of forward; returns the part."""
+        params = [part] if isinstance(part, Parameter) else part.parameters()
+        self._params += params
+        self.stage_params.setdefault(stage, []).extend(params)
         return part
 
     def parameters(self):
@@ -256,6 +260,10 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     infer mode it consumes its own greedy predictions, step by step,
     and its logits are constants. Dropout is applied to layer inputs
     only when a dropout_rng is supplied (training).
+
+    Under `ad.reusing`, and without dropout, each of the four stages
+    (the trunk: layer 1 and att1; the AD head; layer 2; layer 3) reuses
+    its last output while its `_stage` key is unchanged.
     """
     if mode == "train" and gold is None:
         raise ValueError("train mode requires gold labels")
@@ -264,71 +272,119 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     lengths = np.asarray([embedded.shape[0]] if lengths is None else lengths)
     if lengths.sum() != embedded.shape[0] or np.any(lengths < 1):
         raise ValueError("sentence lengths do not match the embedded tokens")
-    B, T = len(lengths), int(lengths.max())
-    X = np.zeros((B, T, embedded.shape[1]))
-    X[np.arange(T) < lengths[:, None]] = embedded
-    X = X.swapaxes(0, 1)
-    mask = _dropout_mask(X.shape, rate, dropout_rng)
-    if mask is not None:    # the inputs are constants: no graph node
-        X = X * mask
-
-    h1, last_f, last_b = L.bilstm_forward(ad.constant(X), model.l1, lengths)
-    maps = {} if c.attention else None
-
-    if c.attention:
-        sentence_vec, maps["ad"] = L.attention(model.ad_query, h1,
-                                               model.att1, lengths)
-        ctx2, maps["layer2"] = L.attention(h1, h1, model.att1, lengths)
-        parts = [h1, ctx2]
-    else:
-        sentence_vec = ad.concat([last_f, last_b])
-        parts = [h1]
-    ad_logits = L.affine(sentence_vec, model.ad_head)
-
-    # Row t of labels2 feeds decoder step t; row t + 1 is the label step
-    # t emits: gold when teacher-forced, else that step's greedy argmax.
-    labels2 = np.full((T + 1, B), model.bos_index)
-    mask = _dropout_mask((T, B, model.l2_cell.input_dim), rate, dropout_rng)
     if mode == "train":
         gold = _gold_batch(gold)
         if not np.array_equal(gold.lengths, lengths):
             raise ValueError("gold label length mismatch")
+    key = None
+    if ad.stages is not None and dropout_rng is None:
+        # A key holds the inputs, so no other object takes their ids.
+        key = (id(model), id(embedded), id(gold), model, embedded, gold,
+               lengths.tolist(), mode, ad.dtype)
+    (h1, parts, pooled, maps), key1 = _stage(
+        model, "trunk", key, _trunk, model, embedded, lengths, rate,
+        dropout_rng)
+    ad_logits, _ = _stage(model, "ad_head", key1, L.affine, pooled,
+                          model.ad_head)
+    (seq2_logits, labels), key2 = _stage(
+        model, "layer2", key1, _layer2, model, parts, gold, mode, rate,
+        dropout_rng)
+    out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
+                      seq2_logits=seq2_logits, seq2_labels=labels,
+                      attention_maps=None if maps is None else dict(maps))
+    if c.variant != "3L":
+        return out
+    # Teacher-forced, layer 3 reads the gold labels, not layer 2's output.
+    (out.seq3_logits, map3), _ = _stage(
+        model, "layer3", key1 if mode == "train" else key2, _layer3, model,
+        h1, labels, lengths, rate, dropout_rng)
+    if c.attention:
+        out.attention_maps["layer3"] = map3
+    return out
+
+
+def _trunk(model, embedded, lengths, rate, rng):
+    """Layer 1 and att1: h1, layer 2's parts, AD's input, att1's maps."""
+    B, T = len(lengths), int(lengths.max())
+    X = np.zeros((B, T, embedded.shape[1]))
+    X[np.arange(T) < lengths[:, None]] = embedded
+    X = X.swapaxes(0, 1)
+    mask = _dropout_mask(X.shape, rate, rng)
+    if mask is not None:    # the inputs are constants: no graph node
+        X = X * mask
+    h1, last_f, last_b = L.bilstm_forward(ad.constant(X), model.l1, lengths)
+    if not model.config.attention:
+        return h1, [h1], ad.concat([last_f, last_b]), None
+    pooled, ad_map = L.attention(model.ad_query, h1, model.att1, lengths)
+    ctx2, map2 = L.attention(h1, h1, model.att1, lengths)
+    return h1, [h1, ctx2], pooled, {"ad": ad_map, "layer2": map2}
+
+
+def _layer2(model, parts, gold, mode, rate, rng):
+    """The layer-2 decoder's logits and the (T, B) labels it emits."""
+    T, B = parts[0].shape[:2]
+    # Row t of labels2 feeds decoder step t; row t + 1 is the label step
+    # t emits: gold when teacher-forced, else that step's greedy argmax.
+    labels2 = np.full((T + 1, B), model.bos_index)
+    mask = _dropout_mask((T, B, model.l2_cell.input_dim), rate, rng)
+    if mode == "train":
         labels2[1:] = gold.seq2
         states = L.lstm_run(L.decoder_input(parts, model.label_emb2,
                                             labels2[:-1], mask), model.l2_cell)
-        seq2_logits = L.affine(states, model.l2_head)
-    else:   # greedy: array steps and no graph, as nothing backpropagates
-        ctx = np.concatenate([p.data for p in parts], axis=-1)
-        emb = model.label_emb2.data
-        view = L.CellView(model.l2_cell, (B, ctx.shape[-1] + emb.shape[-1]))
-        head_Wt, head_b = model.l2_head.W.data.T, model.l2_head.b.data
-        h = cc = np.zeros((B, c.decoder_hidden), h1.data.dtype)
-        logits = []
-        for t in range(T):
-            x = np.concatenate([ctx[t], emb[labels2[t]]], axis=-1)
-            h, cc, _ = L.lstm_cell_forward(x, h, cc, view)
-            logits.append(h @ head_Wt + head_b)
-            labels2[t + 1] = np.argmax(logits[-1], axis=-1)
-        seq2_logits = ad.constant(np.array(logits))
+        return L.affine(states, model.l2_head), labels2[1:]
+    # greedy: array steps and no graph, as nothing backpropagates
+    ctx = np.concatenate([p.data for p in parts], axis=-1)
+    emb = model.label_emb2.data
+    view = L.CellView(model.l2_cell, (B, ctx.shape[-1] + emb.shape[-1]))
+    head_Wt, head_b = model.l2_head.W.data.T, model.l2_head.b.data
+    h = cc = np.zeros((B, model.config.decoder_hidden), ctx.dtype)
+    logits = []
+    for t in range(T):
+        x = np.concatenate([ctx[t], emb[labels2[t]]], axis=-1)
+        h, cc, _ = L.lstm_cell_forward(x, h, cc, view)
+        logits.append(h @ head_Wt + head_b)
+        labels2[t + 1] = np.argmax(logits[-1], axis=-1)
+    return ad.constant(np.array(logits)), labels2[1:]
 
-    out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
-                      seq2_logits=seq2_logits, seq2_labels=labels2[1:],
-                      attention_maps=maps)
-    if c.variant != "3L":
-        return out
 
+def _layer3(model, h1, labels, lengths, rate, rng):
+    """Layer 3's logits over h1 and the IOB labels, and att3's map."""
     routed = L.highway(h1, model.hw)     # all steps at once
-    if c.attention:
-        ctx3, maps["layer3"] = L.attention(routed, routed, model.att3,
-                                           lengths)
-        parts = [routed, ctx3]
-    else:
-        parts = [routed]
-    mask = _dropout_mask((T, B, model.l3_cell.input_dim), rate, dropout_rng)
-    states = L.lstm_run(L.decoder_input(parts, model.label_emb3,
-                                        labels2[1:], mask), model.l3_cell)
-    out.seq3_logits = L.affine(states, model.l3_head)
-    return out
+    map3 = None
+    parts = [routed]
+    if model.config.attention:
+        ctx3, map3 = L.attention(routed, routed, model.att3, lengths)
+        parts.append(ctx3)
+    mask = _dropout_mask(labels.shape + (model.l3_cell.input_dim,), rate,
+                         rng)
+    states = L.lstm_run(L.decoder_input(parts, model.label_emb3, labels,
+                                        mask), model.l3_cell)
+    return L.affine(states, model.l3_head), map3
+
+
+def _stage(model, name, up, fn, *args):
+    """fn(*args), the stage `name` of `forward`, and its key: None if
+    nothing is reused (up is None). Else the stage's last output is
+    returned again while its key holds: its upstream stage's key `up`
+    and the versions of the parameters it reads."""
+    if up is None:
+        return fn(*args), None
+    key = (up, [p.version for p in model.stage_params[name]])
+    if ad.stages.get(name, (None,))[0] != key:
+        ad.stages[name] = (key, fn(*args))
+    return ad.stages[name][1], key
+
+
+def _head_loss(head, logits, labels, weights):
+    """One head's cross-entropy node; under `ad.reusing`, its last one
+    while its logits are the same Tensor and its labels the same array."""
+    if ad.stages is None:
+        return L.softmax_cross_entropy(logits, labels, weights)
+    last = ad.stages.get(head, (None, None))
+    if last[0] is not logits or last[1] is not labels:
+        last = ad.stages[head] = (logits, labels, L.softmax_cross_entropy(
+            logits, labels, weights))
+    return last[2]
 
 
 def joint_loss(output, gold):
@@ -337,20 +393,21 @@ def joint_loss(output, gold):
     sentence so length does not dominate. gold is a GoldBatch, or one
     sentence's GoldLabels. Each head is one fused cross-entropy node
     over its stacked logits, weighted 1 / B per sentence, and
-    1 / (B * length) per token and 0 on padding."""
+    1 / (B * length) per token and 0 on padding. Reused terms
+    (`_head_loss`) are added in the same order, so the sum is the same."""
     gold = _gold_batch(gold)
     B = len(output.lengths)
     if not np.array_equal(gold.lengths, output.lengths):
         raise ValueError("gold label length mismatch")
-    loss = L.softmax_cross_entropy(output.ad_logits, gold.frames,
-                                   np.full(B, 1 / B))
-    loss = ad.add(loss, L.softmax_cross_entropy(
-        output.seq2_logits, gold.seq2, gold.weights))
+    loss = _head_loss("loss.ad", output.ad_logits, gold.frames,
+                      np.full(B, 1 / B))
+    loss = ad.add(loss, _head_loss("loss.layer2", output.seq2_logits,
+                                   gold.seq2, gold.weights))
     if output.seq3_logits is not None:
         if gold.seq3 is None:
             raise ValueError("gold type labels missing")
-        loss = ad.add(loss, L.softmax_cross_entropy(
-            output.seq3_logits, gold.seq3, gold.weights))
+        loss = ad.add(loss, _head_loss("loss.layer3", output.seq3_logits,
+                                       gold.seq3, gold.weights))
     return loss
 
 

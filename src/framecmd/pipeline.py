@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -270,6 +269,8 @@ def cross_validate(corpus, model_cfg, train_cfg, maps=None, table=None,
         jobs_args.append((fold, train_set, test_set, model_cfg, train_cfg,
                           vocab, table, maps))
     if jobs > 1:
+        # Imported here, so commands that start no pool do not pay for it.
+        from concurrent.futures import ProcessPoolExecutor
         # The pool starts all its workers at once: no more than folds.
         with ProcessPoolExecutor(max_workers=min(jobs, train_cfg.k)) as ex:
             results = list(ex.map(_run_fold, jobs_args))

@@ -672,6 +672,24 @@ class TestFlagsPerCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,code", [
+        (["train"], 2),
+        (["bogus"], 2),
+        (["gradcheck", "--eps", "1\n2"], 2),
+        (["train", "--corpus", "no\nsuch\u2028file"], 3),
+        (["gen-corpus", "--n", "1", "--out", ""], 2)])
+    def test_an_error_is_one_line(self, argv, code, capsys):
+        # No usage text, a line break quoted from an argument is shown
+        # escaped, and an empty --out is refused before the map path is
+        # derived from it.
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 def test_eval_ckpt_with_maps_parses_each_sentence_once(workdir, overfit_ckpt,
                                                         predict_calls,

@@ -1,25 +1,32 @@
 """Fuzzing the error contract: whatever a corpus, map, embeddings file,
 config override or checkpoint holds, its loader either accepts it or
 raises its documented error (exit 3, 2 or 4), never anything else.
-What a loader accepts must also survive its first use.
+What a loader accepts must also survive its first use. And whatever
+argv and files `main()` gets, it ends with a documented exit code and
+at most one stderr line.
 
 Hypothesis runs derandomized and without an example database, so every
 run tries the same inputs (conftest.py moves its caches out of the
 tree)."""
 
+import contextlib
+import io
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framecmd import cli
+from framecmd import cli, pipeline
 from framecmd.cli import ConfigError, build_configs, load_config
 from framecmd.corpus import (CorpusError, label_vocab, parse_corpus,
                              serialize_corpus)
 from framecmd.embeddings import (EmbeddingError, embed_sentence,
                                   load_embeddings, random_embeddings)
+from framecmd.gradcheck import grad_check
 from framecmd.grounding import (MapError, ground_element, load_map,
                                 serialize_map)
 from framecmd.model import (CheckpointError, ModelConfig, build_model,
@@ -224,5 +231,120 @@ def test_damaged_checkpoint(checkpoint):
             load_checkpoint(bad)
         except CheckpointError:
             return
+
+    run()
+
+
+# Fuzzing main(): random argv over the commands' words, flags and values,
+# with small files, valid or random, at the paths it names and on stdin.
+# Whatever comes in, main() ends in a documented way: exit 0 with nothing
+# on stderr, exit 1 from a failed gradient check, or exit 2 to 5 with one
+# `error:` line on stderr. The costly commands run bounded: one epoch of
+# training, cross-validation without a pool, one coordinate per parameter
+# in the gradient check.
+MAIN_FLAGS = {
+    "train": ["--corpus", "--config", "--embeddings", "--override", "--out"],
+    "eval": ["--corpus", "--ckpt", "--config", "--cv", "--maps",
+             "--embeddings", "--override", "--jobs", "--out"],
+    "parse": ["--map", "--show-attention"],
+    "gradcheck": ["--eps", "--hidden", "--corrupt", "--seed"],
+    "gen-corpus": ["--n", "--frames", "--map-out", "--seed", "--out"]}
+SWITCHES = {"--show-attention", "--corrupt", "-h"}
+REQUIRED = {"train": ["--corpus"], "eval": ["--corpus"], "gen-corpus": ["--n"]}
+FILE_FLAGS = {"--corpus", "--embeddings", "--ckpt", "--maps", "--map",
+              "--out", "--map-out"}
+main_files_named = st.sampled_from(
+    ["good.jsonl", "good.map.json", "good.emb", "good.ckpt", "rand",
+     "missing", "sub", "sub/new.out", "nodir/x", "-"])
+main_words = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "1e-5", "nan", "inf", "3l_att", "2l_no_att",
+     "epochs=1", "lr=inf", "seed=-1", "dropout=1", "hidden_size=2",
+     "Bringing,Motion", "go to the kitchen", ""])
+main_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\0"), max_size=6)
+main_values = main_files_named | main_words | main_text
+
+
+@st.composite
+def main_argv(draw):
+    """A command, its positionals for `parse`, mostly its own flags with
+    values of their kind, and now and then a stray word."""
+    command = draw(st.sampled_from(sorted(MAIN_FLAGS)))
+    argv = [command]
+    if command == "parse":
+        argv += [draw(main_files_named), draw(main_words | main_text)]
+    every_flag = sorted({f for fl in MAIN_FLAGS.values() for f in fl}
+                        | {"-h"})
+    flags = draw(st.lists(st.sampled_from(MAIN_FLAGS[command])
+                          | st.sampled_from(MAIN_FLAGS[command])
+                          | st.sampled_from(every_flag), max_size=4))
+    often = st.sampled_from([True, True, True, False])
+    if draw(often):
+        flags = REQUIRED.get(command, []) + flags
+    for flag in flags:
+        kind = main_files_named if flag in FILE_FLAGS else main_words
+        argv += [flag] if flag in SWITCHES else [
+            flag, draw(kind if draw(often) else main_values)]
+    if not draw(often):
+        argv.insert(draw(st.integers(1, len(argv))), draw(main_values))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def main_files(tmp_path_factory):
+    """The valid files main() may be given, by name, as bytes."""
+    corpus = generate_synthetic(seed=3, n=4)
+    tokens = sorted({t for s in corpus for t in s.tokens})
+    rng = np.random.default_rng(0)
+    emb = "".join(f"{t} " + " ".join(f"{v:.3f}" for v in rng.normal(size=50))
+                  + "\n" for t in tokens)
+    cfg = ModelConfig(embedding_dim=4, hidden_size=3, decoder_hidden=3,
+                      attention_size=2, label_embedding_dim=2)
+    ckpt = tmp_path_factory.mktemp("main") / "m.ckpt"
+    save_checkpoint(ckpt, build_model(cfg, label_vocab(corpus)),
+                    random_embeddings(tokens, 4))
+    return {"good.jsonl": serialize_corpus(corpus).encode(),
+            "good.map.json": serialize_map(demo_map()).encode(),
+            "good.emb": emb.encode(), "good.ckpt": ckpt.read_bytes()}
+
+
+def test_main_ends_in_a_documented_way(main_files, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "train", lambda model, table, corpus, cfg:
+                        pipeline.train(model, table, corpus,
+                                       replace(cfg, epochs=1)))
+    monkeypatch.setattr(cli, "cross_validate", lambda *a, **kw:
+                        pipeline.cross_validate(
+                            a[0], a[1], replace(a[2], epochs=1),
+                            **{**kw, "jobs": 1}))
+    monkeypatch.setattr(cli, "grad_check", lambda fn, params, **kw:
+                        grad_check(fn, params, max_coords=1, **kw))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    blobs = st.binary(max_size=40) | st.sampled_from(
+        sorted(main_files.values())).flatmap(
+            lambda b: st.integers(0, len(b)).map(lambda n: b[:n]))
+
+    @settings(derandomize=True, database=None, deadline=5000,
+              max_examples=200)
+    @given(main_argv(), blobs, blobs)
+    def run(argv, rand, stdin):
+        for name, data in main_files.items():
+            (tmp_path / name).write_bytes(data)
+        (tmp_path / "rand").write_bytes(rand)
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(stdin)))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:   # argparse: usage errors and -h
+                code = exc.code
+        err = err.getvalue()
+        if code == 0 or (code == 1 and argv[0] == "gradcheck"):
+            assert err == "", argv
+        else:
+            assert code in (2, 3, 4, 5), argv
+            assert err.startswith("error: ") and err.endswith("\n"), argv
+            assert len(err.splitlines()) == 1, (argv, err)
 
     run()

@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -560,6 +561,161 @@ class TestTraining:
         d = forward(m, emb, mode="infer")
         np.testing.assert_array_equal(c.ad_logits.data, d.ad_logits.data)
 
+
+
+# The stage of `forward` that reads a parameter, by its name's prefix, and
+# the stages each stage feeds in train mode (the teacher-forced layer 3
+# reads the gold labels, not layer 2).
+STAGE_OF_PREFIX = {"layer1": "trunk", "att1": "trunk", "ad_head": "ad_head",
+                   "layer2": "layer2", "highway": "layer3", "att3": "layer3",
+                   "layer3": "layer3"}
+DOWNSTREAM = {"trunk": ("trunk", "ad_head", "layer2", "layer3"),
+              "ad_head": ("ad_head",), "layer2": ("layer2",),
+              "layer3": ("layer3",)}
+
+
+def layer_calls(monkeypatch, m):
+    """A list that records, from now on, each call of the fused layers
+    `forward` runs, named by the part of m it reads."""
+    owner = {id(part): name for name, part in vars(m).items()}
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            part = args[1] if fn.__name__ in ("lstm_run", "bilstm_forward",
+                                              "highway", "affine") else args[2]
+            calls.append(f"{fn.__name__}:{owner[id(part)]}")
+            return fn(*args)
+        return wrapper
+
+    for name in ("bilstm_forward", "lstm_run", "attention", "highway",
+                 "affine"):
+        monkeypatch.setattr(L, name, counting(getattr(L, name)))
+    return calls
+
+
+def stage_calls(m, stages):
+    """The layer calls of the given stages of a train-mode forward."""
+    att = m.config.attention
+    calls = {"trunk": ["bilstm_forward:l1", "lstm_run:l1"]
+                       + ["attention:att1"] * (2 * att),
+             "ad_head": ["affine:ad_head"],
+             "layer2": ["lstm_run:l2_cell", "affine:l2_head"],
+             "layer3": ["highway:hw"] + ["attention:att3"] * att + [
+                 "lstm_run:l3_cell", "affine:l3_head"]}
+    return sorted(c for s in stages for c in calls[s])
+
+
+class TestStageReuse:
+    """While grad_check perturbs weights, `forward` reruns only the
+    stages a changed parameter feeds (ad.reusing)."""
+
+    def build(self, variant, attention, dropout=0.0):
+        m = build_model(small_config(variant, attention, dropout), VOCAB)
+        _, emb = embedded()
+        return m, emb, gold_labels(sentence(), VOCAB, variant)
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_grad_check_gives_the_same_losses_with_reuse_held_off(
+            self, monkeypatch, variant, attention):
+        # Every forward pass the check makes, and so its result, is the
+        # same to the bit whether stages are reused or not.
+        m, emb, gold = self.build(variant, attention)
+
+        def run():
+            losses = []
+
+            def fwd():
+                losses.append(joint_loss(forward(m, emb, gold=gold,
+                                                 mode="train"), gold).data)
+                return ad.Tensor(losses[-1])
+
+            return grad_check(fwd, m.parameters(), max_coords=4,
+                              seed=3), losses
+
+        err, losses = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(ad, "reusing", contextlib.nullcontext)
+            err_off, losses_off = run()
+        assert err == err_off
+        assert len(losses) == len(losses_off) > 4 * len(m.parameters())
+        assert losses == losses_off
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_a_bump_reruns_its_stage_and_the_stages_it_feeds(
+            self, monkeypatch, variant, attention):
+        m, emb, gold = self.build(variant, attention)
+        stages = [s for s in DOWNSTREAM["trunk"]
+                  if s != "layer3" or variant == "3L"]
+        calls = layer_calls(monkeypatch, m)
+        with ad.no_grad(), ad.reusing():
+            forward(m, emb, gold=gold, mode="train")
+            assert sorted(calls) == stage_calls(m, stages)
+            for p in m.parameters():
+                calls.clear()
+                forward(m, emb, gold=gold, mode="train")
+                assert calls == []      # nothing changed: nothing reruns
+                p.version += 1
+                forward(m, emb, gold=gold, mode="train")
+                stage = STAGE_OF_PREFIX[p.name.partition(".")[0]]
+                assert sorted(calls) == stage_calls(m, [
+                    s for s in DOWNSTREAM[stage] if s in stages]), p.name
+
+    def test_infer_mode_layer_3_reads_layer_2(self, monkeypatch):
+        # Without teacher forcing, layer 3 reads layer 2's greedy labels,
+        # so a layer-2 weight reruns layer 3 too, but not the trunk.
+        m, emb, _ = self.build("3L", True)
+        calls = layer_calls(monkeypatch, m)
+        with ad.no_grad(), ad.reusing():
+            forward(m, emb, mode="infer")
+            m.l2_cell.W.version += 1
+            calls.clear()
+            forward(m, emb, mode="infer")
+        assert sorted(calls) == stage_calls(m, ["layer3"])
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_outside_grad_check_an_in_place_edit_changes_the_output(
+            self, variant, attention):
+        m, emb, gold = self.build(variant, attention)
+        rng = np.random.default_rng(4)
+        with ad.no_grad():
+            for p in m.parameters():
+                before = joint_loss(forward(m, emb, gold=gold, mode="train"),
+                                    gold).data
+                p.data += rng.normal(0.0, 0.5, p.data.shape)
+                after = joint_loss(forward(m, emb, gold=gold, mode="train"),
+                                   gold).data
+                assert after != before, p.name
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_with_a_dropout_rng_nothing_is_reused(self, monkeypatch,
+                                                   variant, attention):
+        m, emb, gold = self.build(variant, attention, dropout=0.3)
+        stages = [s for s in DOWNSTREAM["trunk"]
+                  if s != "layer3" or variant == "3L"]
+        calls = layer_calls(monkeypatch, m)
+        rng = np.random.default_rng(0)
+        with ad.no_grad(), ad.reusing():
+            for _ in range(2):
+                calls.clear()
+                a = joint_loss(forward(m, emb, gold=gold, mode="train",
+                                       dropout_rng=rng), gold)
+                assert sorted(calls) == stage_calls(m, stages)
+            b = joint_loss(forward(m, emb, gold=gold, mode="train",
+                                   dropout_rng=np.random.default_rng(0)), gold)
+        with ad.no_grad():
+            c = joint_loss(forward(m, emb, gold=gold, mode="train",
+                                   dropout_rng=np.random.default_rng(0)), gold)
+        assert b.data == c.data != a.data
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_stages_partition_the_parameters(self, variant, attention):
+        m = build_model(small_config(variant, attention), VOCAB)
+        listed = [(s, p) for s, ps in m.stage_params.items() for p in ps]
+        assert sorted(p.name for _, p in listed) == sorted(
+            p.name for p in m.parameters())
+        assert all(STAGE_OF_PREFIX[p.name.partition(".")[0]] == s
+                   for s, p in listed)
 
 def reachable(loss):
     """Every tensor the graph of loss reaches, loss included."""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from dataclasses import replace
 
@@ -304,7 +305,8 @@ class TestCrossValidate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         corpus = generate_synthetic(17, 18)
         mc = ModelConfig(variant="2L", attention=False, embedding_dim=8,
                          hidden_size=4, decoder_hidden=4, attention_size=4,

@@ -1,0 +1,161 @@
+"""Report where two framecmd source trees compute different numbers.
+
+    python tools/equivalence.py A_SRC B_SRC
+
+A_SRC and B_SRC are the `src` directories of two checkouts, say a
+parent commit and a change. Each tree runs in its own process with
+PYTHONPATH set to it, on one fixed synthetic set: 120 sentences, on
+which each of the four presets trains for 3 epochs (patience 2,
+dropout on) and then parses 40 other sentences. The report has one
+line per item:
+
+- the parameters after training, all presets;
+- the loss histories;
+- the parses of the 40 sentences;
+- their attention maps (the ATT presets);
+- the 5-fold assignment of the 120 sentences;
+- the output of `framecmd gradcheck`;
+- the bytes of each trained model's checkpoint.
+
+An item is "identical", or the line gives its largest absolute and
+relative difference, or how many of its values differ. This is a
+report, not a gate: README's numerics policy says when a change must
+post it, and no test runs it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PRESETS = ("2l_att", "2l_no_att", "3l_att", "3l_no_att")
+SEED = 5
+
+
+def dump(out):
+    """Write this tree's results to the .npz file `out`."""
+    from dataclasses import replace
+
+    from framecmd import cli
+    from framecmd.corpus import label_vocab, make_folds
+    from framecmd.embeddings import random_embeddings
+    from framecmd.model import build_model, predict_many, save_checkpoint
+    from framecmd.pipeline import train
+    from framecmd.synth import generate_synthetic
+
+    corpus = generate_synthetic(SEED, 120)
+    held_out = generate_synthetic(SEED + 1, 40)
+    vocab = label_vocab(corpus)
+    items = {}
+    for preset in PRESETS:
+        model_cfg, train_cfg = cli.build_configs(cli.load_config(preset))
+        train_cfg = replace(train_cfg, epochs=3, patience=2)
+        table = random_embeddings([t for s in corpus + held_out
+                                   for t in s.tokens],
+                                  model_cfg.embedding_dim, seed=SEED)
+        model = build_model(model_cfg, vocab)
+        items[f"loss/{preset}"] = np.array(train(model, table, corpus,
+                                                 train_cfg))
+        for p in model.parameters():
+            items[f"params/{preset}/{p.name}"] = p.data
+        parses = predict_many(model, table, [list(s.tokens)
+                                             for s in held_out])
+        items[f"parses/{preset}"] = np.array([json.dumps(
+            [p.frame_type, p.elements]) for p in parses])
+        if parses[0].attention is not None:
+            items[f"attention/{preset}"] = np.concatenate(
+                [w.ravel() for p in parses
+                 for _, w in sorted(p.attention.items())])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ckpt"
+            save_checkpoint(path, model, table)
+            items[f"checkpoint/{preset}"] = np.frombuffer(path.read_bytes(),
+                                                          np.uint8)
+    folds = make_folds(corpus, 5, SEED)
+    items["folds"] = np.array([folds.assignment[s.id] for s in corpus])
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli.main(["gradcheck"])
+    items["gradcheck"] = np.array(text.getvalue().splitlines())
+    np.savez(out, **items)
+
+
+def _numeric(a, b, keys):
+    """The line for float arrays: identical, or the largest differences."""
+    if any(a[k].shape != b[k].shape for k in keys):
+        return "shapes differ"
+    abs_diff = rel_diff = 0.0
+    for k in keys:
+        d = np.abs(a[k] - b[k])
+        abs_diff = max(abs_diff, float(d.max(initial=0.0)))
+        scale = np.maximum(np.abs(a[k]), np.abs(b[k]))
+        rel = np.divide(d, scale, out=np.zeros_like(d), where=scale > 0)
+        rel_diff = max(rel_diff, float(rel.max(initial=0.0)))
+    if abs_diff == 0.0:
+        return "identical"
+    return f"max abs diff {abs_diff:.3g}, max rel diff {rel_diff:.3g}"
+
+
+def _counted(a, b, keys, what):
+    """The line for values compared one by one: how many differ."""
+    total = differ = 0
+    for k in keys:
+        x, y = a[k], b[k]
+        n = max(x.size, y.size)
+        same = min(x.size, y.size)
+        total += n
+        differ += n - same + int(np.count_nonzero(x[:same] != y[:same]))
+    return "identical" if differ == 0 else f"{differ} of {total} {what} differ"
+
+
+def report(a, b):
+    """The report's lines for the results a and b of the two trees."""
+    if set(a.files) != set(b.files):
+        return [f"different items: {sorted(set(a.files) ^ set(b.files))}"]
+
+    def keys(prefix):
+        return sorted(k for k in a.files if k.startswith(prefix))
+
+    return [
+        f"parameters after train: {_numeric(a, b, keys('params/'))}",
+        f"loss histories: {_numeric(a, b, keys('loss/'))}",
+        f"parses: {_counted(a, b, keys('parses/'), 'parses')}",
+        f"attention maps: {_numeric(a, b, keys('attention/'))}",
+        f"fold assignments: {_counted(a, b, ['folds'], 'sentences')}",
+        f"gradcheck output: {_counted(a, b, ['gradcheck'], 'lines')}",
+        f"checkpoint bytes: {_counted(a, b, keys('checkpoint/'), 'bytes')}",
+    ]
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "--dump":
+        dump(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, f"{side}.npz") for side in "ab"]
+        # One process per tree, both at once.
+        procs = [subprocess.Popen(
+            [sys.executable, __file__, "--dump", out],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+            for src, out in zip(argv, outs)]
+        if any([p.wait() != 0 for p in procs]):
+            print("a tree failed to run", file=sys.stderr)
+            return 1
+        with np.load(outs[0]) as a, np.load(outs[1]) as b:
+            print("\n".join(report(a, b)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
