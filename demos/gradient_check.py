@@ -1,42 +1,30 @@
 """Finite-difference verification of the backward pass.
 
-Every architecture variant is checked coordinate-by-coordinate against
-central differences on a 5-token sentence. Relative errors sit well
-below 1e-4 when the analytic gradients are right; corrupting them (try
-flipping CORRUPT below) blows the error up by many orders of magnitude.
+Runs `framecmd gradcheck`, which checks every architecture variant
+coordinate by coordinate against central differences on a 5-token
+sentence: relative errors sit well below 1e-4 when the analytic
+gradients are right. Then it breaks the backward pass, so that every
+gradient an op hands back is added twice over, and runs the check
+again: the errors rise by orders of magnitude and every variant
+fails. Exits 1 if either run ends otherwise.
+
+    PYTHONPATH=src python demos/gradient_check.py
 """
 
-from framecmd.corpus import AnnotatedSentence, FrameAnnotation, label_vocab
-from framecmd.embeddings import embed_sentence, random_embeddings
-from framecmd.gradcheck import grad_check
-from framecmd.model import (ModelConfig, build_model, forward, gold_labels,
-                            joint_loss)
-from framecmd.synth import generate_synthetic
+import sys
 
-CORRUPT = False
+from framecmd import autodiff
+from framecmd.cli import main
 
-vocab = label_vocab(generate_synthetic(seed=42, n=12))
-table = random_embeddings(["bring", "the", "book", "to", "kitchen"],
-                          dim=8, seed=42)
-sentence = AnnotatedSentence(
-    id="gc0", tokens=("bring", "the", "book", "to", "kitchen"),
-    frame=FrameAnnotation("Bringing", (0, 0),
-                          (("Theme", (1, 2)), ("Goal", (3, 4)))))
-embedded = embed_sentence(table, list(sentence.tokens))
+print("the backward pass as it is:")
+right = main(["gradcheck"]) == 0
 
-for variant in ("2L", "3L"):
-    for attention in (True, False):
-        cfg = ModelConfig(variant=variant, attention=attention,
-                          embedding_dim=8, hidden_size=8, decoder_hidden=8,
-                          attention_size=4, label_embedding_dim=4,
-                          dropout=0.0, seed=42)
-        model = build_model(cfg, vocab)
-        gold = gold_labels(sentence, vocab, variant)
+print("\nthe backward pass adding every gradient twice over:")
+accumulate = autodiff.accumulate
+autodiff.accumulate = lambda t, g: accumulate(t, 2.0 * g)
+try:
+    caught = main(["gradcheck"]) == 1
+finally:
+    autodiff.accumulate = accumulate
 
-        def loss_fn():
-            out = forward(model, embedded, gold=gold, mode="train")
-            return joint_loss(out, gold)
-
-        err = grad_check(loss_fn, model.parameters(), corrupt=CORRUPT)
-        verdict = "ok" if err < 1e-4 else "BROKEN"
-        print(f"{cfg.name:10s} max relative error {err:.3e}  {verdict}")
+sys.exit(0 if right and caught else 1)

@@ -40,11 +40,13 @@ class ConfigError(Exception):
     pass
 
 
-# Config keys are the dataclass fields; `seed` is in both sets. Each
-# value is read as its field's declared type.
+# Config keys are the dataclass fields but `k`, the number of CV folds,
+# which only `eval --cv K` sets; `seed` is in both sets. Each value is
+# read as its field's declared type.
 MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 KEY_TYPES = {**get_type_hints(ModelConfig), **get_type_hints(TrainConfig)}
+del KEY_TYPES["k"]
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string"}
 
@@ -181,6 +183,16 @@ def cmd_train(args):
 def cmd_eval(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1; got {args.jobs}")
+    if args.ckpt is not None:
+        # Flags that only cross-validation reads.
+        for flag, given in (("--config", args.config is not None),
+                            ("--override", args.override),
+                            ("--embeddings", args.embeddings is not None),
+                            ("--cv", args.cv is not None),
+                            ("--jobs", args.jobs != 1)):
+            if given:
+                raise ConfigError(f"eval --ckpt does not take {flag}; only "
+                                  f"cross-validation (--cv) reads it")
     if args.out:
         _check_out(args.out)
     corpus = _read_corpus(args.corpus)
@@ -288,8 +300,7 @@ def cmd_gradcheck(args):
                 out = forward(model, embedded, gold=gold, mode="train")
                 return joint_loss(out, gold)
 
-            err = grad_check(forward_fn, model.parameters(),
-                             epsilon=args.eps, corrupt=args.corrupt)
+            err = grad_check(forward_fn, model.parameters(), epsilon=args.eps)
             ok = err < GRADCHECK_THRESHOLD
             all_pass = all_pass and ok
             print(f"{cfg.name}: max relative error {err:.3e} at "
@@ -377,8 +388,6 @@ def build_parser():
                        help="finite-difference check of all architectures")
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--hidden", type=int, default=8)
-    p.add_argument("--corrupt", action="store_true",
-                   help=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_gradcheck)
 

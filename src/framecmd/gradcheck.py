@@ -37,8 +37,7 @@ def _rel_err(a, n):
     return abs(a - n) / max(1e-8, abs(a) + abs(n))
 
 
-def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
-               corrupt=False):
+def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0):
     """Compare analytic gradients against central differences.
 
     forward_fn() must rebuild the loss graph from the current parameter
@@ -60,9 +59,6 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
     which removes the rounding noise without touching the float64
     analytic gradients being verified. A larger discrepancy keeps its
     float64 error.
-
-    corrupt=True doubles the analytic gradients (debug path used to
-    demonstrate that the check actually fails on wrong gradients).
     """
     params = sorted(params, key=lambda p: p.name)
     for p in params:
@@ -71,8 +67,6 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0,
     noise = NOISE_UNITS * np.spacing(abs(loss.data)) / (2.0 * epsilon)
     ad.backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
-    if corrupt:
-        analytic = {k: 2.0 * v for k, v in analytic.items()}
 
     rng = np.random.default_rng(seed)
     errors = [0.0]

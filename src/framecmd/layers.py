@@ -66,27 +66,24 @@ def seeded_rng(seed, name):
         np.array(words + list(name.encode("utf-8")), dtype=np.uint32)))
 
 
-def init_params(shape, seed, scheme, name=""):
-    """Deterministic initial tensor for a parameter.
-
-    schemes: glorot_uniform (weights), zeros (biases),
-    forget_bias_one (LSTM forget-gate bias). The RNG stream is derived
-    from (seed, name) so every parameter is independent and stable.
-    Under skip_init() every scheme gives zeros.
-    """
+def init_params(shape, seed, name):
+    """Deterministic Glorot-uniform initial values for a weight, from
+    the random stream of (seed, name), so that every weight is
+    independent and stable. Under skip_init() they are zeros."""
     shape = tuple(int(s) for s in shape)
-    if scheme == "zeros" or not seeded_init:
+    if not seeded_init:
         return np.zeros(shape)
-    if scheme == "forget_bias_one":
-        return np.ones(shape)
-    if scheme == "glorot_uniform":
-        if len(shape) == 2:
-            fan_out, fan_in = shape
-        else:
-            fan_in = fan_out = shape[0]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return seeded_rng(seed, name).uniform(-bound, bound, shape)
-    raise ValueError(f"unknown init scheme: {scheme}")
+    if len(shape) == 2:
+        fan_out, fan_in = shape
+    else:
+        fan_in = fan_out = shape[0]
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return seeded_rng(seed, name).uniform(-bound, bound, shape)
+
+
+def glorot(name, shape, seed):
+    """The weight Parameter `name`, drawn by init_params."""
+    return Parameter(name, init_params(shape, seed, name))
 
 
 class LstmCell:
@@ -97,8 +94,9 @@ class LstmCell:
     c' = f*c + i*g, h' = o*tanh(c'). With directions (the encoder's fwd
     and bwd), one cell per direction runs side by side and each
     Parameter gains a leading direction axis, row 0 forward. Each gate
-    block is drawn as its own tensor, named `<stream>.W_<gate>` (`U_`,
-    `b_`), the stream being the prefix or `<prefix>.<direction>`.
+    block of W and U is drawn as its own tensor, named `<stream>.W_<gate>`
+    (`U_`), the stream being the prefix or `<prefix>.<direction>`. The
+    bias starts at 0, and at 1 in the forget gate's block.
     """
 
     def __init__(self, prefix, input_dim, hidden_dim, seed, directions=()):
@@ -107,17 +105,17 @@ class LstmCell:
         streams = [f"{prefix}.{d}" for d in directions] or [prefix]
         lead = (len(directions),) if directions else ()
 
-        def stacked(part, shape, schemes):
-            blocks = [init_params(shape, seed, scheme, f"{s}.{part}_{gate}")
-                      for s in streams for gate, scheme in zip(GATES, schemes)]
+        def stacked(part, shape):
+            blocks = [init_params(shape, seed, f"{s}.{part}_{gate}")
+                      for s in streams for gate in GATES]
             return Parameter(f"{prefix}.{part}", np.concatenate(blocks)
-                             .reshape(lead + (4 * hidden_dim,) + shape[1:]))
+                             .reshape(lead + (4 * hidden_dim, shape[1])))
 
-        glorot = ["glorot_uniform"] * 4
-        self.W = stacked("W", (hidden_dim, input_dim), glorot)
-        self.U = stacked("U", (hidden_dim, hidden_dim), glorot)
-        self.b = stacked("b", (hidden_dim,),
-                         ["zeros", "forget_bias_one", "zeros", "zeros"])
+        self.W = stacked("W", (hidden_dim, input_dim))
+        self.U = stacked("U", (hidden_dim, hidden_dim))
+        b = np.zeros(lead + (4 * hidden_dim,))
+        b[..., hidden_dim:2 * hidden_dim] = 1.0
+        self.b = Parameter(f"{prefix}.b", b)
 
     def parameters(self):
         return [self.W, self.U, self.b]
@@ -273,12 +271,9 @@ class AttentionParams:
     """Additive attention: score(q, k) = v . tanh(W1 q + W2 k)."""
 
     def __init__(self, prefix, query_dim, key_dim, att_dim, seed):
-        self.W1 = Parameter(f"{prefix}.W1", init_params(
-            (att_dim, query_dim), seed, "glorot_uniform", f"{prefix}.W1"))
-        self.W2 = Parameter(f"{prefix}.W2", init_params(
-            (att_dim, key_dim), seed, "glorot_uniform", f"{prefix}.W2"))
-        self.v = Parameter(f"{prefix}.v", init_params(
-            (att_dim,), seed, "glorot_uniform", f"{prefix}.v"))
+        self.W1 = glorot(f"{prefix}.W1", (att_dim, query_dim), seed)
+        self.W2 = glorot(f"{prefix}.W2", (att_dim, key_dim), seed)
+        self.v = glorot(f"{prefix}.v", (att_dim,), seed)
 
     def parameters(self):
         return [self.W1, self.W2, self.v]
@@ -373,11 +368,9 @@ class HighwayParams:
     """
 
     def __init__(self, prefix, dim, seed):
-        self.W_h = Parameter(f"{prefix}.W_h", init_params(
-            (dim, dim), seed, "glorot_uniform", f"{prefix}.W_h"))
+        self.W_h = glorot(f"{prefix}.W_h", (dim, dim), seed)
         self.b_h = Parameter(f"{prefix}.b_h", np.zeros(dim))
-        self.W_t = Parameter(f"{prefix}.W_t", init_params(
-            (dim, dim), seed, "glorot_uniform", f"{prefix}.W_t"))
+        self.W_t = glorot(f"{prefix}.W_t", (dim, dim), seed)
         self.b_t = Parameter(f"{prefix}.b_t", np.full(dim, -2.0))
 
     def parameters(self):
@@ -413,8 +406,7 @@ def highway(x, params):
 
 class AffineParams:
     def __init__(self, prefix, out_dim, in_dim, seed):
-        self.W = Parameter(f"{prefix}.W", init_params(
-            (out_dim, in_dim), seed, "glorot_uniform", f"{prefix}.W"))
+        self.W = glorot(f"{prefix}.W", (out_dim, in_dim), seed)
         self.b = Parameter(f"{prefix}.b", np.zeros(out_dim))
 
     def parameters(self):

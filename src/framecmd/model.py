@@ -122,14 +122,13 @@ class Model:
         if c.attention:
             self.att1 = own(L.AttentionParams("att1", h1_dim, h1_dim,
                                               c.attention_size, seed), "trunk")
-            self.ad_query = own(Parameter("att1.ad_query", L.init_params(
-                (h1_dim,), seed, "glorot_uniform", "att1.ad_query")),
-                "trunk")
+            self.ad_query = own(L.glorot("att1.ad_query", (h1_dim,), seed),
+                                "trunk")
 
         dec_in = h1_dim + (h1_dim if c.attention else 0) + c.label_embedding_dim
-        self.label_emb2 = own(Parameter("layer2.label_emb", L.init_params(
-            (n2 + 1, c.label_embedding_dim), seed, "glorot_uniform",
-            "layer2.label_emb")), "layer2")
+        self.label_emb2 = own(L.glorot("layer2.label_emb",
+                                       (n2 + 1, c.label_embedding_dim), seed),
+                              "layer2")
         self.l2_cell = own(L.LstmCell("layer2.cell", dec_in,
                                       c.decoder_hidden, seed), "layer2")
         self.l2_head = own(L.AffineParams("layer2.head", n2, c.decoder_hidden,
@@ -140,9 +139,9 @@ class Model:
             if c.attention:
                 self.att3 = own(L.AttentionParams(
                     "att3", h1_dim, h1_dim, c.attention_size, seed), "layer3")
-            self.label_emb3 = own(Parameter("layer3.label_emb", L.init_params(
-                (len(vocab.iob), c.label_embedding_dim), seed,
-                "glorot_uniform", "layer3.label_emb")), "layer3")
+            self.label_emb3 = own(L.glorot(
+                "layer3.label_emb", (len(vocab.iob), c.label_embedding_dim),
+                seed), "layer3")
             self.l3_cell = own(L.LstmCell("layer3.cell", dec_in,
                                           c.decoder_hidden, seed), "layer3")
             self.l3_head = own(L.AffineParams("layer3.head",

@@ -37,14 +37,16 @@ def flatten(params):
 
 
 class Adam:
-    """Adam with bias correction. Gradients are zeroed after each step."""
+    """Adam with bias correction, with Kingma and Ba's constants
+    (arXiv:1412.6980). Gradients are zeroed after each step."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.params, self.data, self.grad = flatten(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
@@ -59,18 +61,18 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
-        m *= self.beta1
-        np.multiply(g, 1 - self.beta1, out=s1)
+        m *= self.BETA1
+        np.multiply(g, 1 - self.BETA1, out=s1)
         m += s1
-        v *= self.beta2
-        np.multiply(g, 1 - self.beta2, out=s1)
+        v *= self.BETA2
+        np.multiply(g, 1 - self.BETA2, out=s1)
         s1 *= g
         v += s1
-        np.divide(m, 1 - self.beta1 ** t, out=s1)
+        np.divide(m, 1 - self.BETA1 ** t, out=s1)
         s1 *= self.lr
-        np.divide(v, 1 - self.beta2 ** t, out=s2)
+        np.divide(v, 1 - self.BETA2 ** t, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += self.eps
+        s2 += self.EPS
         s1 /= s2
         self.data -= s1
         g.fill(0.0)

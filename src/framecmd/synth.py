@@ -93,6 +93,8 @@ def generate_synthetic(seed, n, frames=None):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:    # random.Random would seed on its absolute value
+        raise ValueError(f"seed must be >= 0; got {seed}")
     if frames is None:
         frames = FRAMES
     frames = sorted(frames)

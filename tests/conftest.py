@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from framecmd import autodiff as ad
 from framecmd import model as fc_model
 from framecmd import pipeline
 from framecmd.corpus import label_vocab
@@ -81,3 +82,11 @@ def predict_calls(monkeypatch):
     monkeypatch.setattr(fc_model, "predict", counting)
     monkeypatch.setattr(pipeline, "predict", counting)
     return calls
+
+
+@pytest.fixture
+def doubled_gradients(monkeypatch):
+    """A wrong backward pass, for showing that a gradient check fails:
+    every gradient an op hands back is added twice over."""
+    add = ad.accumulate
+    monkeypatch.setattr(ad, "accumulate", lambda t, g: add(t, 2.0 * g))

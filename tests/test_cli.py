@@ -21,6 +21,17 @@ FAST_OVERRIDES = ["--override", "epochs=2", "--override", "hidden_size=4",
                   "--override", "patience=0"]
 
 
+def forbid_work(monkeypatch, *names):
+    """Make each named function of framecmd.cli fail the test if called."""
+    from framecmd import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, no_work)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
@@ -60,6 +71,14 @@ class TestGenCorpus:
                    "--out", str(tmp_path / "x.jsonl")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # random.Random(-1) would give the corpus of seed 1.
+        rc = main(["gen-corpus", "--n", "2", "--seed", "-1",
+                   "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 2
+        assert "seed" in assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -181,6 +200,19 @@ class TestEval:
         rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
                    "--ckpt", str(bad)])
         assert rc == 4
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "3l_att"], ["--override", "epochs=nonsense"],
+        ["--embeddings", "/nonexistent"], ["--cv", "2"], ["--jobs", "2"],
+        ["--config", "3l_att", "--cv", "2"]])
+    def test_ckpt_with_a_cross_validation_flag_exit_2_before_any_work(
+            self, workdir, overfit_ckpt, capsys, monkeypatch, flags):
+        forbid_work(monkeypatch, "_read_corpus", "load_checkpoint",
+                    "cross_validate")
+        rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--ckpt", overfit_ckpt] + flags)
+        assert rc == 2
+        assert flags[0] in assert_one_line_error(capsys)
 
 
 class TestParse:
@@ -380,8 +412,8 @@ class TestGradcheck:
         assert out.count("PASS") == 4
         assert "eps=1e-05" in out
 
-    def test_corrupted_gradients_fail(self, capsys):
-        rc = main(["gradcheck", "--hidden", "4", "--corrupt"])
+    def test_corrupted_gradients_fail(self, capsys, doubled_gradients):
+        rc = main(["gradcheck", "--hidden", "4"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -437,13 +469,8 @@ class TestConfigErrors:
     ], ids=["train", "eval", "gen-corpus", "gen-corpus-map", "out-is-dir"])
     def test_out_path_not_writable_exit_2_before_any_work(
             self, workdir, tmp_path, capsys, monkeypatch, argv):
-        from framecmd import cli
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before --out was checked")
-
-        for name in ("train", "cross_validate", "generate_synthetic"):
-            monkeypatch.setattr(cli, name, no_work)
+        forbid_work(monkeypatch, "train", "cross_validate",
+                    "generate_synthetic")
         argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
                 for a in argv]
         if argv[0] != "gen-corpus":
@@ -458,6 +485,23 @@ class TestConfigErrors:
                    "--config", "2l_no_att", "--cv", k])
         assert rc == 2
         assert "--cv" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--override", "k=3"],
+        ["eval", "--config", "2l_no_att", "--cv", "2", "--override", "k=3"],
+        ["train", "--config", "{tmp}/folds.cfg"],
+        ["eval", "--config", "{tmp}/folds.cfg", "--cv", "2"]],
+        ids=["train-override", "eval-override", "train-file", "eval-file"])
+    def test_k_is_not_a_config_key_exit_2(self, workdir, tmp_path, capsys,
+                                          monkeypatch, argv):
+        # Only eval --cv K sets the number of folds.
+        forbid_work(monkeypatch, "train", "cross_validate")
+        (tmp_path / "folds.cfg").write_text("variant = 2L\nk = 4\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        rc = main(argv + ["--corpus", str(workdir / "corpus.jsonl"),
+                          "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown key 'k'" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-0.5"],
                                        ["--eps", "nan"], ["--eps", "inf"],
@@ -677,7 +721,8 @@ class TestFlagsPerCommand:
         (["bogus"], 2),
         (["gradcheck", "--eps", "1\n2"], 2),
         (["train", "--corpus", "no\nsuch\u2028file"], 3),
-        (["gen-corpus", "--n", "1", "--out", ""], 2)])
+        (["gen-corpus", "--n", "1", "--out", ""], 2),
+        (["gradcheck", "--corrupt"], 2)])
     def test_an_error_is_one_line(self, argv, code, capsys):
         # No usage text, a line break quoted from an argument is shown
         # escaped, and an empty --out is refused before the map path is

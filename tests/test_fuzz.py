@@ -247,9 +247,9 @@ MAIN_FLAGS = {
     "eval": ["--corpus", "--ckpt", "--config", "--cv", "--maps",
              "--embeddings", "--override", "--jobs", "--out"],
     "parse": ["--map", "--show-attention"],
-    "gradcheck": ["--eps", "--hidden", "--corrupt", "--seed"],
+    "gradcheck": ["--eps", "--hidden", "--seed"],
     "gen-corpus": ["--n", "--frames", "--map-out", "--seed", "--out"]}
-SWITCHES = {"--show-attention", "--corrupt", "-h"}
+SWITCHES = {"--show-attention", "-h"}
 REQUIRED = {"train": ["--corpus"], "eval": ["--corpus"], "gen-corpus": ["--n"]}
 FILE_FLAGS = {"--corpus", "--embeddings", "--ckpt", "--maps", "--map",
               "--out", "--map-out"}

@@ -380,29 +380,17 @@ class TestFusedGradients:
 
 class TestInitParams:
     def test_glorot_bound(self):
-        t = L.init_params((4, 4), seed=0, scheme="glorot_uniform", name="w")
+        t = L.init_params((4, 4), seed=0, name="w")
         bound = np.sqrt(6 / 8)
         assert np.all(np.abs(t) <= bound)
         assert np.any(np.abs(t) > 0)
 
-    def test_zeros(self):
-        np.testing.assert_array_equal(
-            L.init_params((3,), 0, "zeros"), np.zeros(3))
-
-    def test_forget_bias_one(self):
-        np.testing.assert_array_equal(
-            L.init_params((3,), 0, "forget_bias_one"), np.ones(3))
-
     def test_deterministic_per_name_seed(self):
-        a = L.init_params((3, 3), 5, "glorot_uniform", "x")
-        b = L.init_params((3, 3), 5, "glorot_uniform", "x")
-        c = L.init_params((3, 3), 5, "glorot_uniform", "y")
+        a = L.init_params((3, 3), 5, "x")
+        b = L.init_params((3, 3), 5, "x")
+        c = L.init_params((3, 3), 5, "y")
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            L.init_params((2,), 0, "nope")
 
 
 class TestGradCheckHarness:
@@ -416,7 +404,7 @@ class TestGradCheckHarness:
 
         assert grad_check(fwd, [w]) < 1e-10
 
-    def test_corrupted_gradient_detected(self):
+    def test_corrupted_gradient_detected(self, doubled_gradients):
         from framecmd.autodiff import Parameter
         w = Parameter("w", np.array([0.5, -1.5, 2.0]))
         x = np.array([1.0, 2.0, 3.0])
@@ -424,7 +412,7 @@ class TestGradCheckHarness:
         def fwd():
             return G.dot(w, ad.constant(x))
 
-        err = grad_check(fwd, [w], corrupt=True)
+        err = grad_check(fwd, [w])
         assert err > 0.1
         np.testing.assert_allclose(err, 1 / 3, atol=1e-6)
 

@@ -108,7 +108,7 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="seed"):
             ModelConfig(seed=-1)
         with pytest.raises(ValueError):
-            L.init_params((2, 3), -1, "glorot_uniform", "W")
+            L.init_params((2, 3), -1, "W")
 
     def test_unique_parameter_names(self):
         m = build_model(small_config(), VOCAB)

@@ -9,6 +9,8 @@ which each of the four presets trains for 3 epochs (patience 2,
 dropout on) and then parses 40 other sentences. The report has one
 line per item:
 
+- the fresh, untrained parameters of all presets at the seeds in
+  FRESH_SEEDS;
 - the parameters after training, all presets;
 - the loss histories;
 - the parses of the 40 sentences;
@@ -38,6 +40,9 @@ import numpy as np
 
 PRESETS = ("2l_att", "2l_no_att", "3l_att", "3l_no_att")
 SEED = 5
+# Seeds of the untrained models compared: 0, the presets' 42, and one
+# that takes two 32-bit words.
+FRESH_SEEDS = (0, 42, 2**40 + 3)
 
 
 def dump(out):
@@ -57,6 +62,10 @@ def dump(out):
     items = {}
     for preset in PRESETS:
         model_cfg, train_cfg = cli.build_configs(cli.load_config(preset))
+        for seed in FRESH_SEEDS:
+            for p in build_model(replace(model_cfg, seed=seed),
+                                 vocab).parameters():
+                items[f"fresh/{preset}/{seed}/{p.name}"] = p.data
         train_cfg = replace(train_cfg, epochs=3, patience=2)
         table = random_embeddings([t for s in corpus + held_out
                                    for t in s.tokens],
@@ -125,6 +134,7 @@ def report(a, b):
         return sorted(k for k in a.files if k.startswith(prefix))
 
     return [
+        f"fresh parameters: {_numeric(a, b, keys('fresh/'))}",
         f"parameters after train: {_numeric(a, b, keys('params/'))}",
         f"loss histories: {_numeric(a, b, keys('loss/'))}",
         f"parses: {_counted(a, b, keys('parses/'), 'parses')}",
