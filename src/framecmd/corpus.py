@@ -163,38 +163,24 @@ def encode_iob(sentence, typed):
 def decode_iob(labels):
     """Labels -> sorted, non-overlapping (element_type, span) list.
 
-    Tolerates invalid model output: an I (or I-t) that does not continue
-    a compatible open segment is treated as B (or B-t). Untyped spans get
-    element_type None.
+    Each label other than O starts a span or extends the last one. An
+    I (or I-t) extends it only if it ends at the previous token and has
+    the same type; otherwise, as in invalid model output, it starts a
+    span as B (or B-t) would. Untyped spans get element_type None.
     """
     spans = []
-    open_type = None
-    open_start = None
-
-    def close(end):
-        nonlocal open_start, open_type
-        if open_start is not None:
-            spans.append((open_type, (open_start, end)))
-            open_start = None
-            open_type = None
-
     for i, lab in enumerate(labels):
         if lab == "O":
-            close(i - 1)
-        elif lab == "B" or lab.startswith("B-"):
-            close(i - 1)
-            open_type = lab[2:] if lab.startswith("B-") else None
-            open_start = i
-        elif lab == "I" or lab.startswith("I-"):
-            t = lab[2:] if lab.startswith("I-") else None
-            if open_start is not None and open_type == t:
-                continue
-            close(i - 1)  # repair: orphan I acts as B
-            open_type = t
-            open_start = i
-        else:
+            continue
+        head, dash, etype = lab.partition("-")
+        if head not in ("B", "I"):
             raise CorpusError(f"unknown IOB label: {lab!r}")
-    close(len(labels) - 1)
+        etype = etype if dash else None
+        if (head == "I" and spans and spans[-1][0] == etype
+                and spans[-1][1][1] == i - 1):
+            spans[-1] = (etype, (spans[-1][1][0], i))
+        else:
+            spans.append((etype, (i, i)))
     return spans
 
 

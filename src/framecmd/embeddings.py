@@ -25,12 +25,6 @@ class EmbeddingTable:
             if vec.shape != (dim,):
                 raise EmbeddingError(f"vector for {tok!r} has wrong length")
 
-    def __len__(self):
-        return len(self.vectors)
-
-    def __contains__(self, token):
-        return token in self.vectors
-
 
 def _default_unk(dim):
     return np.random.default_rng(0).uniform(-0.05, 0.05, dim)

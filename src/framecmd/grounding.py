@@ -129,19 +129,20 @@ def chain_correct(pred, gold_sentence):
     return True
 
 
-def chain_accuracy(predict_fn, sentences, maps):
+def chain_accuracy(parses, sentences, maps):
     """Fraction of sentences whose whole interpretation chain is correct.
 
-    predict_fn(sentence) must return a ParsedCommand; maps is a dict
-    map_id -> SemanticMap.
+    parses holds one ParsedCommand per sentence, in order; maps is a
+    dict map_id -> SemanticMap.
     """
     if not sentences:
         raise ValueError("empty test set")
+    if len(parses) != len(sentences):
+        raise ValueError(f"{len(parses)} parses, {len(sentences)} sentences")
     correct = 0
-    for s in sentences:
+    for s, parsed in zip(sentences, parses):
         if s.map_id not in maps:
             raise MapError(f"sentence {s.id}: unknown map {s.map_id!r}")
-        parsed = predict_fn(s)
         grounded = ground_command(parsed, list(s.tokens), maps[s.map_id])
         if chain_correct(grounded, s):
             correct += 1

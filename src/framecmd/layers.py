@@ -237,17 +237,17 @@ def bilstm_forward(X, cell, lengths=None):
     (T, B, d): B sentences right-padded to T steps, with the given
     lengths (default: all T).
 
-    Returns (states, last_fwd, last_bwd): states (T, B, 2H) joins the
-    forward and backward state of each step, and last_fwd / last_bwd
-    (B, H) are each sentence's final forward state (at its last token)
-    and final backward state (at its first token). Both directions
-    start from zero states. The backward direction reads each sentence
-    reversed within its own length, so it starts at the sentence's last
-    token and no step needs a mask; padding steps only follow a
-    sentence's own steps. One gather lays both directions' inputs side
-    by side, (T, 2, B, d), and one `lstm_run` steps both at once, so a
-    step is one `lstm_cell_forward` call and each weight gradient one
-    product per direction.
+    Returns the states (T, B, 2H): the forward and backward state of
+    each step side by side, so a sentence's final forward state is
+    `[:H]` at its last token and its final backward state `[H:]` at
+    its first token. Both directions start from zero states. The
+    backward direction reads each sentence reversed within its own
+    length, so it starts at the sentence's last token and no step needs
+    a mask; padding steps only follow a sentence's own steps. One
+    gather lays both directions' inputs side by side, (T, 2, B, d), and
+    one `lstm_run` steps both at once, so a step is one
+    `lstm_cell_forward` call and each weight gradient one product per
+    direction.
     """
     T, B = X.data.shape[:2]
     if T < 1:
@@ -261,10 +261,8 @@ def bilstm_forward(X, cell, lengths=None):
     reverse = np.where(t < n, n - 1 - t, t)                     # (T, B)
     order = np.stack([np.broadcast_to(t, (T, B)), reverse], axis=1)
     states = lstm_run(ad.getrow(X, (order, batch)), cell)   # (T, 2, B, H)
-    return (ad.concat([ad.getrow(states, (slice(None), 0)),
-                       ad.getrow(states, (reverse, 1, batch))]),
-            ad.getrow(states, (n - 1, 0, batch)),
-            ad.getrow(states, (n - 1, 1, batch)))
+    return ad.concat([ad.getrow(states, (slice(None), 0)),
+                      ad.getrow(states, (reverse, 1, batch))])
 
 
 class AttentionParams:

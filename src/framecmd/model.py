@@ -33,6 +33,7 @@ import itertools
 import json
 import math
 import os
+import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ from .autodiff import Parameter
 from .corpus import LabelVocab, decode_iob, encode_iob
 from .embeddings import embed_sentence
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(Exception):
@@ -311,9 +312,14 @@ def _trunk(model, embedded, lengths, rate, rng):
     mask = _dropout_mask(X.shape, rate, rng)
     if mask is not None:    # the inputs are constants: no graph node
         X = X * mask
-    h1, last_f, last_b = L.bilstm_forward(ad.constant(X), model.l1, lengths)
+    h1 = L.bilstm_forward(ad.constant(X), model.l1, lengths)
     if not model.config.attention:
-        return h1, [h1], ad.concat([last_f, last_b]), None
+        # AD reads the final states: forward at the last token, backward
+        # at the first.
+        H = model.l1.hidden_dim
+        rows = np.where(np.arange(2 * H) < H, lengths[:, None] - 1, 0)
+        return h1, [h1], ad.getrow(h1, (rows, np.arange(B)[:, None],
+                                         np.arange(2 * H))), None
     pooled, ad_map = L.attention(model.ad_query, h1, model.att1, lengths)
     ctx2, map2 = L.attention(h1, h1, model.att1, lengths)
     return h1, [h1, ctx2], pooled, {"ad": ad_map, "layer2": map2}
@@ -459,15 +465,11 @@ def decode_output(model, out, b):
     type_idx = np.argmax(out.seq3_logits.data[:n, b], axis=-1).tolist()
     elements = []
     for _, (s, e) in spans:
-        votes = type_idx[s:e + 1]
-        non_o = [v for v in votes if v != 0]
-        if not non_o:
-            continue  # span unanimously typed O: drop it
-        counts = {}
-        for v in non_o:
-            counts[v] = counts.get(v, 0) + 1
-        best = min(counts, key=lambda v: (-counts[v], v))
-        elements.append((vocab.ac_labels[best], (s, e)))
+        votes = [v for v in type_idx[s:e + 1] if v != 0]
+        if votes:   # else the span is unanimously typed O: drop it
+            # most votes wins; sorted, a tie goes to the lowest index
+            best = max(sorted(set(votes)), key=votes.count)
+            elements.append((vocab.ac_labels[best], (s, e)))
     return ParsedCommand(frame_type=frame, elements=tuple(elements),
                          attention=attention)
 
@@ -489,12 +491,15 @@ def check_weights(flat):
 
 def save_checkpoint(path, model, table):
     """Single file: one JSON header line, then raw little-endian float64
-    data in header order (parameters, token vectors, unk vector).
-    Weights that fail `check_weights` raise CheckpointError before any
-    file is written."""
+    data in header order (parameters, token vectors, unk vector), whose
+    zlib.crc32 the header holds. Weights that fail `check_weights` raise
+    CheckpointError before any file is written."""
     params = sorted(model.parameters(), key=lambda p: p.name)
-    check_weights(np.concatenate([p.data.ravel() for p in params]))
     tokens = sorted(table.vectors)
+    payload = np.concatenate(
+        [p.data.ravel() for p in params] + [table.vectors[t] for t in tokens]
+        + [table.unk_vector]).astype("<f8", copy=False)
+    check_weights(payload[:sum(p.data.size for p in params)])
     header = {
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
@@ -502,6 +507,7 @@ def save_checkpoint(path, model, table):
                   "element_types": list(model.vocab.element_types)},
         "params": [[p.name, list(p.data.shape)] for p in params],
         "embeddings": {"dim": table.dim, "tokens": tokens},
+        "payload_crc32": zlib.crc32(payload),
     }
     # Write a sibling file and rename it over `path`, so an interrupted
     # save leaves any previous checkpoint as it was.
@@ -510,11 +516,7 @@ def save_checkpoint(path, model, table):
         with open(tmp, "wb") as f:
             f.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
             f.write(b"\n")
-            for p in params:
-                f.write(p.data.astype("<f8").tobytes())
-            for tok in tokens:
-                f.write(table.vectors[tok].astype("<f8").tobytes())
-            f.write(table.unk_vector.astype("<f8").tobytes())
+            f.write(payload)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -524,9 +526,10 @@ def save_checkpoint(path, model, table):
 
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint. Any unreadable
-    file, malformed header, payload whose length is not exactly what
-    the header implies, payload value that is not finite, or weights
-    that fail `check_weights` raise CheckpointError.
+    file, malformed header, format other than FORMAT_VERSION, payload
+    whose length is not exactly what the header implies, payload value
+    that is not finite, weights that fail `check_weights`, or payload
+    whose crc32 differs from the header's raise CheckpointError.
 
     The model is built without its seeded initial values (`skip_init`):
     the header must name exactly the model's parameters and the payload
@@ -545,9 +548,8 @@ def load_checkpoint(path):
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
-                "checkpoint format 1 (per-gate LSTM weights) is no longer "
-                "read; retrain the model" if version == 1
-                else "unsupported checkpoint format version")
+                f"checkpoint format {version!r} is not read by this version "
+                f"(it reads format {FORMAT_VERSION}); retrain the model")
         vocab = header["vocab"]
         with L.skip_init():
             model = build_model(ModelConfig(**header["config"]), LabelVocab(
@@ -560,6 +562,7 @@ def load_checkpoint(path):
             raise CheckpointError("checkpoint/config parameter set mismatch")
         dim = header["embeddings"]["dim"]
         tokens = list(header["embeddings"]["tokens"])
+        crc = header["payload_crc32"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"malformed checkpoint header ({type(exc).__name__}: {exc})")
@@ -582,14 +585,14 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint payload: {bad} of {data.size} "
                               f"values are not finite (nan or inf)")
     check_weights(data[:n_params])
+    if zlib.crc32(blob) != crc:
+        raise CheckpointError("checkpoint payload does not match its crc32")
     off = 0
     for name, shape in shapes:
         p = by_name[name]
         p.data[...] = data[off:off + p.data.size].reshape(shape)
         off += p.data.size
-    vectors = {}
-    for tok in tokens:
-        vectors[tok] = data[off:off + dim].copy()
-        off += dim
-    table = EmbeddingTable(dim, vectors, unk_vector=data[off:].copy())
+    vectors = data[off:].reshape(-1, dim).copy()    # the tokens', then unk
+    table = EmbeddingTable(dim, dict(zip(tokens, vectors)),
+                           unk_vector=vectors[-1])
     return model, table

@@ -188,11 +188,14 @@ def span_f1(gold, pred):
     return _prf(len(gold & pred), len(pred), len(gold))
 
 
-def evaluate_stagewise(predict_fn, sentences):
-    """Stage-conditional metrics; predict_fn(sentence) -> ParsedCommand."""
+def evaluate_stagewise(parses, sentences):
+    """Stage-conditional metrics of `parses`, one ParsedCommand per
+    sentence, in order."""
     if not sentences:
         raise ValueError("empty test set")
-    results = [(s, predict_fn(s)) for s in sentences]
+    if len(parses) != len(sentences):
+        raise ValueError(f"{len(parses)} parses, {len(sentences)} sentences")
+    results = list(zip(sentences, parses))
     ad_correct = [(s, p) for s, p in results
                   if p.frame_type == s.frame.frame_type]
     ad_f1 = len(ad_correct) / len(results)
@@ -229,13 +232,11 @@ def evaluate(model, table, sentences, maps=None):
 
     Returns (StageMetrics, ChainMetrics or None).
     """
-    parses = dict(zip([s.id for s in sentences], predict_many(
-        model, table, [list(s.tokens) for s in sentences])))
-    parsed = lambda s: parses[s.id]
-    stage = evaluate_stagewise(parsed, sentences)
+    parses = predict_many(model, table, [list(s.tokens) for s in sentences])
+    stage = evaluate_stagewise(parses, sentences)
     if maps is None:
         return stage, None
-    return stage, ChainMetrics(chain_accuracy(parsed, sentences, maps))
+    return stage, ChainMetrics(chain_accuracy(parses, sentences, maps))
 
 
 def _run_fold(args):

@@ -85,8 +85,7 @@ def test_oracle_equivalence():
         worst = max(worst, float(np.max(np.abs(h - eh))),
                     float(np.max(np.abs(cc - ec))))
         seq = [rng.normal(size=3) for _ in range(3)]
-        states, _, _ = L.bilstm_forward(ad.constant(np.array(seq)[:, None]),
-                                        cell)
+        states = L.bilstm_forward(ad.constant(np.array(seq)[:, None]), cell)
         expected = bilstm_oracle([v.tolist() for v in seq], dicts_f, dicts_b)
         for got, exp in zip(states.data[:, 0], expected):
             worst = max(worst, float(np.max(np.abs(got - exp))))
@@ -130,23 +129,23 @@ def test_overfit_experiment(overfit_bundle, demo_maps):
     model, table = overfit_bundle["model"], overfit_bundle["table"]
     corpus = overfit_bundle["corpus"]
 
-    parses = {s.id: predict(model, table, list(s.tokens)) for s in corpus}
-    ad_acc = np.mean([parses[s.id].frame_type == s.frame.frame_type
-                      for s in corpus])
+    parses = [predict(model, table, list(s.tokens)) for s in corpus]
+    ad_acc = np.mean([p.frame_type == s.frame.frame_type
+                      for s, p in zip(corpus, parses)])
 
     tok_correct = tok_total = 0
-    for s in corpus:
+    for s, parse in zip(corpus, parses):
         gold = encode_iob(s, typed=True)
         pred_sentence = AnnotatedSentence(
             id=s.id, tokens=s.tokens,
             frame=FrameAnnotation(s.frame.frame_type, s.frame.lexical_unit,
-                                  tuple(parses[s.id].elements)))
+                                  tuple(parse.elements)))
         pred = encode_iob(pred_sentence, typed=True)
         tok_correct += sum(g == p for g, p in zip(gold, pred))
         tok_total += len(gold)
     tok_acc = tok_correct / tok_total
 
-    chain = chain_accuracy(lambda s: parses[s.id], corpus, demo_maps)
+    chain = chain_accuracy(parses, corpus, demo_maps)
     secs = overfit_bundle["train_seconds"]
     epochs = overfit_bundle["epochs"]
 
@@ -188,14 +187,13 @@ def test_metric_protocol(synth50, demo_maps):
     chain_bound_ok = True
     for trial in range(20):
         r = random.Random(trial)
-        fixed = {}
+        noisy = []
         for s in synth50:
             frame = (s.frame.frame_type if r.random() < 0.6
                      else r.choice(frames))
             elements = tuple(e for e in s.frame.elements
                              if r.random() < 0.8)
-            fixed[s.id] = ParsedCommand(frame, elements)
-        noisy = lambda s: fixed[s.id]
+            noisy.append(ParsedCommand(frame, elements))
 
         stage = evaluate_stagewise(noisy, synth50)
         assert stage.counts["ac"] <= stage.counts["ai"] <= stage.counts["ad"]

@@ -286,6 +286,15 @@ class TestParse:
         assert main(["parse", str(bad), "go home"]) == 4
         assert "not finite" in assert_one_line_error(capsys)
 
+    def test_payload_bit_flip_exit_4(self, overfit_ckpt, tmp_path, capsys):
+        # One flipped bit of a token vector keeps every value finite.
+        data = bytearray(Path(overfit_ckpt).read_bytes())
+        data[-5000] ^= 1
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(data))
+        assert main(["parse", str(bad), "go home"]) == 4
+        assert "crc32" in assert_one_line_error(capsys)
+
     def test_weights_training_cannot_produce_exit_4(self, overfit_ckpt,
                                                     tmp_path):
         # Every weight times 1e200 is finite, but the squared parameter
@@ -633,11 +642,14 @@ class TestCheckpointHeader:
         lambda d: d["embeddings"].update(dim="50"),
         lambda d: d["embeddings"].update(dim=49),
         lambda d: d["embeddings"]["tokens"].pop(),
+        lambda d: d.pop("payload_crc32"),
+        lambda d: d.update(payload_crc32=d["payload_crc32"] ^ 1),
     ], ids=["no-params", "no-dim", "unknown-config-key",
             "ill-typed-config", "bad-variant", "negative-seed",
             "config-not-a-dict",
             "repeated-param", "wrong-shape", "unhashable-name",
-            "dim-not-int", "dim-wrong", "token-missing"])
+            "dim-not-int", "dim-wrong", "token-missing", "no-crc32",
+            "wrong-crc32"])
     def test_bad_header_exit_4(self, overfit_ckpt, tmp_path, capsys, edit):
         bad = self.rewrite_header(overfit_ckpt, tmp_path / "bad.ckpt", edit)
         with pytest.raises(CheckpointError):
@@ -685,6 +697,19 @@ class TestCheckpointHeader:
         assert main(["parse", str(path), "go home"]) == 4
         err = assert_one_line_error(capsys)
         assert "format 1" in err and "retrain" in err
+
+    def test_format_2_checkpoint_exit_4(self, overfit_ckpt, tmp_path,
+                                        capsys):
+        # Format 2 is format 3 without the payload's crc32.
+        def as_format_2(doc):
+            doc["format_version"] = 2
+            del doc["payload_crc32"]
+
+        old = self.rewrite_header(overfit_ckpt, tmp_path / "v2.ckpt",
+                                  as_format_2)
+        assert main(["parse", old, "go home"]) == 4
+        err = assert_one_line_error(capsys)
+        assert "format 2" in err and "retrain" in err
 
     def test_non_object_header_exit_4(self, tmp_path, capsys):
         path = tmp_path / "n.ckpt"

@@ -100,6 +100,20 @@ class TestIobCodec:
         assert decode_iob(["B-Theme", "I-Goal"]) == [
             ("Theme", (0, 0)), ("Goal", (1, 1))]
 
+    def test_decode_i_after_a_span_of_another_type(self):
+        # An I-t extends only a span of type t ending at the token before.
+        assert decode_iob(["B-Theme", "I-Theme", "I-Goal", "I-Goal"]) == [
+            ("Theme", (0, 1)), ("Goal", (2, 3))]
+        assert decode_iob(["B-Goal", "I"]) == [("Goal", (0, 0)),
+                                               (None, (1, 1))]
+        assert decode_iob(["B-Goal", "O", "I-Goal"]) == [("Goal", (0, 0)),
+                                                         ("Goal", (2, 2))]
+
+    def test_decode_type_is_everything_after_the_first_dash(self):
+        assert decode_iob(["B-", "I-", "I"]) == [("", (0, 1)), (None, (2, 2))]
+        assert decode_iob(["I-T-x", "I-T-x", "I-T"]) == [("T-x", (0, 1)),
+                                                         ("T", (2, 2))]
+
     def test_decode_all_o(self):
         assert decode_iob(["O", "O", "O"]) == []
 
@@ -109,6 +123,9 @@ class TestIobCodec:
     def test_decode_unknown_label(self):
         with pytest.raises(CorpusError):
             decode_iob(["O", "X-Theme"])
+        for label in ("Bx", "b", "-B", ""):
+            with pytest.raises(CorpusError, match="unknown IOB label"):
+                decode_iob(["B", label])
 
     def test_round_trip_property(self):
         # 1,000 random valid non-overlapping span sets survive the codec.

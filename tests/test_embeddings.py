@@ -13,7 +13,7 @@ class TestLoadEmbeddings:
 
     def test_duplicate_token_first_wins(self):
         table = load_embeddings("a 1.0 2.0\na 9.0 9.0\n")
-        assert len(table) == 1
+        assert len(table.vectors) == 1
         np.testing.assert_allclose(lookup(table, "a"), [1.0, 2.0])
 
     def test_inconsistent_columns(self):
@@ -27,7 +27,7 @@ class TestLoadEmbeddings:
     def test_count_dim_header_skipped(self):
         table = load_embeddings("2 3\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
         assert table.dim == 3
-        assert len(table) == 2
+        assert len(table.vectors) == 2
 
     def test_load_determinism(self):
         text = "a 1.0 2.0\nb 3.0 4.0\n"

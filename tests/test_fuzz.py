@@ -206,11 +206,13 @@ def checkpoint(tmp_path_factory):
 damage = st.one_of(
     st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
     st.tuples(st.just("pad"), st.binary(min_size=1, max_size=16)),
-    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True),
-              st.integers(0, 7)))
+    st.tuples(st.sampled_from(["flip", "flip payload"]),
+              st.floats(0, 1, exclude_max=True), st.integers(0, 7)))
 
 
 def test_damaged_checkpoint(checkpoint):
+    """A damaged checkpoint loads or raises CheckpointError, never
+    another error; one with a flipped payload bit always raises it."""
     path, blob = checkpoint
     header_len = blob.index(b"\n")
     bad = path.with_name("bad.ckpt")
@@ -224,9 +226,15 @@ def test_damaged_checkpoint(checkpoint):
             data = blob + how[1]
         else:
             data = bytearray(blob)
-            data[int(how[1] * header_len)] ^= 1 << how[2]
+            at = (int(how[1] * header_len) if how[0] == "flip" else
+                  header_len + 1 + int(how[1] * (len(blob) - header_len - 1)))
+            data[at] ^= 1 << how[2]
             data = bytes(data)
         bad.write_bytes(data)
+        if how[0] == "flip payload":
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+            return
         try:
             load_checkpoint(bad)
         except CheckpointError:

@@ -137,30 +137,35 @@ class TestChainCorrect:
                 assert span_f1(typed_gold, typed_pred)[2] == 1.0
 
 
+def gold_parse(s):
+    return ParsedCommand(s.frame.frame_type, tuple(s.frame.elements))
+
+
 class TestChainAccuracy:
     def test_gold_emitting_stub(self):
         smap = load_map(json.dumps(DEMO))
         gold = gold_sentence()
-
-        def stub(s):
-            return ParsedCommand(s.frame.frame_type, tuple(s.frame.elements))
-
-        assert chain_accuracy(stub, [gold], {"house1": smap}) == 1.0
+        assert chain_accuracy([gold_parse(gold)], [gold],
+                              {"house1": smap}) == 1.0
 
     def test_frame_breaking_stub(self):
         smap = load_map(json.dumps(DEMO))
-
-        def stub(s):
-            return ParsedCommand("WrongFrame", tuple(s.frame.elements))
-
-        assert chain_accuracy(stub, [gold_sentence()], {"house1": smap}) == 0.0
+        parse = ParsedCommand("WrongFrame",
+                              tuple(gold_sentence().frame.elements))
+        assert chain_accuracy([parse], [gold_sentence()],
+                              {"house1": smap}) == 0.0
 
     def test_unknown_map(self):
-        def stub(s):
-            return ParsedCommand(s.frame.frame_type, ())
-
+        parse = ParsedCommand(gold_sentence().frame.frame_type, ())
         with pytest.raises(MapError):
-            chain_accuracy(stub, [gold_sentence()], {})
+            chain_accuracy([parse], [gold_sentence()], {})
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_one_parse_per_sentence(self, n):
+        smap = load_map(json.dumps(DEMO))
+        gold = gold_sentence()
+        with pytest.raises(ValueError, match="parses"):
+            chain_accuracy([gold_parse(gold)] * n, [gold], {"house1": smap})
 
 
 def test_ground_command_links_each_element():

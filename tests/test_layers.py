@@ -57,6 +57,16 @@ def assert_per_direction_grads(together, apart, shared):
                                        err_msg=part)
 
 
+def final_states(states, lengths):
+    """Each sentence's final forward state (at its last token) and final
+    backward state (at its first token), read from bilstm_forward's
+    (T, B, 2H) states."""
+    H = states.data.shape[-1] // 2
+    last, batch = np.asarray(lengths) - 1, np.arange(len(lengths))
+    return (ad.getrow(states, (last, batch, slice(None, H))),
+            ad.getrow(states, (0, batch, slice(H, None))))
+
+
 def step(x, h, c, cell):
     """One array step of a single cell; returns (h', c')."""
     x = np.asarray(x, float)
@@ -120,7 +130,7 @@ class TestBilstm:
         rng = np.random.default_rng(8)
         cell = random_cell(rng, 3, 2, "l", BIDI)
         x = rng.normal(size=3)
-        states, _, _ = L.bilstm_forward(ad.constant(x[None, None]), cell)
+        states = L.bilstm_forward(ad.constant(x[None, None]), cell)
         hf, _ = step(x, np.zeros(2), np.zeros(2), direction(cell, 0, "f"))
         hb, _ = step(x, np.zeros(2), np.zeros(2), direction(cell, 1, "b"))
         np.testing.assert_allclose(states.data[0, 0],
@@ -133,7 +143,7 @@ class TestBilstm:
             p.data[1] = p.data[0]
         a, b = rng.normal(size=3), rng.normal(size=3)
         X = ad.constant(np.array([a, b, a])[:, None])
-        states, _, _ = L.bilstm_forward(X, cell)
+        states = L.bilstm_forward(X, cell)
         states = states.data[:, 0]
         T = 3
         for t in range(T):
@@ -146,8 +156,8 @@ class TestBilstm:
         for _ in range(100):
             cell = random_cell(rng, 2, 3, "l", BIDI)
             seq = [rng.normal(size=2) for _ in range(3)]
-            states, _, _ = L.bilstm_forward(
-                ad.constant(np.array(seq)[:, None]), cell)
+            states = L.bilstm_forward(ad.constant(np.array(seq)[:, None]),
+                                      cell)
             expected = bilstm_oracle([v.tolist() for v in seq],
                                      cell_dicts(cell, 0), cell_dicts(cell, 1))
             for got, exp in zip(states.data[:, 0], expected):
@@ -202,7 +212,8 @@ class TestBilstm:
         apart = run([ad.concat([f, ad.getrow(b, (order, batch))]),
                      ad.getrow(f, (n - 1, batch)),
                      ad.getrow(b, (n - 1, batch))])
-        together = run(L.bilstm_forward(X, cell, lengths))
+        states = L.bilstm_forward(X, cell, lengths)
+        together = run([states, *final_states(states, lengths)])
         for got, want in zip(together[0], apart[0]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert_per_direction_grads(together[1], apart[1], shared)
@@ -505,11 +516,11 @@ class TestRowBatches:
         cell = random_cell(rng, 2, 3, "l", BIDI)
         lengths = [2, 4, 1]
         X = rng.normal(size=(4, 3, 2))     # padding rows hold noise too
-        states, last_f, last_b = L.bilstm_forward(ad.constant(X), cell,
-                                                  lengths)
+        states = L.bilstm_forward(ad.constant(X), cell, lengths)
+        last_f, last_b = final_states(states, lengths)
         for b, n in enumerate(lengths):
-            one, one_f, one_b = L.bilstm_forward(
-                ad.constant(X[:n, b:b + 1]), cell)
+            one = L.bilstm_forward(ad.constant(X[:n, b:b + 1]), cell)
+            one_f, one_b = final_states(one, [n])
             np.testing.assert_allclose(states.data[:n, b], one.data[:, 0],
                                        atol=1e-12)
             np.testing.assert_allclose(last_f.data[b], one_f.data[0],
@@ -678,8 +689,8 @@ class TestBatchedGradients:
                                      for t in range(4)]))
 
         def fwd_fn():
-            states, last_f, last_b = L.bilstm_forward(X, cell, [4, 2, 3])
-            return self.loss_of([states, last_f, last_b],
+            states = L.bilstm_forward(X, cell, [4, 2, 3])
+            return self.loss_of([states, *final_states(states, [4, 2, 3])],
                                 np.random.default_rng(0))()
 
         params = cell.parameters() + [X]

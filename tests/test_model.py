@@ -1,4 +1,5 @@
 import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -773,6 +774,25 @@ class TestBatch:
     one-sentence call does: padding never reaches a sentence's outputs,
     and the batch loss is the mean of the sentences' losses."""
 
+    def test_without_attention_ad_reads_the_final_encoder_states(self):
+        # The forward state at each sentence's last token and the
+        # backward state at its first, not at the padded batch's.
+        sents = sentences_3_to_7()
+        table = random_embeddings([t for s in sents for t in s.tokens], 6,
+                                  seed=1)
+        m = build_model(small_config("2L", attention=False), VOCAB)
+        emb, lengths, _ = batch_of(sents, table, "2L")
+        out = forward(m, emb, lengths=lengths)
+        H, start = m.config.hidden_size, 0
+        for b, n in enumerate(lengths):
+            h1 = L.bilstm_forward(ad.constant(emb[start:start + n, None]),
+                                  m.l1).data[:, 0]
+            start += n
+            pooled = np.concatenate([h1[n - 1, :H], h1[0, H:]])
+            np.testing.assert_allclose(
+                out.ad_logits.data[b],
+                m.ad_head.W.data @ pooled + m.ad_head.b.data, atol=1e-12)
+
     @pytest.mark.parametrize("variant,attention", ARCHITECTURES)
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_rows_match_one_sentence_runs(self, variant, attention, mode):
@@ -985,18 +1005,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path,
+                                                  monkeypatch):
         m = build_model(small_config(), VOCAB)
         table, _ = embedded()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, m, table)
         before = path.read_bytes()
 
-        class DiskFull:     # fails after the header and parameters
-            def astype(self, dtype):
-                raise OSError("no space left on device")
+        class DiskFull(io.FileIO):      # fails after the header
+            def write(self, data):
+                if self.tell():
+                    raise OSError("no space left on device")
+                return super().write(data)
 
-        table.unk_vector = DiskFull()
+        monkeypatch.setattr(model_module, "open", DiskFull, raising=False)
         for p in m.parameters():
             p.data = p.data + 1.0
         with pytest.raises(OSError):

@@ -66,7 +66,7 @@ def corpus():
 class TestEvaluateStagewise:
 
     def test_gold_stub_is_perfect(self, corpus):
-        m = evaluate_stagewise(gold_stub, corpus)
+        m = evaluate_stagewise([gold_stub(s) for s in corpus], corpus)
         assert (m.ad_f1, m.ai_f1, m.ac_f1) == (1.0, 1.0, 1.0)
         assert m.counts["ad"] == m.counts["ai"] == m.counts["ac"] == 30
 
@@ -74,7 +74,7 @@ class TestEvaluateStagewise:
         def stub(s):
             return ParsedCommand("Nonexistent", tuple(s.frame.elements))
 
-        m = evaluate_stagewise(stub, corpus)
+        m = evaluate_stagewise([stub(s) for s in corpus], corpus)
         assert m.ad_f1 == 0.0
         assert m.ai_f1 is None
         assert m.ac_f1 is None
@@ -87,7 +87,7 @@ class TestEvaluateStagewise:
                 s.frame.frame_type,
                 tuple(("Wrong", span) for _, span in s.frame.elements))
 
-        m = evaluate_stagewise(stub, corpus)
+        m = evaluate_stagewise([stub(s) for s in corpus], corpus)
         assert (m.ad_f1, m.ai_f1) == (1.0, 1.0)
         assert m.ac_f1 == 0.0
 
@@ -101,7 +101,7 @@ class TestEvaluateStagewise:
                 return ParsedCommand(s.frame.frame_type, ())
             return gold_stub(s)
 
-        m = evaluate_stagewise(noisy, corpus)
+        m = evaluate_stagewise([noisy(s) for s in corpus], corpus)
         assert m.counts["ac"] <= m.counts["ai"] <= m.counts["ad"]
 
     def test_ai_pool_excludes_frame_errors(self, corpus):
@@ -114,13 +114,19 @@ class TestEvaluateStagewise:
                 return ParsedCommand("Nonexistent", ())
             return gold_stub(s)
 
-        m = evaluate_stagewise(stub, corpus)
+        m = evaluate_stagewise([stub(s) for s in corpus], corpus)
         assert m.counts["ai"] == len(corpus) - len(wrong)
         assert m.ai_f1 == 1.0
 
     def test_empty_test_set(self):
         with pytest.raises(ValueError):
-            evaluate_stagewise(gold_stub, [])
+            evaluate_stagewise([], [])
+
+    @pytest.mark.parametrize("n", [29, 31])
+    def test_one_parse_per_sentence(self, corpus, n):
+        parses = [gold_stub(s) for s in (corpus + corpus)[:n]]
+        with pytest.raises(ValueError, match="parses"):
+            evaluate_stagewise(parses, corpus)
 
 
 @pytest.fixture(scope="module")
@@ -249,10 +255,11 @@ class TestEvaluate:
         model = build_model(tiny_2l_config(), vocab)
         maps = {"house1": demo_map()}
         stage, chain = evaluate(model, table, corpus, maps)
-        predict_fn = lambda s: pipeline.predict(model, table, list(s.tokens))
-        assert stage == evaluate_stagewise(predict_fn, corpus)
+        parses = [pipeline.predict(model, table, list(s.tokens))
+                  for s in corpus]
+        assert stage == evaluate_stagewise(parses, corpus)
         assert chain == ChainMetrics(
-            pipeline.chain_accuracy(predict_fn, corpus, maps))
+            pipeline.chain_accuracy(parses, corpus, maps))
         assert evaluate(model, table, corpus) == (stage, None)
 
     def test_run_fold_parses_each_held_out_sentence_once(self,

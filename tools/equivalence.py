@@ -17,7 +17,8 @@ line per item:
 - their attention maps (the ATT presets);
 - the 5-fold assignment of the 120 sentences;
 - the output of `framecmd gradcheck`;
-- the bytes of each trained model's checkpoint.
+- each trained model's checkpoint: its header, as parsed JSON, and
+  its payload bytes.
 
 An item is "identical", or the line gives its largest absolute and
 relative difference, or how many of its values differ. This is a
@@ -86,8 +87,9 @@ def dump(out):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.ckpt"
             save_checkpoint(path, model, table)
-            items[f"checkpoint/{preset}"] = np.frombuffer(path.read_bytes(),
-                                                          np.uint8)
+            header, payload = path.read_bytes().split(b"\n", 1)
+            items[f"ckpt_header/{preset}"] = np.array(header.decode())
+            items[f"ckpt_payload/{preset}"] = np.frombuffer(payload, np.uint8)
     folds = make_folds(corpus, 5, SEED)
     items["folds"] = np.array([folds.assignment[s.id] for s in corpus])
     text = io.StringIO()
@@ -125,6 +127,16 @@ def _counted(a, b, keys, what):
     return "identical" if differ == 0 else f"{differ} of {total} {what} differ"
 
 
+def _headers(a, b, keys):
+    """The line for JSON headers: identical, or the top-level keys whose
+    values differ."""
+    differ = set()
+    for k in keys:
+        x, y = json.loads(str(a[k])), json.loads(str(b[k]))
+        differ |= {f for f in x.keys() | y.keys() if x.get(f) != y.get(f)}
+    return "identical" if not differ else f"differ in {sorted(differ)}"
+
+
 def report(a, b):
     """The report's lines for the results a and b of the two trees."""
     if set(a.files) != set(b.files):
@@ -141,7 +153,9 @@ def report(a, b):
         f"attention maps: {_numeric(a, b, keys('attention/'))}",
         f"fold assignments: {_counted(a, b, ['folds'], 'sentences')}",
         f"gradcheck output: {_counted(a, b, ['gradcheck'], 'lines')}",
-        f"checkpoint bytes: {_counted(a, b, keys('checkpoint/'), 'bytes')}",
+        f"checkpoint headers: {_headers(a, b, keys('ckpt_header/'))}",
+        f"checkpoint payloads: "
+        f"{_counted(a, b, keys('ckpt_payload/'), 'bytes')}",
     ]
 
 
