@@ -66,8 +66,8 @@ class no_grad:
 
 @contextlib.contextmanager
 def reusing():
-    """Let `model.forward` reuse the outputs of stages whose inputs are
-    unchanged: for the gradient checker, which bumps `version`s."""
+    """Let train-mode `model.forward` calls reuse the outputs of stages
+    whose inputs are unchanged: for grad_check, which bumps `version`s."""
     global stages
     prev, stages = stages, {}
     try:
@@ -163,6 +163,17 @@ def accumulate_at(t, i, g):
         np.add.at(t.grad, i, g)
 
 
+def accumulate_parts(parts, g):
+    """Add to each of `parts`, which lie side by side along g's last
+    axis, its own slice of g; returns what is left of g past them."""
+    off = 0
+    for p in parts:
+        n = p.data.shape[-1]
+        accumulate(p, g[..., off:off + n])
+        off += n
+    return g[..., off:]
+
+
 def add(a, b):
     def bwd(g):
         accumulate(a, g)
@@ -175,16 +186,8 @@ def concat(parts):
     """Join along the last axis, so (d,) parts give a vector and (B, d)
     parts a (B, sum of d) matrix."""
     parts = tuple(parts)
-
-    def bwd(g):
-        off = 0
-        for p in parts:
-            n = p.data.shape[-1]
-            accumulate(p, g[..., off:off + n])
-            off += n
-
     return node(np.concatenate([p.data for p in parts], axis=-1), parts,
-                bwd)
+                lambda g: accumulate_parts(parts, g))
 
 
 def getrow(m, i):

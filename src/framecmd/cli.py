@@ -163,6 +163,7 @@ def _make_table(corpus, model_cfg, embeddings_path, seed):
 
 def cmd_train(args):
     _check_out(args.out)
+    _check_out(args.out + ".history.json")
     values = load_config(args.config)
     model_cfg, train_cfg = build_configs(values, args.override)
     corpus = _read_corpus(args.corpus)
@@ -195,6 +196,7 @@ def cmd_eval(args):
                                   f"cross-validation (--cv) reads it")
     if args.out:
         _check_out(args.out)
+        _check_out(args.out + ".txt")
     corpus = _read_corpus(args.corpus)
     maps = {m.id: m for m in map(_read_map, args.maps)} if args.maps else None
     if args.cv is not None:

@@ -197,8 +197,6 @@ def lstm_run(X, cell):
     for x in xs:
         steps.append(lstm_cell_forward(x, steps[-1][0], steps[-1][1], view))
     out = np.array([s[0] for s in steps[1:]])
-    if not ad.grad_enabled:
-        return ad.constant(out)
 
     def bwd(gS):
         H = cell.hidden_dim
@@ -348,12 +346,7 @@ def decoder_input(parts, table, rows, mask=None):
     def bwd(g):
         if mask is not None:
             g = g * mask
-        off = 0
-        for p in parts:
-            n = p.data.shape[-1]
-            ad.accumulate(p, g[..., off:off + n])
-            off += n
-        ad.accumulate_at(table, rows, g[..., off:])
+        ad.accumulate_at(table, rows, ad.accumulate_parts(parts, g))
 
     return ad.node(data, (*parts, table), bwd)
 

@@ -28,7 +28,6 @@ a forward pass and its backward pass.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -44,7 +43,10 @@ from .autodiff import Parameter
 from .corpus import LabelVocab, decode_iob, encode_iob
 from .embeddings import embed_sentence
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+# What precedes the crc32's value in a header line, the header's last
+# member; the crc32 covers the line up to and including it.
+_CRC_MEMBER = b', "crc32": '
 
 
 class CheckpointError(Exception):
@@ -178,46 +180,42 @@ def build_model(config, vocab):
     return Model(config, vocab)
 
 
-@dataclass(frozen=True)
-class GoldLabels:
-    frame: int
-    seq2: tuple   # decoder label indices (IOB for 3L, typed IOB for 2L)
-    seq3: tuple | None = None  # per-token element-type indices (3L)
-
-    @functools.cached_property
-    def batch(self):
-        """These labels as a GoldBatch of one, built on first use."""
-        return GoldBatch([self])
-
-
-def gold_labels(sentence, vocab, variant):
-    """Index-space gold labels for teacher forcing and the joint loss."""
+def sentence_labels(sentence, vocab, variant):
+    """One sentence's index-space gold labels, the triple (frame, seq2,
+    seq3): decoder labels seq2 (IOB for 3L, typed IOB for 2L) and, for
+    3L, per-token element-type indices seq3 (else None)."""
     frame = vocab.frame_index(sentence.frame.frame_type)
     typed = encode_iob(sentence, typed=True)
     if variant == "2L":
-        seq2 = tuple(vocab.typed_iob.index(l) for l in typed)
-        return GoldLabels(frame=frame, seq2=seq2)
+        return frame, tuple(vocab.typed_iob.index(l) for l in typed), None
     plain = encode_iob(sentence, typed=False)
     seq2 = tuple(vocab.iob.index(l) for l in plain)
     # A token's type is its typed label without the B-/I- prefix.
     seq3 = tuple(vocab.ac_labels.index("O" if l == "O" else l[2:])
                  for l in typed)
-    return GoldLabels(frame=frame, seq2=seq2, seq3=seq3)
+    return frame, seq2, seq3
+
+
+def gold_labels(sentence, vocab, variant):
+    """One sentence's gold labels as a GoldBatch of one, for teacher
+    forcing and the joint loss."""
+    return GoldBatch([sentence_labels(sentence, vocab, variant)])
 
 
 class GoldBatch:
-    """The gold labels of B sentences, padded once to the longest, T
-    tokens, for teacher forcing and the joint loss: lengths and frames
-    (B,), the label sequences seq2 and seq3 (None for 2L labels) as
-    (T, B) arrays right-padded with 0, and the token loss weights
-    (T, B), 1 / (B * length) per token and 0 on padding."""
+    """The gold labels of B sentences, given as `sentence_labels`
+    triples and padded once to the longest, T tokens, for teacher
+    forcing and the joint loss: lengths and frames (B,), the label
+    sequences seq2 and seq3 (None for 2L labels) as (T, B) arrays
+    right-padded with 0, and the token loss weights (T, B),
+    1 / (B * length) per token and 0 on padding."""
 
-    def __init__(self, golds):
-        golds = list(golds)
-        self.lengths = np.array([len(g.seq2) for g in golds])
-        B, T = len(golds), int(self.lengths.max())
+    def __init__(self, labels):
+        frames, seq2s, seq3s = zip(*labels)
+        self.lengths = np.array([len(s) for s in seq2s])
+        B, T = len(frames), int(self.lengths.max())
         own = np.arange(T)[:, None] < self.lengths
-        self.frames = np.array([g.frame for g in golds])
+        self.frames = np.array(frames)
         self.weights = own / (B * self.lengths)
 
         def padded(seqs):
@@ -225,18 +223,13 @@ class GoldBatch:
             out[own.T] = list(itertools.chain.from_iterable(seqs))
             return out.T
 
-        self.seq2 = padded(g.seq2 for g in golds)
+        self.seq2 = padded(seq2s)
         self.seq3 = None
-        if any(g.seq3 is not None for g in golds):
-            if any(g.seq3 is None or len(g.seq3) != len(g.seq2)
-                   for g in golds):
+        if any(s is not None for s in seq3s):
+            if any(s is None or len(s) != len(s2)
+                   for s, s2 in zip(seq3s, seq2s)):
                 raise ValueError("gold type label length mismatch")
-            self.seq3 = padded(g.seq3 for g in golds)
-
-
-def _gold_batch(gold):
-    """A GoldBatch, or a GoldLabels as its GoldBatch of one."""
-    return gold if isinstance(gold, GoldBatch) else gold.batch
+            self.seq3 = padded(seq3s)
 
 
 def _dropout_mask(shape, rate, rng):
@@ -256,14 +249,14 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     one right-padded graph over (T, B, .) tensors, and each sentence's
     padding steps come after its own steps, so they never reach its
     outputs. In train mode the layer-2 decoder is teacher-forced with
-    the gold labels (a GoldBatch, or one sentence's GoldLabels); in
-    infer mode it consumes its own greedy predictions, step by step,
-    and its logits are constants. Dropout is applied to layer inputs
-    only when a dropout_rng is supplied (training).
+    the gold labels, a GoldBatch; in infer mode it consumes its own
+    greedy predictions, step by step, and its logits are constants.
+    Dropout is applied to layer inputs only when a dropout_rng is
+    supplied (training).
 
-    Under `ad.reusing`, and without dropout, each of the four stages
-    (the trunk: layer 1 and att1; the AD head; layer 2; layer 3) reuses
-    its last output while its `_stage` key is unchanged.
+    Under `ad.reusing`, in train mode and without dropout, each of the
+    four stages (the trunk: layer 1 and att1; the AD head; layer 2;
+    layer 3) reuses its last output while its `_stage` key is unchanged.
     """
     if mode == "train" and gold is None:
         raise ValueError("train mode requires gold labels")
@@ -272,21 +265,19 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     lengths = np.asarray([embedded.shape[0]] if lengths is None else lengths)
     if lengths.sum() != embedded.shape[0] or np.any(lengths < 1):
         raise ValueError("sentence lengths do not match the embedded tokens")
-    if mode == "train":
-        gold = _gold_batch(gold)
-        if not np.array_equal(gold.lengths, lengths):
-            raise ValueError("gold label length mismatch")
+    if mode == "train" and not np.array_equal(gold.lengths, lengths):
+        raise ValueError("gold label length mismatch")
     key = None
-    if ad.stages is not None and dropout_rng is None:
+    if ad.stages is not None and mode == "train" and dropout_rng is None:
         # A key holds the inputs, so no other object takes their ids.
         key = (id(model), id(embedded), id(gold), model, embedded, gold,
-               lengths.tolist(), mode, ad.dtype)
+               lengths.tolist(), ad.dtype)
     (h1, parts, pooled, maps), key1 = _stage(
         model, "trunk", key, _trunk, model, embedded, lengths, rate,
         dropout_rng)
     ad_logits, _ = _stage(model, "ad_head", key1, L.affine, pooled,
                           model.ad_head)
-    (seq2_logits, labels), key2 = _stage(
+    (seq2_logits, labels), _ = _stage(
         model, "layer2", key1, _layer2, model, parts, gold, mode, rate,
         dropout_rng)
     out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
@@ -294,10 +285,10 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
                       attention_maps=None if maps is None else dict(maps))
     if c.variant != "3L":
         return out
-    # Teacher-forced, layer 3 reads the gold labels, not layer 2's output.
-    (out.seq3_logits, map3), _ = _stage(
-        model, "layer3", key1 if mode == "train" else key2, _layer3, model,
-        h1, labels, lengths, rate, dropout_rng)
+    # Stages are reused in train mode only, where layer 3 reads the gold
+    # labels, not layer 2's output: its key hangs off the trunk's.
+    (out.seq3_logits, map3), _ = _stage(model, "layer3", key1, _layer3, model,
+                                        h1, labels, lengths, rate, dropout_rng)
     if c.attention:
         out.attention_maps["layer3"] = map3
     return out
@@ -395,12 +386,11 @@ def _head_loss(head, logits, labels, weights):
 def joint_loss(output, gold):
     """Mean over the batch's sentences of each sentence's loss: the sum
     of the per-task cross-entropies, token heads averaged over the
-    sentence so length does not dominate. gold is a GoldBatch, or one
-    sentence's GoldLabels. Each head is one fused cross-entropy node
-    over its stacked logits, weighted 1 / B per sentence, and
-    1 / (B * length) per token and 0 on padding. Reused terms
-    (`_head_loss`) are added in the same order, so the sum is the same."""
-    gold = _gold_batch(gold)
+    sentence so length does not dominate. gold is a GoldBatch. Each head
+    is one fused cross-entropy node over its stacked logits, weighted
+    1 / B per sentence, and 1 / (B * length) per token and 0 on
+    padding. Reused terms (`_head_loss`) are added in the same order, so
+    the sum is the same."""
     B = len(output.lengths)
     if not np.array_equal(gold.lengths, output.lengths):
         raise ValueError("gold label length mismatch")
@@ -428,8 +418,6 @@ def predict(model, table, tokens):
     batch of one through the same code."""
     one = not tokens or isinstance(tokens[0], str)
     batch = [tokens] if one else tokens
-    if not all(batch):
-        raise ValueError("empty token sequence")
     embedded = np.concatenate([embed_sentence(table, list(t)) for t in batch])
     with ad.no_grad():
         out = forward(model, embedded, mode="infer",
@@ -491,9 +479,10 @@ def check_weights(flat):
 
 def save_checkpoint(path, model, table):
     """Single file: one JSON header line, then raw little-endian float64
-    data in header order (parameters, token vectors, unk vector), whose
-    zlib.crc32 the header holds. Weights that fail `check_weights` raise
-    CheckpointError before any file is written."""
+    data in header order (parameters, token vectors, unk vector). The
+    header's last member, "crc32", is the zlib.crc32 of every byte of
+    the file before its value, then of the payload. Weights that fail
+    `check_weights` raise CheckpointError before any file is written."""
     params = sorted(model.parameters(), key=lambda p: p.name)
     tokens = sorted(table.vectors)
     payload = np.concatenate(
@@ -507,15 +496,16 @@ def save_checkpoint(path, model, table):
                   "element_types": list(model.vocab.element_types)},
         "params": [[p.name, list(p.data.shape)] for p in params],
         "embeddings": {"dim": table.dim, "tokens": tokens},
-        "payload_crc32": zlib.crc32(payload),
     }
+    head = json.dumps(header, ensure_ascii=False).encode("utf-8")[:-1]
+    head += _CRC_MEMBER
+    head += b"%d}\n" % zlib.crc32(payload, zlib.crc32(head))
     # Write a sibling file and rename it over `path`, so an interrupted
     # save leaves any previous checkpoint as it was.
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
-            f.write(b"\n")
+            f.write(head)
             f.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -528,8 +518,9 @@ def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint. Any unreadable
     file, malformed header, format other than FORMAT_VERSION, payload
     whose length is not exactly what the header implies, payload value
-    that is not finite, weights that fail `check_weights`, or payload
-    whose crc32 differs from the header's raise CheckpointError.
+    that is not finite, weights that fail `check_weights`, or header
+    and payload bytes whose crc32 differs from the header's raise
+    CheckpointError, in that order.
 
     The model is built without its seeded initial values (`skip_init`):
     the header must name exactly the model's parameters and the payload
@@ -562,7 +553,7 @@ def load_checkpoint(path):
             raise CheckpointError("checkpoint/config parameter set mismatch")
         dim = header["embeddings"]["dim"]
         tokens = list(header["embeddings"]["tokens"])
-        crc = header["payload_crc32"]
+        crc = header["crc32"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"malformed checkpoint header ({type(exc).__name__}: {exc})")
@@ -585,8 +576,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint payload: {bad} of {data.size} "
                               f"values are not finite (nan or inf)")
     check_weights(data[:n_params])
-    if zlib.crc32(blob) != crc:
-        raise CheckpointError("checkpoint payload does not match its crc32")
+    covered = header_line[:header_line.rfind(_CRC_MEMBER) + len(_CRC_MEMBER)]
+    if zlib.crc32(blob, zlib.crc32(covered)) != crc:
+        raise CheckpointError("checkpoint header or payload does not match "
+                              "its crc32")
     off = 0
     for name, shape in shapes:
         p = by_name[name]

@@ -94,9 +94,3 @@ class Sgd:
 
 # The optimizers a TrainConfig may name.
 OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
-
-
-def make_optimizer(params, name="adam", lr=1e-3):
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer: {name}")
-    return OPTIMIZERS[name](params, lr=lr)

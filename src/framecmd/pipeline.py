@@ -21,9 +21,9 @@ from .corpus import label_vocab, make_folds
 from .embeddings import embed_sentence, random_embeddings
 from .grounding import chain_accuracy
 # `predict` is re-exported here for callers that parse one sentence.
-from .model import (GoldBatch, build_model, forward, gold_labels, joint_loss,
-                    predict, predict_many)
-from .optim import OPTIMIZERS, make_optimizer
+from .model import (GoldBatch, build_model, forward, joint_loss, predict,
+                    predict_many, sentence_labels)
+from .optim import OPTIMIZERS
 
 
 # A batch loss this many times the loss of a uniform guess means the
@@ -104,8 +104,8 @@ def train(model, table, corpus_train, config):
     cache = {}
     for s in corpus_train:
         cache[s.id] = (embed_sentence(table, list(s.tokens)),
-                       gold_labels(s, model.vocab, model.config.variant))
-    opt = make_optimizer(model.parameters(), config.optimizer, config.lr)
+                       sentence_labels(s, model.vocab, model.config.variant))
+    opt = OPTIMIZERS[config.optimizer](model.parameters(), lr=config.lr)
     opt.grad.fill(0.0)      # after that, every step zeroes it
     loss_limit = DIVERGED_LOSS_RATIO * model.uniform_loss()
 

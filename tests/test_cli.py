@@ -4,6 +4,7 @@ import os
 import select
 import subprocess
 import sys
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -286,6 +287,23 @@ class TestParse:
         assert main(["parse", str(bad), "go home"]) == 4
         assert "not finite" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("text,offset", [
+        (b'"Bringing"', 2), (b'"kitchen"', 1), (b'}, "vocab"', -1),
+        (b'}\n', -1)], ids=["frame", "token", "config", "crc32"])
+    def test_header_bit_flip_exit_4(self, overfit_ckpt, tmp_path, capsys,
+                                    text, offset):
+        # Each flip leaves a header that parses: a frame named
+        # "Bsinging", the token "kitchen" misspelt, the last digit of the
+        # seed (the config's last value) or of the crc32 changed.
+        data = bytearray(Path(overfit_ckpt).read_bytes())
+        data[data.index(text) + offset] ^= 1
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+        assert main(["parse", str(bad), "go home"]) == 4
+        assert "crc32" in assert_one_line_error(capsys)
+
     def test_payload_bit_flip_exit_4(self, overfit_ckpt, tmp_path, capsys):
         # One flipped bit of a token vector keeps every value finite.
         data = bytearray(Path(overfit_ckpt).read_bytes())
@@ -465,28 +483,41 @@ class TestConfigErrors:
         assert rc == 2
         assert "--jobs" in assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--config", "2l_no_att", "--out", "{missing}/m.ckpt"]
-        + FAST_OVERRIDES,
-        ["eval", "--config", "2l_no_att", "--cv", "2",
-         "--out", "{missing}/metrics.json"] + FAST_OVERRIDES,
-        ["gen-corpus", "--n", "3", "--out", "{missing}/c.jsonl"],
-        ["gen-corpus", "--n", "3", "--out", "{tmp}/c.jsonl",
-         "--map-out", "{missing}/c.map.json"],
-        ["train", "--config", "2l_no_att", "--out", "{tmp}"]
-        + FAST_OVERRIDES,
-    ], ids=["train", "eval", "gen-corpus", "gen-corpus-map", "out-is-dir"])
+    @pytest.mark.parametrize("argv,sidecar", [
+        (["train", "--config", "2l_no_att", "--out", "{missing}/m.ckpt"]
+         + FAST_OVERRIDES, None),
+        (["eval", "--config", "2l_no_att", "--cv", "2",
+          "--out", "{missing}/metrics.json"] + FAST_OVERRIDES, None),
+        (["gen-corpus", "--n", "3", "--out", "{missing}/c.jsonl"], None),
+        (["gen-corpus", "--n", "3", "--out", "{tmp}/c.jsonl",
+          "--map-out", "{missing}/c.map.json"], None),
+        (["train", "--config", "2l_no_att", "--out", "{tmp}"]
+         + FAST_OVERRIDES, None),
+        (["train", "--config", "2l_no_att", "--out", "{tmp}/m.ckpt"]
+         + FAST_OVERRIDES, "m.ckpt.history.json"),
+        (["eval", "--config", "2l_no_att", "--cv", "2",
+          "--out", "{tmp}/metrics.json"] + FAST_OVERRIDES,
+         "metrics.json.txt"),
+    ], ids=["train", "eval", "gen-corpus", "gen-corpus-map", "out-is-dir",
+            "train-history-is-dir", "eval-report-is-dir"])
     def test_out_path_not_writable_exit_2_before_any_work(
-            self, workdir, tmp_path, capsys, monkeypatch, argv):
+            self, workdir, tmp_path, capsys, monkeypatch, argv, sidecar):
+        # `sidecar`: a file the command writes beside --out, here made a
+        # directory.
         forbid_work(monkeypatch, "train", "cross_validate",
                     "generate_synthetic")
+        if sidecar:
+            (tmp_path / sidecar).mkdir()
         argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
                 for a in argv]
         if argv[0] != "gen-corpus":
             argv += ["--corpus", str(workdir / "corpus.jsonl")]
         assert main(argv) == 2
         assert "-out" in assert_one_line_error(capsys)
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [sidecar] if sidecar else [])
+        if sidecar:
+            assert list((tmp_path / sidecar).iterdir()) == []
 
     @pytest.mark.parametrize("k", ["50", "1", "0"])
     def test_cv_outside_corpus_size_exit_2(self, workdir, capsys, k):
@@ -642,8 +673,8 @@ class TestCheckpointHeader:
         lambda d: d["embeddings"].update(dim="50"),
         lambda d: d["embeddings"].update(dim=49),
         lambda d: d["embeddings"]["tokens"].pop(),
-        lambda d: d.pop("payload_crc32"),
-        lambda d: d.update(payload_crc32=d["payload_crc32"] ^ 1),
+        lambda d: d.pop("crc32"),
+        lambda d: d.update(crc32=d["crc32"] ^ 1),
     ], ids=["no-params", "no-dim", "unknown-config-key",
             "ill-typed-config", "bad-variant", "negative-seed",
             "config-not-a-dict",
@@ -700,16 +731,32 @@ class TestCheckpointHeader:
 
     def test_format_2_checkpoint_exit_4(self, overfit_ckpt, tmp_path,
                                         capsys):
-        # Format 2 is format 3 without the payload's crc32.
+        # Format 2 is format 4 without a crc32.
         def as_format_2(doc):
             doc["format_version"] = 2
-            del doc["payload_crc32"]
+            del doc["crc32"]
 
         old = self.rewrite_header(overfit_ckpt, tmp_path / "v2.ckpt",
                                   as_format_2)
         assert main(["parse", old, "go home"]) == 4
         err = assert_one_line_error(capsys)
         assert "format 2" in err and "retrain" in err
+
+    def test_format_3_checkpoint_exit_4(self, overfit_ckpt, tmp_path,
+                                        capsys):
+        # Format 3's crc32 covered the payload only.
+        payload = Path(overfit_ckpt).read_bytes().split(b"\n", 1)[1]
+
+        def as_format_3(doc):
+            doc["format_version"] = 3
+            del doc["crc32"]
+            doc["payload_crc32"] = zlib.crc32(payload)
+
+        old = self.rewrite_header(overfit_ckpt, tmp_path / "v3.ckpt",
+                                  as_format_3)
+        assert main(["parse", old, "go home"]) == 4
+        err = assert_one_line_error(capsys)
+        assert "format 3" in err and "retrain" in err
 
     def test_non_object_header_exit_4(self, tmp_path, capsys):
         path = tmp_path / "n.ckpt"

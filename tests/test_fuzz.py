@@ -211,8 +211,9 @@ damage = st.one_of(
 
 
 def test_damaged_checkpoint(checkpoint):
-    """A damaged checkpoint loads or raises CheckpointError, never
-    another error; one with a flipped payload bit always raises it."""
+    """A damaged checkpoint, truncated, padded or with one bit of its
+    header or payload flipped, raises CheckpointError and no other
+    error."""
     path, blob = checkpoint
     header_len = blob.index(b"\n")
     bad = path.with_name("bad.ckpt")
@@ -231,16 +232,18 @@ def test_damaged_checkpoint(checkpoint):
             data[at] ^= 1 << how[2]
             data = bytes(data)
         bad.write_bytes(data)
-        if how[0] == "flip payload":
-            with pytest.raises(CheckpointError):
-                load_checkpoint(bad)
-            return
-        try:
+        with pytest.raises(CheckpointError):
             load_checkpoint(bad)
-        except CheckpointError:
-            return
 
     run()
+    # Every header byte and the newline after it, one bit each: frame
+    # names, tokens, config values and the crc32 itself included.
+    for at in range(header_len + 1):
+        data = bytearray(blob)
+        data[at] ^= 1 << at % 8
+        bad.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
 
 
 # Fuzzing main(): random argv over the commands' words, flags and values,

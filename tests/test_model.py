@@ -1,6 +1,5 @@
 import contextlib
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from framecmd.model import (CheckpointError, GoldBatch, Model, ModelConfig,
                             ModelOutput, ParsedCommand, _dropout_mask,
                             build_model, decode_output, forward, gold_labels,
                             joint_loss, load_checkpoint, predict,
-                            predict_many, save_checkpoint)
+                            predict_many, save_checkpoint, sentence_labels)
 from framecmd.optim import Adam
 
 from oracles import cross_entropy_oracle, softmax_oracle
@@ -209,10 +208,9 @@ class TestForward:
         m = build_model(small_config(variant), VOCAB)
         _, emb = embedded()
         infer = forward(m, emb, mode="infer")
-        gold = gold_labels(sentence(), VOCAB, variant)
-        forced = type(gold)(frame=gold.frame,
-                            seq2=tuple(infer.seq2_labels[:, 0].tolist()),
-                            seq3=gold.seq3)
+        frame, _, seq3 = sentence_labels(sentence(), VOCAB, variant)
+        forced = GoldBatch([(frame, tuple(infer.seq2_labels[:, 0].tolist()),
+                             seq3)])
         trained = forward(m, emb, gold=forced, mode="train")
         np.testing.assert_array_equal(trained.ad_logits.data,
                                       infer.ad_logits.data)
@@ -281,7 +279,11 @@ class TestForward:
 
 class TestJointLoss:
     @staticmethod
-    def stub_output(model, gold, confidence=60.0):
+    def stub_output(model, labels, confidence=60.0):
+        """A batch of one whose heads are sure of `labels`, one
+        sentence's label triple."""
+        frame, seq2, seq3 = labels
+
         def onehot(size, idx):
             z = np.full(size, -confidence)
             z[idx] = confidence
@@ -293,18 +295,18 @@ class TestJointLoss:
 
         n2 = len(model.seq2_alphabet)
         return ModelOutput(
-            lengths=np.array([len(gold.seq2)]),
+            lengths=np.array([len(seq2)]),
             ad_logits=ad.constant(onehot(len(model.vocab.frames),
-                                         gold.frame)[None]),
-            seq2_logits=steps(n2, gold.seq2),
-            seq2_labels=np.array(gold.seq2)[:, None],
-            seq3_logits=steps(len(model.vocab.ac_labels), gold.seq3)
-            if gold.seq3 else None)
+                                         frame)[None]),
+            seq2_logits=steps(n2, seq2),
+            seq2_labels=np.array(seq2)[:, None],
+            seq3_logits=steps(len(model.vocab.ac_labels), seq3)
+            if seq3 else None)
 
     def test_perfect_prediction_zero_loss(self):
         m = build_model(small_config(), VOCAB)
-        gold = gold_labels(sentence(), VOCAB, "3L")
-        loss = joint_loss(self.stub_output(m, gold), gold)
+        labels = sentence_labels(sentence(), VOCAB, "3L")
+        loss = joint_loss(self.stub_output(m, labels), GoldBatch([labels]))
         assert float(loss.data) < 1e-12
 
     @pytest.mark.parametrize("variant", ["2L", "3L"])
@@ -328,83 +330,89 @@ class TestJointLoss:
         s = sentence()
         s = AnnotatedSentence(s.id, s.tokens,
                               FrameAnnotation("F3", (0, 0), s.frame.elements))
-        gold = gold_labels(s, vocab, "3L")
-        out = self.stub_output(m, gold)
+        labels = sentence_labels(s, vocab, "3L")
+        out = self.stub_output(m, labels)
         out.ad_logits = ad.constant(np.zeros((1, 16)))
-        np.testing.assert_allclose(float(joint_loss(out, gold).data),
-                                   np.log(16), atol=1e-9)
+        np.testing.assert_allclose(
+            float(joint_loss(out, GoldBatch([labels])).data), np.log(16),
+            atol=1e-9)
 
     def test_matches_hand_computed_sum(self):
         rng = np.random.default_rng(33)
         m = build_model(small_config(), VOCAB)
-        gold = gold_labels(sentence(), VOCAB, "3L")
-        T = len(gold.seq2)
+        frame, seq2, seq3 = sentence_labels(sentence(), VOCAB, "3L")
+        T = len(seq2)
         ad_z = rng.normal(0, 2, 3)
         z2 = [rng.normal(0, 2, 3) for _ in range(T)]
         z3 = [rng.normal(0, 2, 3) for _ in range(T)]
         out = ModelOutput(lengths=np.array([T]),
                           ad_logits=ad.constant(ad_z[None]),
                           seq2_logits=ad.constant(np.array(z2)[:, None]),
-                          seq2_labels=np.array(gold.seq2)[:, None],
+                          seq2_labels=np.array(seq2)[:, None],
                           seq3_logits=ad.constant(np.array(z3)[:, None]))
-        expected = cross_entropy_oracle(softmax_oracle(ad_z.tolist()),
-                                        gold.frame)
+        expected = cross_entropy_oracle(softmax_oracle(ad_z.tolist()), frame)
         expected += np.mean([cross_entropy_oracle(
-            softmax_oracle(z.tolist()), g) for z, g in zip(z2, gold.seq2)])
+            softmax_oracle(z.tolist()), g) for z, g in zip(z2, seq2)])
         expected += np.mean([cross_entropy_oracle(
-            softmax_oracle(z.tolist()), g) for z, g in zip(z3, gold.seq3)])
+            softmax_oracle(z.tolist()), g) for z, g in zip(z3, seq3)])
+        gold = GoldBatch([(frame, seq2, seq3)])
         np.testing.assert_allclose(float(joint_loss(out, gold).data),
                                    expected, atol=1e-10)
 
     def test_length_mismatch(self):
         m = build_model(small_config(), VOCAB)
-        gold = gold_labels(sentence(), VOCAB, "3L")
-        out = self.stub_output(m, gold)
-        bad = type(gold)(frame=gold.frame, seq2=gold.seq2[:-1],
-                         seq3=gold.seq3)
+        frame, seq2, seq3 = labels = sentence_labels(sentence(), VOCAB, "3L")
+        out = self.stub_output(m, labels)
         with pytest.raises(ValueError):
-            joint_loss(out, bad)
+            joint_loss(out, GoldBatch([(frame, seq2[:-1], seq3)]))
+        with pytest.raises(ValueError):
+            joint_loss(out, GoldBatch([(frame, seq2[:-1], seq3[:-1])]))
+
+    def test_gold_labels_is_a_batch_of_one(self):
+        for variant in ("2L", "3L"):
+            gold = gold_labels(sentence(), VOCAB, variant)
+            frame, seq2, seq3 = sentence_labels(sentence(), VOCAB, variant)
+            assert isinstance(gold, GoldBatch)
+            assert gold.frames.tolist() == [frame]
+            assert gold.lengths.tolist() == [len(seq2)]
+            assert gold.seq2.T.tolist() == [list(seq2)]
+            assert (gold.seq3 is None if seq3 is None
+                    else gold.seq3.T.tolist() == [list(seq3)])
 
     @pytest.mark.parametrize("variant", ["2L", "3L"])
     def test_gold_forms_give_the_same_loss(self, variant):
         # A GoldBatch and the same batch padded again teach and score
-        # alike, and so do one sentence's GoldLabels and its GoldBatch.
+        # alike.
         sents = sentences_3_to_7()
         table = random_embeddings([t for s in sents for t in s.tokens], 6,
                                   seed=1)
         m = build_model(small_config(variant), VOCAB)
-        emb, lengths, golds = batch_of(sents, table, variant)
-        batch = GoldBatch(golds)
+        emb, lengths, labels = batch_of(sents, table, variant)
+        batch = GoldBatch(labels)
         np.testing.assert_array_equal(batch.lengths, lengths)
 
         def loss(emb, gold, lengths=None):
             return float(joint_loss(forward(m, emb, gold=gold, mode="train",
                                             lengths=lengths), gold).data)
 
-        assert loss(emb, GoldBatch(golds), lengths) == loss(emb, batch,
-                                                            batch.lengths)
-        one = emb[:lengths[0]]
-        gold = golds[0]
-        assert loss(one, gold) == loss(one, GoldBatch([gold]))
-        assert gold.batch is gold.batch     # padded once per GoldLabels
+        assert loss(emb, GoldBatch(labels), lengths) == loss(emb, batch,
+                                                             batch.lengths)
 
     def test_mismatched_gold_lengths_raise_value_error(self):
         m = build_model(small_config(), VOCAB)
         _, emb = embedded()
-        gold = gold_labels(sentence(), VOCAB, "3L")
-        out = forward(m, emb, gold=gold, mode="train")
-        short = type(gold)(frame=gold.frame, seq2=gold.seq2[:-1],
-                           seq3=gold.seq3[:-1])
-        for bad in (short, GoldBatch([short]), GoldBatch([gold, gold])):
+        frame, seq2, seq3 = labels = sentence_labels(sentence(), VOCAB, "3L")
+        out = forward(m, emb, gold=GoldBatch([labels]), mode="train")
+        short = (frame, seq2[:-1], seq3[:-1])
+        for bad in (GoldBatch([short]), GoldBatch([labels, labels])):
             with pytest.raises(ValueError):
                 joint_loss(out, bad)
             with pytest.raises(ValueError):
                 forward(m, emb, gold=bad, mode="train")
         with pytest.raises(ValueError):     # seq3 shorter than seq2
-            GoldBatch([type(gold)(frame=gold.frame, seq2=gold.seq2,
-                                  seq3=gold.seq3[:-1])])
+            GoldBatch([(frame, seq2, seq3[:-1])])
         with pytest.raises(ValueError):     # no type labels for layer 3
-            joint_loss(out, replace(gold, seq3=None))
+            joint_loss(out, GoldBatch([(frame, seq2, None)]))
 
     @pytest.mark.parametrize("field,value", [
         ("frame", 3), ("frame", -1), ("seq2", 3), ("seq2", -1),
@@ -412,14 +420,12 @@ class TestJointLoss:
     def test_out_of_range_labels_raise_index_error(self, field, value):
         m = build_model(small_config(), VOCAB)      # 3 labels per head
         _, emb = embedded()
-        gold = gold_labels(sentence(), VOCAB, "3L")
-        if field == "frame":
-            bad = replace(gold, frame=value)
-        else:
-            seq = getattr(gold, field)
-            bad = replace(gold, **{field: seq[:-1] + (value,)})
+        labels = sentence_labels(sentence(), VOCAB, "3L")
+        bad = dict(zip(("frame", "seq2", "seq3"), labels))
+        bad[field] = value if field == "frame" else bad[field][:-1] + (value,)
         with pytest.raises(IndexError):
-            joint_loss(forward(m, emb, gold=gold, mode="train"), bad)
+            joint_loss(forward(m, emb, gold=GoldBatch([labels]), mode="train"),
+                       GoldBatch([tuple(bad.values())]))
 
 
 class TestDecode:
@@ -446,8 +452,8 @@ class TestDecode:
 
     def test_gold_one_hots_decode_exactly(self):
         m = build_model(small_config(), VOCAB)
-        gold = gold_labels(sentence(), VOCAB, "3L")
-        out = self.output_from_labels(m, gold.frame, gold.seq2, gold.seq3)
+        out = self.output_from_labels(
+            m, *sentence_labels(sentence(), VOCAB, "3L"))
         parsed = decode_output(m, out, 0)
         assert parsed == ParsedCommand("Bringing",
                                        (("Theme", (1, 2)), ("Goal", (3, 5))))
@@ -483,8 +489,8 @@ class TestDecode:
 
     def test_argmax_invariance_under_row_shift(self):
         m = build_model(small_config(), VOCAB)
-        gold = gold_labels(sentence(), VOCAB, "3L")
-        out = self.output_from_labels(m, gold.frame, gold.seq2, gold.seq3)
+        out = self.output_from_labels(
+            m, *sentence_labels(sentence(), VOCAB, "3L"))
         shifted = ModelOutput(
             lengths=out.lengths,
             ad_logits=ad.constant(out.ad_logits.data + 7.5),
@@ -495,8 +501,8 @@ class TestDecode:
 
     def test_2l_typed_decode(self):
         m = build_model(small_config("2L"), VOCAB)
-        gold = gold_labels(sentence(), VOCAB, "2L")
-        out = self.output_from_labels(m, gold.frame, gold.seq2)
+        out = self.output_from_labels(
+            m, *sentence_labels(sentence(), VOCAB, "2L"))
         parsed = decode_output(m, out, 0)
         assert parsed.elements == (("Theme", (1, 2)), ("Goal", (3, 5)))
 
@@ -662,17 +668,24 @@ class TestStageReuse:
                 assert sorted(calls) == stage_calls(m, [
                     s for s in DOWNSTREAM[stage] if s in stages]), p.name
 
-    def test_infer_mode_layer_3_reads_layer_2(self, monkeypatch):
-        # Without teacher forcing, layer 3 reads layer 2's greedy labels,
-        # so a layer-2 weight reruns layer 3 too, but not the trunk.
-        m, emb, _ = self.build("3L", True)
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_infer_mode_reruns_every_stage(self, monkeypatch, variant,
+                                           attention):
+        # In infer mode layer 2's logits are constants, so no gradient
+        # check reads them: each forward runs every stage (greedy layer
+        # 2 makes no layer call) and keeps nothing for reuse.
+        m, emb, _ = self.build(variant, attention)
+        stages = [s for s in ("trunk", "ad_head", "layer3")
+                  if s != "layer3" or variant == "3L"]
         calls = layer_calls(monkeypatch, m)
         with ad.no_grad(), ad.reusing():
-            forward(m, emb, mode="infer")
-            m.l2_cell.W.version += 1
-            calls.clear()
-            forward(m, emb, mode="infer")
-        assert sorted(calls) == stage_calls(m, ["layer3"])
+            for p in [None] + m.parameters():
+                if p is not None:
+                    p.version += 1
+                calls.clear()
+                forward(m, emb, mode="infer")
+                assert sorted(calls) == stage_calls(m, stages)
+                assert ad.stages == {}
 
     @pytest.mark.parametrize("variant,attention", PRESETS)
     def test_outside_grad_check_an_in_place_edit_changes_the_output(
@@ -744,10 +757,11 @@ class TestGraphSize:
 
 
 def batch_of(sentences, table, variant):
-    """Packed embeddings, lengths and gold labels of a batch."""
+    """Packed embeddings, lengths and each sentence's gold label triple
+    of a batch."""
     embs = [embed_sentence(table, list(s.tokens)) for s in sentences]
     return (np.concatenate(embs), [len(e) for e in embs],
-            [gold_labels(s, VOCAB, variant) for s in sentences])
+            [sentence_labels(s, VOCAB, variant) for s in sentences])
 
 
 def sentences_3_to_7():
@@ -807,7 +821,8 @@ class TestBatch:
         assert out.seq2_logits.data.shape[:2] == (T, 4)
         start = 0
         for b, (n, gold) in enumerate(zip(lengths, golds)):
-            one = forward(m, emb[start:start + n], gold=gold, mode=mode)
+            one = forward(m, emb[start:start + n], gold=GoldBatch([gold]),
+                          mode=mode)
             start += n
             np.testing.assert_allclose(out.ad_logits.data[b],
                                        one.ad_logits.data[0], atol=1e-12)
@@ -843,9 +858,10 @@ class TestBatch:
         mean = {name: np.zeros_like(g) for name, g in batch_grads.items()}
         losses = []
         start = 0
-        for n, gold in zip(lengths, golds):
+        for n, labels in zip(lengths, golds):
             for p in m.parameters():
                 p.zero_grad()
+            gold = GoldBatch([labels])
             one = joint_loss(forward(m, emb[start:start + n], gold=gold,
                                      mode="train"), gold)
             start += n
@@ -898,7 +914,7 @@ class TestBatchGraphSize:
         m = build_model(model_cfg, vocab)
         assert m.config.dropout > 0
         embs = [embed_sentence(table, list(s.tokens)) for s in sents]
-        golds = GoldBatch(gold_labels(s, vocab, "3L") for s in sents)
+        golds = GoldBatch(sentence_labels(s, vocab, "3L") for s in sents)
         loss = joint_loss(forward(m, np.concatenate(embs), gold=golds,
                                   mode="train", lengths=[len(e) for e in embs],
                                   dropout_rng=np.random.default_rng(0)),

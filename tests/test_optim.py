@@ -4,7 +4,7 @@ import pytest
 from framecmd.autodiff import Parameter
 from framecmd.corpus import LabelVocab
 from framecmd.model import ModelConfig, build_model
-from framecmd.optim import Adam, Sgd, make_optimizer
+from framecmd.optim import OPTIMIZERS, Adam, Sgd
 
 from oracles import AdamOracle, SgdOracle
 
@@ -59,15 +59,12 @@ def test_sgd_step():
     np.testing.assert_allclose(p.data, [0.95])
 
 
-def test_make_optimizer():
+def test_optimizers_by_name():
+    # TrainConfig rejects any other name (tests/test_pipeline.py).
     p = Parameter("p", np.zeros(1))
-    assert isinstance(make_optimizer([p], "adam"), Adam)
-    assert isinstance(make_optimizer([p], "sgd"), Sgd)
-    try:
-        make_optimizer([p], "rmsprop")
-        assert False
-    except ValueError:
-        pass
+    assert OPTIMIZERS == {"adam": Adam, "sgd": Sgd}
+    assert isinstance(OPTIMIZERS["adam"]([p]), Adam)
+    assert isinstance(OPTIMIZERS["sgd"]([p]), Sgd)
 
 
 @pytest.mark.parametrize("flat,oracle,lr", [(Adam, AdamOracle, 1e-2),

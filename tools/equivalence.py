@@ -16,7 +16,8 @@ line per item:
 - the parses of the 40 sentences;
 - their attention maps (the ATT presets);
 - the 5-fold assignment of the 120 sentences;
-- the output of `framecmd gradcheck`;
+- the output of `framecmd gradcheck` and of `framecmd gradcheck
+  --hidden 5 --seed 7`;
 - each trained model's checkpoint: its header, as parsed JSON, and
   its payload bytes.
 
@@ -44,6 +45,10 @@ SEED = 5
 # Seeds of the untrained models compared: 0, the presets' 42, and one
 # that takes two 32-bit words.
 FRESH_SEEDS = (0, 42, 2**40 + 3)
+# The `framecmd gradcheck` runs compared, by name: the default one and
+# one at another size and seed.
+GRADCHECK_RUNS = {"default": [], "hidden5-seed7": ["--hidden", "5",
+                                                   "--seed", "7"]}
 
 
 def dump(out):
@@ -92,10 +97,11 @@ def dump(out):
             items[f"ckpt_payload/{preset}"] = np.frombuffer(payload, np.uint8)
     folds = make_folds(corpus, 5, SEED)
     items["folds"] = np.array([folds.assignment[s.id] for s in corpus])
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        cli.main(["gradcheck"])
-    items["gradcheck"] = np.array(text.getvalue().splitlines())
+    for name, argv in GRADCHECK_RUNS.items():
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli.main(["gradcheck"] + argv)
+        items[f"gradcheck/{name}"] = np.array(text.getvalue().splitlines())
     np.savez(out, **items)
 
 
@@ -152,7 +158,7 @@ def report(a, b):
         f"parses: {_counted(a, b, keys('parses/'), 'parses')}",
         f"attention maps: {_numeric(a, b, keys('attention/'))}",
         f"fold assignments: {_counted(a, b, ['folds'], 'sentences')}",
-        f"gradcheck output: {_counted(a, b, ['gradcheck'], 'lines')}",
+        f"gradcheck output: {_counted(a, b, keys('gradcheck/'), 'lines')}",
         f"checkpoint headers: {_headers(a, b, keys('ckpt_header/'))}",
         f"checkpoint payloads: "
         f"{_counted(a, b, keys('ckpt_payload/'), 'bytes')}",
