@@ -7,11 +7,13 @@ the frame was right, span typing only where the boundaries were right
 too), and the chain column grounds predictions on the demo map.
 """
 
+from framecmd.embeddings import random_embeddings
 from framecmd.model import ModelConfig
 from framecmd.pipeline import TrainConfig, cross_validate, report
 from framecmd.synth import demo_map, generate_synthetic
 
 corpus = generate_synthetic(seed=5, n=60)
+tokens = [t for s in corpus for t in s.tokens]
 maps = {"house1": demo_map()}
 
 rows = []
@@ -23,7 +25,11 @@ for variant in ("2L", "3L"):
                                 label_embedding_dim=6, dropout=0.1, seed=5)
         train_cfg = TrainConfig(epochs=15, batch_size=8, lr=2e-3,
                                 patience=0, seed=5, k=3)
-        stage, chain = cross_validate(corpus, model_cfg, train_cfg,
+        # One random vector per corpus token, as `eval --cv` draws them
+        # when given no --embeddings file.
+        table = random_embeddings(tokens, model_cfg.embedding_dim,
+                                  seed=train_cfg.seed)
+        stage, chain = cross_validate(corpus, model_cfg, train_cfg, table,
                                       maps=maps)
         rows.append((model_cfg.name, stage, chain))
         print(f"finished {model_cfg.name}")

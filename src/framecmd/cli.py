@@ -16,7 +16,8 @@ from .corpus import (AnnotatedSentence, CorpusError, FrameAnnotation,
 from .embeddings import (EmbeddingError, embed_sentence, load_embeddings,
                          random_embeddings)
 from .gradcheck import grad_check
-from .grounding import MapError, ground_command, load_map, serialize_map
+from .grounding import (MapError, check_chain_data, ground_command, load_map,
+                        serialize_map)
 from .model import (CheckpointError, ModelConfig, build_model, forward,
                     gold_labels, joint_loss, load_checkpoint, predict,
                     save_checkpoint)
@@ -138,13 +139,30 @@ def _read_map(path):
     return load_map(_read_text(path, MapError, "map"))
 
 
-def _check_out(path, flag="--out"):
-    """Fail before any work when `path` cannot be written as a file."""
+def _check_out(path, flag="--out", others=()):
+    """Fail before any work when `path` cannot be written as a file, or
+    is the same file as another the command reads or writes, given as
+    (flag, path or None) pairs."""
     out = Path(path)
     if not out.parent.is_dir():
         raise ConfigError(f"{flag}: no such directory: {out.parent}")
     if out.is_dir():
         raise ConfigError(f"{flag}: {path} is a directory")
+    for name, given in others:
+        # samefile, for hard links, raises when either file is missing.
+        with contextlib.suppress(OSError, ValueError):  # ValueError: a NUL
+            if given and (os.path.realpath(given) == os.path.realpath(path)
+                          or os.path.samefile(given, path)):
+                raise ConfigError(f"{flag}: {path} is also the {name} file; "
+                                  f"one would overwrite the other")
+
+
+def _training_inputs(args):
+    """The (flag, path or None) pairs of the files train and eval --cv
+    read; --config names a file only if one exists, else a preset."""
+    config = args.config if os.path.isfile(args.config or "") else None
+    return [("--corpus", args.corpus), ("--config", config),
+            ("--embeddings", args.embeddings)]
 
 
 def _make_table(corpus, model_cfg, embeddings_path, seed):
@@ -162,8 +180,9 @@ def _make_table(corpus, model_cfg, embeddings_path, seed):
 
 
 def cmd_train(args):
-    _check_out(args.out)
-    _check_out(args.out + ".history.json")
+    inputs = _training_inputs(args)
+    _check_out(args.out, others=inputs)
+    _check_out(args.out + ".history.json", others=inputs)
     values = load_config(args.config)
     model_cfg, train_cfg = build_configs(values, args.override)
     corpus = _read_corpus(args.corpus)
@@ -195,10 +214,14 @@ def cmd_eval(args):
                 raise ConfigError(f"eval --ckpt does not take {flag}; only "
                                   f"cross-validation (--cv) reads it")
     if args.out:
-        _check_out(args.out)
-        _check_out(args.out + ".txt")
+        inputs = (_training_inputs(args) + [("--ckpt", args.ckpt)]
+                  + [("--maps", m) for m in args.maps])
+        _check_out(args.out, others=inputs)
+        _check_out(args.out + ".txt", others=inputs)
     corpus = _read_corpus(args.corpus)
     maps = {m.id: m for m in map(_read_map, args.maps)} if args.maps else None
+    if maps is not None:
+        check_chain_data(corpus, maps)      # before any training or parsing
     if args.cv is not None:
         if not args.config:
             raise ConfigError("--cv requires --config")
@@ -315,7 +338,7 @@ def cmd_gradcheck(args):
 def cmd_gen_corpus(args):
     _check_out(args.out)    # before deriving the map's path from it
     map_out = args.map_out or str(Path(args.out).with_suffix("")) + ".map.json"
-    _check_out(map_out, "--map-out")
+    _check_out(map_out, "--map-out", others=[("--out", args.out)])
     frames = args.frames.split(",") if args.frames else None
     try:
         sentences = generate_synthetic(args.seed, args.n, frames)

@@ -129,6 +129,17 @@ def chain_correct(pred, gold_sentence):
     return True
 
 
+def check_chain_data(sentences, maps):
+    """Raise MapError unless every sentence can be scored along the
+    chain: it has gold groundings, and its map_id names one of maps."""
+    for s in sentences:
+        if s.gold_groundings is None:
+            raise MapError(f"sentence {s.id} has no gold groundings to "
+                           f"score the chain against")
+        if s.map_id not in maps:
+            raise MapError(f"sentence {s.id}: unknown map {s.map_id!r}")
+
+
 def chain_accuracy(parses, sentences, maps):
     """Fraction of sentences whose whole interpretation chain is correct.
 
@@ -139,10 +150,9 @@ def chain_accuracy(parses, sentences, maps):
         raise ValueError("empty test set")
     if len(parses) != len(sentences):
         raise ValueError(f"{len(parses)} parses, {len(sentences)} sentences")
+    check_chain_data(sentences, maps)
     correct = 0
     for s, parsed in zip(sentences, parses):
-        if s.map_id not in maps:
-            raise MapError(f"sentence {s.id}: unknown map {s.map_id!r}")
         grounded = ground_command(parsed, list(s.tokens), maps[s.map_id])
         if chain_correct(grounded, s):
             correct += 1

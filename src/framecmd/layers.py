@@ -23,32 +23,12 @@ padded batch computes every sentence as that sentence alone would."""
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter
 
 GATES = ("i", "f", "o", "g")
-
-
-# Module-level switch, like `autodiff.grad_enabled`: skip_init() turns
-# it off, and init_params then returns zeros.
-seeded_init = True
-
-
-@contextlib.contextmanager
-def skip_init():
-    """Within it, init_params draws no random values and returns zeros:
-    for building a model whose every parameter is then overwritten, as
-    `model.load_checkpoint` does."""
-    global seeded_init
-    prev, seeded_init = seeded_init, False
-    try:
-        yield
-    finally:
-        seeded_init = prev
 
 
 def seeded_rng(seed, name):
@@ -69,9 +49,10 @@ def seeded_rng(seed, name):
 def init_params(shape, seed, name):
     """Deterministic Glorot-uniform initial values for a weight, from
     the random stream of (seed, name), so that every weight is
-    independent and stable. Under skip_init() they are zeros."""
+    independent and stable; zeros when seed is None, for a weight that
+    is then overwritten, as `model.load_checkpoint` does."""
     shape = tuple(int(s) for s in shape)
-    if not seeded_init:
+    if seed is None:
         return np.zeros(shape)
     if len(shape) == 2:
         fan_out, fan_in = shape

@@ -28,7 +28,6 @@ a forward pass and its backward pass.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -41,7 +40,7 @@ from . import autodiff as ad
 from . import layers as L
 from .autodiff import Parameter
 from .corpus import LabelVocab, decode_iob, encode_iob
-from .embeddings import embed_sentence
+from .embeddings import EmbeddingTable, embed_sentence
 
 FORMAT_VERSION = 4
 # What precedes the crc32's value in a header line, the header's last
@@ -104,14 +103,17 @@ class ModelOutput:
 
 
 class Model:
-    def __init__(self, config, vocab):
+    """The parser network. Unless `seeded`, the weights that init_params
+    draws from config.seed start at zero instead."""
+
+    def __init__(self, config, vocab, seeded=True):
         self.config = config
         self.vocab = vocab
         self._params = []
         self.stage_params = {}  # the parameters each stage of forward reads
         own = self._own
         c = config
-        seed = c.seed
+        seed = c.seed if seeded else None
         h1_dim = 2 * c.hidden_size
         self.seq2_alphabet = (vocab.iob if c.variant == "3L"
                               else vocab.typed_iob)
@@ -174,10 +176,10 @@ class Model:
         return sum(math.log(h.b.data.size) for h in heads)
 
 
-def build_model(config, vocab):
+def build_model(config, vocab, seeded=True):
     if not vocab.frames:
         raise ValueError("empty label vocabulary")
-    return Model(config, vocab)
+    return Model(config, vocab, seeded)
 
 
 def sentence_labels(sentence, vocab, variant):
@@ -190,8 +192,8 @@ def sentence_labels(sentence, vocab, variant):
         return frame, tuple(vocab.typed_iob.index(l) for l in typed), None
     plain = encode_iob(sentence, typed=False)
     seq2 = tuple(vocab.iob.index(l) for l in plain)
-    # A token's type is its typed label without the B-/I- prefix.
-    seq3 = tuple(vocab.ac_labels.index("O" if l == "O" else l[2:])
+    # 0 outside a span, else 1 + the type's index; a type may be "O".
+    seq3 = tuple(0 if l == "O" else 1 + vocab.element_types.index(l[2:])
                  for l in typed)
     return frame, seq2, seq3
 
@@ -212,24 +214,25 @@ class GoldBatch:
 
     def __init__(self, labels):
         frames, seq2s, seq3s = zip(*labels)
-        self.lengths = np.array([len(s) for s in seq2s])
-        B, T = len(frames), int(self.lengths.max())
-        own = np.arange(T)[:, None] < self.lengths
+        n = self.lengths = np.array([len(s) for s in seq2s])
         self.frames = np.array(frames)
-        self.weights = own / (B * self.lengths)
-
-        def padded(seqs):
-            out = np.zeros((B, T), dtype=int)
-            out[own.T] = list(itertools.chain.from_iterable(seqs))
-            return out.T
-
-        self.seq2 = padded(seq2s)
+        self.weights = _padded(np.repeat(1 / (len(frames) * n), n), n)
+        self.seq2 = _padded(np.concatenate(seq2s), n)
         self.seq3 = None
         if any(s is not None for s in seq3s):
             if any(s is None or len(s) != len(s2)
                    for s, s2 in zip(seq3s, seq2s)):
                 raise ValueError("gold type label length mismatch")
-            self.seq3 = padded(seq3s)
+            self.seq3 = _padded(np.concatenate(seq3s), n)
+
+
+def _padded(rows, lengths):
+    """Packed rows, lengths[b] of them for each sentence b in turn, as a
+    (T, B, ...) array right-padded with zeros to the longest, T."""
+    out = np.zeros((len(lengths), lengths.max()) + rows.shape[1:],
+                   rows.dtype)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = rows
+    return out.swapaxes(0, 1)
 
 
 def _dropout_mask(shape, rate, rng):
@@ -296,10 +299,8 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
 
 def _trunk(model, embedded, lengths, rate, rng):
     """Layer 1 and att1: h1, layer 2's parts, AD's input, att1's maps."""
-    B, T = len(lengths), int(lengths.max())
-    X = np.zeros((B, T, embedded.shape[1]))
-    X[np.arange(T) < lengths[:, None]] = embedded
-    X = X.swapaxes(0, 1)
+    B = len(lengths)
+    X = _padded(embedded, lengths)
     mask = _dropout_mask(X.shape, rate, rng)
     if mask is not None:    # the inputs are constants: no graph node
         X = X * mask
@@ -522,12 +523,10 @@ def load_checkpoint(path):
     and payload bytes whose crc32 differs from the header's raise
     CheckpointError, in that order.
 
-    The model is built without its seeded initial values (`skip_init`):
-    the header must name exactly the model's parameters and the payload
-    must hold exactly their values, so every value comes from the
-    file."""
-    from .embeddings import EmbeddingTable
-
+    The model is built with `seeded=False`, without drawing its initial
+    values: the header must name exactly the model's parameters and the
+    payload must hold exactly their values, so every value comes from
+    the file."""
     try:
         with open(path, "rb") as f:
             header_line = f.readline()
@@ -542,10 +541,9 @@ def load_checkpoint(path):
                 f"checkpoint format {version!r} is not read by this version "
                 f"(it reads format {FORMAT_VERSION}); retrain the model")
         vocab = header["vocab"]
-        with L.skip_init():
-            model = build_model(ModelConfig(**header["config"]), LabelVocab(
-                frames=tuple(vocab["frames"]),
-                element_types=tuple(vocab["element_types"])))
+        model = build_model(ModelConfig(**header["config"]), LabelVocab(
+            frames=tuple(vocab["frames"]),
+            element_types=tuple(vocab["element_types"])), seeded=False)
         shapes = [(name, tuple(shape)) for name, shape in header["params"]]
         by_name = {p.name: p for p in model.parameters()}
         if (len(shapes) != len(by_name)

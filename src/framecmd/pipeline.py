@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import label_vocab, make_folds
-from .embeddings import embed_sentence, random_embeddings
+from .embeddings import embed_sentence
 from .grounding import chain_accuracy
 # `predict` is re-exported here for callers that parse one sentence.
 from .model import (GoldBatch, build_model, forward, joint_loss, predict,
@@ -248,20 +248,16 @@ def _run_fold(args):
     return evaluate(model, table, test_set, maps)
 
 
-def cross_validate(corpus, model_cfg, train_cfg, maps=None, table=None,
-                   jobs=1):
-    """k-fold cross-validation: per fold, train on the remaining folds
-    and evaluate on the held-out one. Fold seeds derive from the base
-    seed so results are reproducible and independent of scheduling.
+def cross_validate(corpus, model_cfg, train_cfg, table, maps=None, jobs=1):
+    """k-fold cross-validation over the embedding table `table`: per
+    fold, train on the remaining folds and evaluate on the held-out one.
+    Fold seeds derive from the base seed so results are reproducible
+    and independent of scheduling.
 
     Returns (StageMetrics, ChainMetrics or None) with per-fold values
     and means. Chain metrics require `maps` plus gold groundings.
     """
     vocab = label_vocab(corpus)
-    if table is None:
-        tokens = [t for s in corpus for t in s.tokens]
-        table = random_embeddings(tokens, model_cfg.embedding_dim,
-                                  seed=train_cfg.seed)
     folds = make_folds(corpus, train_cfg.k, train_cfg.seed)
     jobs_args = []
     for fold in range(train_cfg.k):

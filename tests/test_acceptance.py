@@ -167,8 +167,11 @@ def test_generalization_smoke():
                             dropout=0.1, seed=11)
     train_cfg = TrainConfig(epochs=40, batch_size=8, lr=2e-3, patience=6,
                             seed=11, k=5)
+    from framecmd.embeddings import random_embeddings
     from framecmd.synth import demo_map
-    stage, chain = cross_validate(corpus, model_cfg, train_cfg,
+    table = random_embeddings([t for s in corpus for t in s.tokens],
+                              model_cfg.embedding_dim, seed=train_cfg.seed)
+    stage, chain = cross_validate(corpus, model_cfg, train_cfg, table,
                                   maps={"house1": demo_map()})
     ok = stage.ad_f1 >= 0.90 and chain.chain_accuracy >= 0.70
     _verdict("generalization smoke test", ok,

@@ -519,6 +519,50 @@ class TestConfigErrors:
         if sidecar:
             assert list((tmp_path / sidecar).iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "{tmp}/c.jsonl"],
+        ["train", "--config", "{tmp}/a.cfg", "--out", "{tmp}/a.cfg"],
+        ["train", "--embeddings", "{tmp}/e.txt", "--override",
+         "embedding_dim=1", "--out", "{tmp}/sub/../e.txt"],
+        ["eval", "--ckpt", "{tmp}/m.ckpt", "--out", "{tmp}/m.ckpt"],
+        ["eval", "--ckpt", "{tmp}/m.ckpt", "--maps", "{tmp}/h.map.json",
+         "--out", "{tmp}/h.map.json"],
+        ["eval", "--ckpt", "{tmp}/m.ckpt", "--maps", "{tmp}/h.map.json",
+         "--out", "{tmp}/link.json"],
+        ["eval", "--ckpt", "{tmp}/m.ckpt", "--maps", "{tmp}/r.txt",
+         "--out", "{tmp}/r"],
+        ["eval", "--config", "2l_no_att", "--cv", "2",
+         "--out", "{tmp}/c.jsonl"],
+        ["gen-corpus", "--n", "3", "--out", "{tmp}/new.jsonl",
+         "--map-out", "{tmp}/./new.jsonl"],
+    ], ids=["train-corpus", "train-config", "train-embeddings", "eval-ckpt",
+            "eval-maps", "eval-maps-hard-link", "eval-report-is-a-map", "eval-cv-corpus",
+            "gen-corpus-map-is-corpus"])
+    def test_out_naming_another_file_exit_2_before_any_work(
+            self, workdir, overfit_ckpt, tmp_path, capsys, monkeypatch,
+            argv):
+        # Each command would have overwritten an input it had read, or,
+        # for gen-corpus, its corpus with its map.
+        forbid_work(monkeypatch, "train", "cross_validate", "load_checkpoint",
+                    "evaluate", "generate_synthetic")
+        files = {"c.jsonl": (workdir / "corpus.jsonl").read_bytes(),
+                 "h.map.json": (workdir / "house.map.json").read_bytes(),
+                 "r.txt": (workdir / "house.map.json").read_bytes(),
+                 "m.ckpt": Path(overfit_ckpt).read_bytes(),
+                 "a.cfg": b"variant = 2L\n", "e.txt": b"go 0.5\n"}
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        os.link(tmp_path / "h.map.json", tmp_path / "link.json")
+        files["link.json"] = files["h.map.json"]
+        (tmp_path / "sub").mkdir()
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if argv[0] != "gen-corpus":
+            argv += ["--corpus", str(tmp_path / "c.jsonl")]
+        assert main(argv) == 2
+        assert "-out" in assert_one_line_error(capsys)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                if p.is_file()} == files
+
     @pytest.mark.parametrize("k", ["50", "1", "0"])
     def test_cv_outside_corpus_size_exit_2(self, workdir, capsys, k):
         rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
@@ -615,6 +659,31 @@ class TestDataErrors:
         assert rc == 3
         assert "line 2" in assert_one_line_error(capsys)
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("flags", [["--ckpt", "{ckpt}"],
+                                       ["--config", "2l_no_att", "--cv", "2"]],
+                             ids=["ckpt", "cv"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda r: r.pop("gold_groundings"), "{id} has no gold groundings"),
+        (lambda r: r.update(map_id="cellar"), "{id}: unknown map 'cellar'")],
+        ids=["no-groundings", "unknown-map"])
+    def test_maps_without_chain_data_exit_3_before_any_work(
+            self, workdir, overfit_ckpt, tmp_path, capsys, monkeypatch,
+            flags, edit, message):
+        # Chain scoring needs each sentence's gold groundings and map.
+        forbid_work(monkeypatch, "load_checkpoint", "evaluate",
+                    "cross_validate")
+        records = [json.loads(line) for line in
+                   (workdir / "corpus.jsonl").read_text().splitlines()]
+        edit(records[1])
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = main(["eval", "--corpus", str(corpus),
+                   "--maps", str(workdir / "house.map.json")]
+                  + [f.format(ckpt=overfit_ckpt) for f in flags])
+        assert rc == 3
+        assert (message.format(id=records[1]["id"])
+                in assert_one_line_error(capsys))
 
     @pytest.mark.parametrize("refs", [[1], "book"])
     def test_ill_typed_lexical_refs_exit_3(self, overfit_ckpt, tmp_path,

@@ -379,6 +379,21 @@ class TestJointLoss:
             assert (gold.seq3 is None if seq3 is None
                     else gold.seq3.T.tolist() == [list(seq3)])
 
+    def test_element_type_named_o_is_not_outside(self):
+        # "O" names the outside label too, index 0 of vocab.ac_labels.
+        s = AnnotatedSentence(
+            id="o0", tokens=("take", "the", "book", "to", "the", "kitchen"),
+            frame=FrameAnnotation("Bringing", (0, 0),
+                                  (("O", (1, 2)), ("Goal", (3, 5)))))
+        vocab = label_vocab([s])
+        assert vocab.ac_labels == ("O", "Goal", "O")
+        gold = gold_labels(s, vocab, "3L")
+        assert gold.seq3[:, 0].tolist() == [0, 2, 2, 1, 1, 1]
+        m = build_model(small_config(), vocab)
+        labels = sentence_labels(s, vocab, "3L")
+        parsed = decode_output(m, self.stub_output(m, labels), 0)
+        assert parsed.elements == (("O", (1, 2)), ("Goal", (3, 5)))
+
     @pytest.mark.parametrize("variant", ["2L", "3L"])
     def test_gold_forms_give_the_same_loss(self, variant):
         # A GoldBatch and the same batch padded again teach and score

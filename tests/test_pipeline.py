@@ -277,6 +277,13 @@ class TestEvaluate:
         assert 0.0 <= chain.chain_accuracy <= 1.0
 
 
+def cv_table(corpus, model_cfg, train_cfg):
+    """The embedding table `eval --cv` builds when given no embeddings:
+    random vectors for the corpus tokens, drawn from the training seed."""
+    return random_embeddings([t for s in corpus for t in s.tokens],
+                             model_cfg.embedding_dim, seed=train_cfg.seed)
+
+
 class TestCrossValidate:
     def test_small_end_to_end(self):
         corpus = generate_synthetic(17, 30)
@@ -286,7 +293,8 @@ class TestCrossValidate:
         tc = TrainConfig(epochs=2, batch_size=8, lr=1e-3, patience=0,
                          seed=5, k=3)
         maps = {"house1": demo_map()}
-        stage, chain = cross_validate(corpus, mc, tc, maps=maps)
+        stage, chain = cross_validate(corpus, mc, tc,
+                                      cv_table(corpus, mc, tc), maps=maps)
         assert len(stage.per_fold) == 3
         assert 0.0 <= stage.ad_f1 <= 1.0
         assert stage.counts["ad"] == 30
@@ -321,7 +329,8 @@ class TestCrossValidate:
         tc = TrainConfig(epochs=1, batch_size=8, lr=1e-3, patience=0,
                          seed=5, k=3)
         for jobs in (64, 2):
-            cross_validate(corpus, mc, tc, jobs=jobs)
+            cross_validate(corpus, mc, tc, cv_table(corpus, mc, tc),
+                           jobs=jobs)
         assert made == [3, 2]
 
     def test_no_maps_no_chain(self):
@@ -331,7 +340,8 @@ class TestCrossValidate:
                          label_embedding_dim=3, dropout=0.0, seed=0)
         tc = TrainConfig(epochs=1, batch_size=8, lr=1e-3, patience=0,
                          seed=5, k=2)
-        stage, chain = cross_validate(corpus, mc, tc)
+        stage, chain = cross_validate(corpus, mc, tc,
+                                      cv_table(corpus, mc, tc))
         assert chain is None
         assert len(stage.per_fold) == 2
 

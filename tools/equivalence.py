@@ -19,7 +19,9 @@ line per item:
 - the output of `framecmd gradcheck` and of `framecmd gradcheck
   --hidden 5 --seed 7`;
 - each trained model's checkpoint: its header, as parsed JSON, and
-  its payload bytes.
+  its payload bytes;
+- each checkpoint reloaded: the reloaded parameters and the reloaded
+  model's parses of the 40 sentences.
 
 An item is "identical", or the line gives its largest absolute and
 relative difference, or how many of its values differ. This is a
@@ -58,7 +60,8 @@ def dump(out):
     from framecmd import cli
     from framecmd.corpus import label_vocab, make_folds
     from framecmd.embeddings import random_embeddings
-    from framecmd.model import build_model, predict_many, save_checkpoint
+    from framecmd.model import (build_model, load_checkpoint, predict_many,
+                                save_checkpoint)
     from framecmd.pipeline import train
     from framecmd.synth import generate_synthetic
 
@@ -66,6 +69,13 @@ def dump(out):
     held_out = generate_synthetic(SEED + 1, 40)
     vocab = label_vocab(corpus)
     items = {}
+
+    def parsed(model, table):
+        parses = predict_many(model, table, [list(s.tokens)
+                                             for s in held_out])
+        return parses, np.array([json.dumps([p.frame_type, p.elements])
+                                 for p in parses])
+
     for preset in PRESETS:
         model_cfg, train_cfg = cli.build_configs(cli.load_config(preset))
         for seed in FRESH_SEEDS:
@@ -81,10 +91,7 @@ def dump(out):
                                                  train_cfg))
         for p in model.parameters():
             items[f"params/{preset}/{p.name}"] = p.data
-        parses = predict_many(model, table, [list(s.tokens)
-                                             for s in held_out])
-        items[f"parses/{preset}"] = np.array([json.dumps(
-            [p.frame_type, p.elements]) for p in parses])
+        parses, items[f"parses/{preset}"] = parsed(model, table)
         if parses[0].attention is not None:
             items[f"attention/{preset}"] = np.concatenate(
                 [w.ravel() for p in parses
@@ -95,6 +102,10 @@ def dump(out):
             header, payload = path.read_bytes().split(b"\n", 1)
             items[f"ckpt_header/{preset}"] = np.array(header.decode())
             items[f"ckpt_payload/{preset}"] = np.frombuffer(payload, np.uint8)
+            model, table = load_checkpoint(path)
+        for p in model.parameters():
+            items[f"reload_params/{preset}/{p.name}"] = p.data
+        items[f"reload_parses/{preset}"] = parsed(model, table)[1]
     folds = make_folds(corpus, 5, SEED)
     items["folds"] = np.array([folds.assignment[s.id] for s in corpus])
     for name, argv in GRADCHECK_RUNS.items():
@@ -151,6 +162,10 @@ def report(a, b):
     def keys(prefix):
         return sorted(k for k in a.files if k.startswith(prefix))
 
+    params = _numeric(a, b, keys("reload_params/"))
+    parses = _counted(a, b, keys("reload_parses/"), "parses")
+    reloads = ("identical" if params == parses == "identical"
+               else f"parameters {params}; parses {parses}")
     return [
         f"fresh parameters: {_numeric(a, b, keys('fresh/'))}",
         f"parameters after train: {_numeric(a, b, keys('params/'))}",
@@ -162,6 +177,7 @@ def report(a, b):
         f"checkpoint headers: {_headers(a, b, keys('ckpt_header/'))}",
         f"checkpoint payloads: "
         f"{_counted(a, b, keys('ckpt_payload/'), 'bytes')}",
+        f"checkpoint reloads: {reloads}",
     ]
 
 
