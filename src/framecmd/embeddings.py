@@ -3,6 +3,8 @@ token sequences to dense input matrices."""
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .layers import seeded_rng
@@ -34,23 +36,21 @@ def load_embeddings(text):
     """Read `<token> <f1> ... <fdim>` lines of text into an
     EmbeddingTable.
 
-    The dimension is inferred from the first vector line. A 2-field
-    first line whose second field is an integer is treated as a
-    "count dim" header and skipped. Duplicate tokens keep their first
-    occurrence.
+    A first line of exactly two integer fields is a word2vec "count
+    dim" header: the vector lines after it must then be count in
+    number, each of dim values. Without one, the dimension is that of
+    the first vector line. Blank lines are skipped, and duplicate tokens
+    keep their first occurrence.
     """
-    dim = None
-    vectors = {}
     lines = text.splitlines()
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2:
-            try:
-                int(head[1])
-                start = 1
-            except ValueError:
-                pass
+    head = lines[0].split() if lines else []
+    count = dim = None
+    if len(head) == 2:
+        with contextlib.suppress(ValueError):
+            count, dim = map(int, head)
+    start = 0 if count is None else 1
+    vectors = {}
+    n = 0
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
@@ -68,9 +68,13 @@ def load_embeddings(text):
         if vec.shape[0] != dim:
             raise EmbeddingError(
                 f"line {lineno}: expected {dim} values, got {vec.shape[0]}")
+        n += 1
         if token not in vectors:
             vectors[token] = vec
-    if dim is None:
+    if count is not None and n != count:
+        raise EmbeddingError(f"line 1: the header promises {count} vectors; "
+                             f"the file holds {n}")
+    if not vectors:
         raise EmbeddingError("empty embedding file")
     return EmbeddingTable(dim, vectors)
 

@@ -67,7 +67,15 @@ def glorot(name, shape, seed):
     return Parameter(name, init_params(shape, seed, name))
 
 
-class LstmCell:
+class Layer:
+    """A layer's weights: its Parameter attributes."""
+
+    def parameters(self):
+        """The Parameter attributes, in the order they were assigned."""
+        return [v for v in vars(self).values() if isinstance(v, Parameter)]
+
+
+class LstmCell(Layer):
     """One LSTM cell, its gates stacked in GATES order: the Parameters
     `<prefix>.W` (4H x d), `<prefix>.U` (4H x H) and `<prefix>.b` (4H).
     Gate x's rows of z = W input + U hidden + b are its pre-activation;
@@ -97,9 +105,6 @@ class LstmCell:
         b = np.zeros(lead + (4 * hidden_dim,))
         b[..., hidden_dim:2 * hidden_dim] = 1.0
         self.b = Parameter(f"{prefix}.b", b)
-
-    def parameters(self):
-        return [self.W, self.U, self.b]
 
 
 class CellView:
@@ -244,16 +249,13 @@ def bilstm_forward(X, cell, lengths=None):
                       ad.getrow(states, (reverse, 1, batch))])
 
 
-class AttentionParams:
+class AttentionParams(Layer):
     """Additive attention: score(q, k) = v . tanh(W1 q + W2 k)."""
 
     def __init__(self, prefix, query_dim, key_dim, att_dim, seed):
         self.W1 = glorot(f"{prefix}.W1", (att_dim, query_dim), seed)
         self.W2 = glorot(f"{prefix}.W2", (att_dim, key_dim), seed)
         self.v = glorot(f"{prefix}.v", (att_dim,), seed)
-
-    def parameters(self):
-        return [self.W1, self.W2, self.v]
 
 
 def attention(queries, keys, params, lengths=None):
@@ -332,7 +334,7 @@ def decoder_input(parts, table, rows, mask=None):
     return ad.node(data, (*parts, table), bwd)
 
 
-class HighwayParams:
+class HighwayParams(Layer):
     """Gated bypass y = T(x)*H(x) + (1 - T(x))*x with square transforms.
 
     Gate bias starts at -2 so the connection initially favors carrying
@@ -344,9 +346,6 @@ class HighwayParams:
         self.b_h = Parameter(f"{prefix}.b_h", np.zeros(dim))
         self.W_t = glorot(f"{prefix}.W_t", (dim, dim), seed)
         self.b_t = Parameter(f"{prefix}.b_t", np.full(dim, -2.0))
-
-    def parameters(self):
-        return [self.W_h, self.b_h, self.W_t, self.b_t]
 
 
 def highway(x, params):
@@ -376,13 +375,10 @@ def highway(x, params):
     return ad.node(t * h + (1.0 - t) * xd, (x, W_h, b_h, W_t, b_t), bwd)
 
 
-class AffineParams:
+class AffineParams(Layer):
     def __init__(self, prefix, out_dim, in_dim, seed):
         self.W = glorot(f"{prefix}.W", (out_dim, in_dim), seed)
         self.b = Parameter(f"{prefix}.b", np.zeros(out_dim))
-
-    def parameters(self):
-        return [self.W, self.b]
 
 
 def affine(x, params):

@@ -107,9 +107,10 @@ class Model:
     draws from config.seed start at zero instead."""
 
     def __init__(self, config, vocab, seeded=True):
+        if not vocab.frames:
+            raise ValueError("empty label vocabulary")
         self.config = config
         self.vocab = vocab
-        self._params = []
         self.stage_params = {}  # the parameters each stage of forward reads
         own = self._own
         c = config
@@ -158,12 +159,13 @@ class Model:
         """Register a layer's parameters, or one Parameter, as trained
         and saved and as read by `stage` of forward; returns the part."""
         params = [part] if isinstance(part, Parameter) else part.parameters()
-        self._params += params
         self.stage_params.setdefault(stage, []).extend(params)
         return part
 
     def parameters(self):
-        return list(self._params)
+        """Every stage's parameters, sorted by name, as optim sorts them."""
+        return sorted((p for ps in self.stage_params.values() for p in ps),
+                      key=lambda p: p.name)
 
     def num_parameters(self):
         return sum(p.data.size for p in self.parameters())
@@ -176,10 +178,7 @@ class Model:
         return sum(math.log(h.b.data.size) for h in heads)
 
 
-def build_model(config, vocab, seeded=True):
-    if not vocab.frames:
-        raise ValueError("empty label vocabulary")
-    return Model(config, vocab, seeded)
+build_model = Model
 
 
 def sentence_labels(sentence, vocab, variant):
@@ -478,13 +477,18 @@ def check_weights(flat):
                  "stop a training run")
 
 
+def _listing(params):
+    """A header's "params": [name, shape] of each parameter, in order."""
+    return [[p.name, list(p.data.shape)] for p in params]
+
+
 def save_checkpoint(path, model, table):
     """Single file: one JSON header line, then raw little-endian float64
     data in header order (parameters, token vectors, unk vector). The
     header's last member, "crc32", is the zlib.crc32 of every byte of
     the file before its value, then of the payload. Weights that fail
     `check_weights` raise CheckpointError before any file is written."""
-    params = sorted(model.parameters(), key=lambda p: p.name)
+    params = model.parameters()
     tokens = sorted(table.vectors)
     payload = np.concatenate(
         [p.data.ravel() for p in params] + [table.vectors[t] for t in tokens]
@@ -495,7 +499,7 @@ def save_checkpoint(path, model, table):
         "config": asdict(model.config),
         "vocab": {"frames": list(model.vocab.frames),
                   "element_types": list(model.vocab.element_types)},
-        "params": [[p.name, list(p.data.shape)] for p in params],
+        "params": _listing(params),
         "embeddings": {"dim": table.dim, "tokens": tokens},
     }
     head = json.dumps(header, ensure_ascii=False).encode("utf-8")[:-1]
@@ -517,16 +521,17 @@ def save_checkpoint(path, model, table):
 
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint. Any unreadable
-    file, malformed header, format other than FORMAT_VERSION, payload
-    whose length is not exactly what the header implies, payload value
-    that is not finite, weights that fail `check_weights`, or header
-    and payload bytes whose crc32 differs from the header's raise
-    CheckpointError, in that order.
+    file, malformed header, format other than FORMAT_VERSION, config too
+    large to build, parameter listing other than the model's, payload
+    whose length is not what the header implies, payload value that is
+    not finite, weights that fail `check_weights`, or header and payload
+    bytes whose crc32 differs from the header's raise CheckpointError,
+    in that order.
 
     The model is built with `seeded=False`, without drawing its initial
-    values: the header must name exactly the model's parameters and the
-    payload must hold exactly their values, so every value comes from
-    the file."""
+    values: the header must list exactly the model's parameters, in
+    order, and the payload must hold exactly their values, so every
+    value comes from the file."""
     try:
         with open(path, "rb") as f:
             header_line = f.readline()
@@ -544,25 +549,21 @@ def load_checkpoint(path):
         model = build_model(ModelConfig(**header["config"]), LabelVocab(
             frames=tuple(vocab["frames"]),
             element_types=tuple(vocab["element_types"])), seeded=False)
-        shapes = [(name, tuple(shape)) for name, shape in header["params"]]
-        by_name = {p.name: p for p in model.parameters()}
-        if (len(shapes) != len(by_name)
-                or {name for name, _ in shapes} != set(by_name)):
-            raise CheckpointError("checkpoint/config parameter set mismatch")
+        params = model.parameters()
+        if header["params"] != _listing(params):
+            raise CheckpointError("the header's parameter names, shapes or "
+                                  "order differ from its config's model")
         dim = header["embeddings"]["dim"]
         tokens = list(header["embeddings"]["tokens"])
         crc = header["crc32"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"malformed checkpoint header ({type(exc).__name__}: {exc})")
-    for name, shape in shapes:
-        if by_name[name].data.shape != shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: checkpoint {list(shape)}, "
-                f"model {list(by_name[name].data.shape)}")
+    except MemoryError as exc:
+        raise CheckpointError(f"config too large to build a model ({exc})")
     if type(dim) is not int or dim < 1:
         raise CheckpointError(f"bad embedding dimension in header: {dim!r}")
-    n_params = sum(p.data.size for p in by_name.values())
+    n_params = sum(p.data.size for p in params)
     size = n_params + (len(tokens) + 1) * dim
     if len(blob) != 8 * size:
         raise CheckpointError(
@@ -579,9 +580,8 @@ def load_checkpoint(path):
         raise CheckpointError("checkpoint header or payload does not match "
                               "its crc32")
     off = 0
-    for name, shape in shapes:
-        p = by_name[name]
-        p.data[...] = data[off:off + p.data.size].reshape(shape)
+    for p in params:
+        p.data[...] = data[off:off + p.data.size].reshape(p.data.shape)
         off += p.data.size
     vectors = data[off:].reshape(-1, dim).copy()    # the tokens', then unk
     table = EmbeddingTable(dim, dict(zip(tokens, vectors)),

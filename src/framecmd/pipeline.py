@@ -195,35 +195,26 @@ def evaluate_stagewise(parses, sentences):
         raise ValueError("empty test set")
     if len(parses) != len(sentences):
         raise ValueError(f"{len(parses)} parses, {len(sentences)} sentences")
-    results = list(zip(sentences, parses))
-    ad_correct = [(s, p) for s, p in results
-                  if p.frame_type == s.frame.frame_type]
-    ad_f1 = len(ad_correct) / len(results)
+    ai_pool = [(s.frame, p) for s, p in zip(sentences, parses)
+               if p.frame_type == s.frame.frame_type]
+    ac_pool = [(g, p) for g, p in ai_pool
+               if {e[1] for e in g.elements} == {e[1] for e in p.elements}]
+    counts = {"ad": len(sentences), "ai": len(ai_pool), "ac": len(ac_pool)}
+    return StageMetrics(ad_f1=len(ai_pool) / len(sentences),
+                        ai_f1=_pool_f1(ai_pool, typed=False),
+                        ac_f1=_pool_f1(ac_pool, typed=True), counts=counts)
 
-    ai_tp = ai_pred = ai_gold = 0
-    ac_pool = []
-    for s, p in ad_correct:
-        gold_untyped = {span for _, span in s.frame.elements}
-        pred_untyped = {span for _, span in p.elements}
-        ai_tp += len(gold_untyped & pred_untyped)
-        ai_pred += len(pred_untyped)
-        ai_gold += len(gold_untyped)
-        if gold_untyped == pred_untyped:
-            ac_pool.append((s, p))
-    ai_f1 = _prf(ai_tp, ai_pred, ai_gold)[2] if ad_correct else None
 
-    ac_tp = ac_pred = ac_gold = 0
-    for s, p in ac_pool:
-        gold_typed = {(t, span) for t, span in s.frame.elements}
-        pred_typed = {(t, span) for t, span in p.elements}
-        ac_tp += len(gold_typed & pred_typed)
-        ac_pred += len(pred_typed)
-        ac_gold += len(gold_typed)
-    ac_f1 = _prf(ac_tp, ac_pred, ac_gold)[2] if ac_pool else None
-
-    counts = {"ad": len(results), "ai": len(ad_correct), "ac": len(ac_pool)}
-    assert counts["ac"] <= counts["ai"] <= counts["ad"]
-    return StageMetrics(ad_f1=ad_f1, ai_f1=ai_f1, ac_f1=ac_f1, counts=counts)
+def _pool_f1(pool, typed):
+    """span_f1 over a pool of (gold frame, parse) pairs, None if it is
+    empty: every element's span, or its (type, span) if typed, tagged
+    with its pair's index, so each pair is scored as its own span set."""
+    if not pool:
+        return None
+    gold, pred = ([(i, (t, span) if typed else span)
+                   for i, pair in enumerate(pool)
+                   for t, span in pair[side].elements] for side in (0, 1))
+    return span_f1(gold, pred)[2]
 
 
 def evaluate(model, table, sentences, maps=None):

@@ -707,6 +707,23 @@ class TestDataErrors:
         assert rc == 3
         assert "line 1" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("text,where", [
+        ("a 1\nb 2\n", "1 values"),    # no header: 1-dim, not 8
+        ("2 3\na 1 2\nb 3 4\n", "line 2"),
+        ("5 2\na 1 2\n", "line 1"),
+    ], ids=["no-header", "short-vectors", "missing-vectors"])
+    def test_embedding_header_exit_3(self, workdir, tmp_path, capsys,
+                                     monkeypatch, text, where):
+        forbid_work(monkeypatch, "build_model", "train")
+        emb = tmp_path / "emb.txt"
+        emb.write_text(text)
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--embeddings", str(emb), "--out", str(tmp_path / "m")]
+                  + FAST_OVERRIDES)       # embedding_dim=8
+        assert rc == 3
+        assert where in assert_one_line_error(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["emb.txt"]
+
     def test_embedding_dimension_mismatch_exit_3(self, workdir, tmp_path,
                                                  capsys):
         emb = tmp_path / "emb.txt"
@@ -721,11 +738,20 @@ class TestDataErrors:
 
 
 class TestCheckpointHeader:
-    def rewrite_header(self, src, dst, edit):
+    def rewrite_header(self, src, dst, edit, crc=False):
+        """Write src with its header edited to dst; with crc, the crc32
+        is recomputed as save_checkpoint computes it, so only the checks
+        before it can reject the file."""
         header, payload = Path(src).read_bytes().split(b"\n", 1)
         doc = json.loads(header)
         edit(doc)
-        dst.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        if crc:
+            del doc["crc32"]
+            head = json.dumps(doc).encode()[:-1] + b', "crc32": '
+            header = head + b"%d}" % zlib.crc32(payload, zlib.crc32(head))
+        else:
+            header = json.dumps(doc).encode()
+        dst.write_bytes(header + b"\n" + payload)
         return str(dst)
 
     @pytest.mark.parametrize("edit", [
@@ -756,6 +782,32 @@ class TestCheckpointHeader:
             load_checkpoint(bad)
         assert main(["parse", bad, "go home"]) == 4
         assert_one_line_error(capsys)
+
+    def test_reordered_params_exit_4(self, overfit_ckpt, tmp_path, capsys):
+        # The same names and shapes, ad_head.W and ad_head.b swapped: read
+        # in the header's order, each would get the other's values.
+        def swap(doc):
+            params = doc["params"]
+            assert [n for n, _ in params[:2]] == ["ad_head.W", "ad_head.b"]
+            params[0], params[1] = params[1], params[0]
+
+        bad = self.rewrite_header(overfit_ckpt, tmp_path / "swapped.ckpt",
+                                  swap, crc=True)
+        assert main(["parse", bad, "bring the mug to the kitchen"]) == 4
+        assert "order" in assert_one_line_error(capsys)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("key,value", [("embedding_dim", 10**16),
+                                           ("hidden_size", 10**15)])
+    def test_config_too_large_to_build_exit_4(self, overfit_ckpt, tmp_path,
+                                              capsys, key, value):
+        # numpy refuses the model's first array outright, allocating
+        # nothing.
+        bad = self.rewrite_header(overfit_ckpt, tmp_path / "huge.ckpt",
+                                  lambda d: d["config"].update({key: value}),
+                                  crc=True)
+        assert main(["parse", bad, "go home"]) == 4
+        assert "too large" in assert_one_line_error(capsys)
 
     def test_version_only_header_exit_4(self, tmp_path, capsys):
         path = tmp_path / "v.ckpt"
@@ -836,6 +888,12 @@ class TestCheckpointHeader:
     def test_unchanged_header_still_loads(self, overfit_ckpt, tmp_path):
         same = self.rewrite_header(overfit_ckpt, tmp_path / "same.ckpt",
                                    lambda d: None)
+        load_checkpoint(same)
+
+    def test_recomputed_crc32_loads(self, overfit_ckpt, tmp_path):
+        # So that the crc=True cases above fail on their edit alone.
+        same = self.rewrite_header(overfit_ckpt, tmp_path / "same.ckpt",
+                                   lambda d: None, crc=True)
         load_checkpoint(same)
 
 

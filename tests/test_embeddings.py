@@ -29,6 +29,20 @@ class TestLoadEmbeddings:
         assert table.dim == 3
         assert len(table.vectors) == 2
 
+    def test_two_field_first_line_with_a_token_is_a_vector(self):
+        table = load_embeddings("a 1\nb 2\n")
+        assert table.dim == 1
+        assert sorted(table.vectors) == ["a", "b"]
+
+    @pytest.mark.parametrize("text,line", [
+        ("2 3\na 1 2\nb 3 4\n", "line 2"),     # vectors shorter than dim
+        ("5 2\na 1 2\n", "line 1"),             # fewer vectors than count
+        ("1 2\na 1 2\n\nb 3 4\n", "line 1"),    # more vectors than count
+    ])
+    def test_header_must_match_the_vectors(self, text, line):
+        with pytest.raises(EmbeddingError, match=line):
+            load_embeddings(text)
+
     def test_load_determinism(self):
         text = "a 1.0 2.0\nb 3.0 4.0\n"
         t1, t2 = load_embeddings(text), load_embeddings(text)

@@ -746,6 +746,16 @@ class TestStageReuse:
         assert all(STAGE_OF_PREFIX[p.name.partition(".")[0]] == s
                    for s, p in listed)
 
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_parameters_are_the_stages_sorted_by_name(self, variant,
+                                                      attention):
+        m = build_model(small_config(variant, attention), VOCAB)
+        params = m.parameters()
+        names = [p.name for p in params]
+        assert names == sorted(names) and len(set(names)) == len(names)
+        assert {id(p) for p in params} == {
+            id(p) for ps in m.stage_params.values() for p in ps}
+
 def reachable(loss):
     """Every tensor the graph of loss reaches, loss included."""
     seen = {}

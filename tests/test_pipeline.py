@@ -122,6 +122,57 @@ class TestEvaluateStagewise:
         with pytest.raises(ValueError):
             evaluate_stagewise([], [])
 
+    def test_random_parse_sets_against_pool_counts(self):
+        # Each stage's F1 from tp/pred/gold counted sentence by sentence
+        # over its pool; None for an empty pool.
+        def pool_f1(pool, key):
+            if not pool:
+                return None
+            tp = n_pred = n_gold = 0
+            for s, p in pool:
+                gold = {key(t, span) for t, span in s.frame.elements}
+                pred = {key(t, span) for t, span in p.elements}
+                tp += len(gold & pred)
+                n_pred += len(pred)
+                n_gold += len(gold)
+            if n_pred == n_gold == 0:
+                return 1.0
+            prec = tp / n_pred if n_pred else 0.0
+            rec = tp / n_gold if n_gold else 0.0
+            return 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+
+        rng = random.Random(24)
+        spans = [(0, 0), (1, 2), (3, 3), (4, 6), (7, 7)]
+        empty_ai = empty_ac = empty_spans = 0
+        for trial in range(300):
+            sentences, parses = [], []
+            p_frame = rng.random()
+            for i in range(rng.randint(1, 6)):
+                gold = tuple((rng.choice("AB"), span) for span in
+                             sorted(rng.sample(spans, rng.randint(0, 3))))
+                sentences.append(AnnotatedSentence(
+                    f"s{i}", tuple("w" * 8), FrameAnnotation("F", (0, 0),
+                                                             gold)))
+                pred = (gold if rng.random() < 0.5 else
+                        tuple((rng.choice("AB"), rng.choice(spans))
+                              for _ in range(rng.randint(0, 3))))
+                parses.append(ParsedCommand(
+                    "F" if rng.random() < p_frame else "G", pred))
+                empty_spans += not gold or not pred
+            ai = [(s, p) for s, p in zip(sentences, parses)
+                  if p.frame_type == "F"]
+            ac = [(s, p) for s, p in ai
+                  if {e[1] for e in s.frame.elements}
+                  == {e[1] for e in p.elements}]
+            m = evaluate_stagewise(parses, sentences)
+            assert m.counts == {"ad": len(sentences), "ai": len(ai),
+                                "ac": len(ac)}
+            assert m.ai_f1 == pool_f1(ai, lambda t, span: span)
+            assert m.ac_f1 == pool_f1(ac, lambda t, span: (t, span))
+            empty_ai += not ai
+            empty_ac += not ac
+        assert empty_ai and empty_ac and empty_spans
+
     @pytest.mark.parametrize("n", [29, 31])
     def test_one_parse_per_sentence(self, corpus, n):
         parses = [gold_stub(s) for s in (corpus + corpus)[:n]]

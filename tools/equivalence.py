@@ -21,7 +21,10 @@ line per item:
 - each trained model's checkpoint: its header, as parsed JSON, and
   its payload bytes;
 - each checkpoint reloaded: the reloaded parameters and the reloaded
-  model's parses of the 40 sentences.
+  model's parses of the 40 sentences;
+- the metrics, compared exactly: each trained model's stage and chain
+  metrics on the 40 sentences with the demo map, and those of one
+  3-fold cross-validation of 2l_no_att, 2 epochs per fold.
 
 An item is "identical", or the line gives its largest absolute and
 relative difference, or how many of its values differ. This is a
@@ -62,13 +65,19 @@ def dump(out):
     from framecmd.embeddings import random_embeddings
     from framecmd.model import (build_model, load_checkpoint, predict_many,
                                 save_checkpoint)
-    from framecmd.pipeline import train
-    from framecmd.synth import generate_synthetic
+    from framecmd.pipeline import (cross_validate, evaluate, metrics_to_dict,
+                                   train)
+    from framecmd.synth import demo_map, generate_synthetic
 
     corpus = generate_synthetic(SEED, 120)
     held_out = generate_synthetic(SEED + 1, 40)
     vocab = label_vocab(corpus)
+    maps = {"house1": demo_map()}
     items = {}
+
+    def metrics(stage, chain):
+        return np.array([json.dumps(metrics_to_dict(stage, chain),
+                                    sort_keys=True)])
 
     def parsed(model, table):
         parses = predict_many(model, table, [list(s.tokens)
@@ -92,6 +101,8 @@ def dump(out):
         for p in model.parameters():
             items[f"params/{preset}/{p.name}"] = p.data
         parses, items[f"parses/{preset}"] = parsed(model, table)
+        items[f"metrics/{preset}"] = metrics(*evaluate(model, table, held_out,
+                                                       maps))
         if parses[0].attention is not None:
             items[f"attention/{preset}"] = np.concatenate(
                 [w.ravel() for p in parses
@@ -106,6 +117,11 @@ def dump(out):
         for p in model.parameters():
             items[f"reload_params/{preset}/{p.name}"] = p.data
         items[f"reload_parses/{preset}"] = parsed(model, table)[1]
+    model_cfg, train_cfg = cli.build_configs(cli.load_config("2l_no_att"))
+    table = random_embeddings([t for s in corpus for t in s.tokens],
+                              model_cfg.embedding_dim, seed=SEED)
+    items["metrics/cv"] = metrics(*cross_validate(
+        corpus, model_cfg, replace(train_cfg, k=3, epochs=2), table, maps))
     folds = make_folds(corpus, 5, SEED)
     items["folds"] = np.array([folds.assignment[s.id] for s in corpus])
     for name, argv in GRADCHECK_RUNS.items():
@@ -178,6 +194,7 @@ def report(a, b):
         f"checkpoint payloads: "
         f"{_counted(a, b, keys('ckpt_payload/'), 'bytes')}",
         f"checkpoint reloads: {reloads}",
+        f"metrics: {_counted(a, b, keys('metrics/'), 'metric sets')}",
     ]
 
 
