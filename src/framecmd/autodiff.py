@@ -40,8 +40,8 @@ import numpy as np
 # float64 in normal operation; the gradient checker temporarily raises it
 # to extended precision where float64 finite differences are
 # noise-limited. ``stages`` is None, except while the gradient checker
-# perturbs weights (`reusing`): then `model.forward` and
-# `model.joint_loss` keep their stages' last outputs in it for reuse.
+# perturbs weights (`reusing`): then `model.forward` keeps each stage's
+# last key and output in it, as a (key, output) pair, for reuse.
 grad_enabled = True
 dtype = np.float64
 stages = None
@@ -108,7 +108,7 @@ class Parameter(Tensor):
         super().__init__(data)
         self.name = name
         self.version = 0
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)
 
     def zero_grad(self):
         self.grad[...] = 0.0

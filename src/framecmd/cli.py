@@ -20,7 +20,7 @@ from .grounding import (MapError, check_chain_data, ground_command, load_map,
                         serialize_map)
 from .model import (CheckpointError, ModelConfig, build_model, forward,
                     gold_labels, joint_loss, load_checkpoint, predict,
-                    save_checkpoint)
+                    save_checkpoint, too_large)
 from .pipeline import (TrainConfig, TrainingDiverged, cross_validate,
                        evaluate, metrics_to_dict, report, train)
 from .synth import demo_map, generate_synthetic
@@ -165,6 +165,20 @@ def _training_inputs(args):
             ("--embeddings", args.embeddings)]
 
 
+@contextlib.contextmanager
+def _allocatable():
+    """Turn numpy's refusal to allocate an array that a config asks for
+    (`model.too_large`) into a ConfigError. Wrapped round the building
+    of the embedding table and the model, it ends such a run before any
+    training."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if not too_large(exc):
+            raise
+        raise ConfigError(f"config too large to allocate ({exc})")
+
+
 def _make_table(corpus, model_cfg, embeddings_path, seed):
     if embeddings_path:
         table = load_embeddings(
@@ -187,8 +201,10 @@ def cmd_train(args):
     model_cfg, train_cfg = build_configs(values, args.override)
     corpus = _read_corpus(args.corpus)
     vocab = label_vocab(corpus)
-    table = _make_table(corpus, model_cfg, args.embeddings, train_cfg.seed)
-    model = build_model(model_cfg, vocab)
+    with _allocatable():
+        table = _make_table(corpus, model_cfg, args.embeddings,
+                            train_cfg.seed)
+        model = build_model(model_cfg, vocab)
     history = train(model, table, corpus, train_cfg)
     save_checkpoint(args.out, model, table)
     hist_doc = {"config": model_cfg.name, "epochs_run": len(history),
@@ -219,7 +235,13 @@ def cmd_eval(args):
         _check_out(args.out, others=inputs)
         _check_out(args.out + ".txt", others=inputs)
     corpus = _read_corpus(args.corpus)
-    maps = {m.id: m for m in map(_read_map, args.maps)} if args.maps else None
+    maps, paths = ({} if args.maps else None), {}
+    for path in args.maps:
+        smap = _read_map(path)
+        if smap.id in maps:
+            raise MapError(f"--maps: map id {smap.id!r} is in both "
+                           f"{paths[smap.id]} and {path}")
+        maps[smap.id], paths[smap.id] = smap, path
     if maps is not None:
         check_chain_data(corpus, maps)      # before any training or parsing
     if args.cv is not None:
@@ -231,10 +253,12 @@ def cmd_eval(args):
         values = load_config(args.config)
         model_cfg, train_cfg = build_configs(values, args.override)
         train_cfg = replace(train_cfg, k=args.cv)
-        table = _make_table(corpus, model_cfg, args.embeddings,
-                            train_cfg.seed)
-        stage, chain = cross_validate(corpus, model_cfg, train_cfg,
-                                      maps=maps, table=table, jobs=args.jobs)
+        with _allocatable():    # each fold builds its model first
+            table = _make_table(corpus, model_cfg, args.embeddings,
+                                train_cfg.seed)
+            stage, chain = cross_validate(corpus, model_cfg, train_cfg,
+                                          maps=maps, table=table,
+                                          jobs=args.jobs)
         name = model_cfg.name
     else:
         if not args.ckpt:
@@ -318,7 +342,8 @@ def cmd_gradcheck(args):
                               decoder_hidden=args.hidden, attention_size=4,
                               label_embedding_dim=4, dropout=0.0,
                               seed=args.seed)
-            model = build_model(cfg, vocab)
+            with _allocatable():
+                model = build_model(cfg, vocab)
             gold = gold_labels(sentence, vocab, variant)
 
             def forward_fn():

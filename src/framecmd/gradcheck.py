@@ -60,7 +60,7 @@ def grad_check(forward_fn, params, epsilon=1e-5, max_coords=500, seed=0):
     analytic gradients being verified. A larger discrepancy keeps its
     float64 error.
     """
-    params = sorted(params, key=lambda p: p.name)
+    params = list(params)
     for p in params:
         p.zero_grad()
     loss = forward_fn()

@@ -46,25 +46,27 @@ def seeded_rng(seed, name):
         np.array(words + list(name.encode("utf-8")), dtype=np.uint32)))
 
 
-def init_params(shape, seed, name):
-    """Deterministic Glorot-uniform initial values for a weight, from
-    the random stream of (seed, name), so that every weight is
-    independent and stable; zeros when seed is None, for a weight that
-    is then overwritten, as `model.load_checkpoint` does."""
-    shape = tuple(int(s) for s in shape)
+def init_params(shape, seed, name, blocks=None):
+    """The weight `name`'s Glorot-uniform values, as the blocks `blocks`
+    (default: [name]) that split its rows evenly, each drawn from the
+    random stream of (seed, its name) with its own (fan_out, fan_in), or
+    n both ways for n values; when seed is None, zeros that nothing
+    writes to, for a weight that `model.load_checkpoint` overwrites."""
+    data = np.zeros(shape)
     if seed is None:
-        return np.zeros(shape)
-    if len(shape) == 2:
-        fan_out, fan_in = shape
-    else:
-        fan_in = fan_out = shape[0]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return seeded_rng(seed, name).uniform(-bound, bound, shape)
+        return data
+    blocks = blocks or [name]
+    cols = data.shape[1:][-1:]      # a matrix's columns; none for a vector
+    for block, w in zip(blocks, data.reshape((len(blocks), -1) + cols)):
+        fan_out, fan_in = w.shape if w.ndim == 2 else w.shape * 2
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = seeded_rng(seed, block).uniform(-bound, bound, w.shape)
+    return data
 
 
-def glorot(name, shape, seed):
+def glorot(name, shape, seed, blocks=None):
     """The weight Parameter `name`, drawn by init_params."""
-    return Parameter(name, init_params(shape, seed, name))
+    return Parameter(name, init_params(shape, seed, name, blocks))
 
 
 class Layer:
@@ -82,8 +84,8 @@ class LstmCell(Layer):
     i, f, o pass through the logistic sigmoid, g through tanh;
     c' = f*c + i*g, h' = o*tanh(c'). With directions (the encoder's fwd
     and bwd), one cell per direction runs side by side and each
-    Parameter gains a leading direction axis, row 0 forward. Each gate
-    block of W and U is drawn as its own tensor, named `<stream>.W_<gate>`
+    Parameter gains a leading direction axis, row 0 forward. `init_params`
+    draws W and U as stacks of gate blocks, named `<stream>.W_<gate>`
     (`U_`), the stream being the prefix or `<prefix>.<direction>`. The
     bias starts at 0, and at 1 in the forget gate's block.
     """
@@ -93,15 +95,10 @@ class LstmCell(Layer):
         self.hidden_dim = hidden_dim
         streams = [f"{prefix}.{d}" for d in directions] or [prefix]
         lead = (len(directions),) if directions else ()
-
-        def stacked(part, shape):
-            blocks = [init_params(shape, seed, f"{s}.{part}_{gate}")
-                      for s in streams for gate in GATES]
-            return Parameter(f"{prefix}.{part}", np.concatenate(blocks)
-                             .reshape(lead + (4 * hidden_dim, shape[1])))
-
-        self.W = stacked("W", (hidden_dim, input_dim))
-        self.U = stacked("U", (hidden_dim, hidden_dim))
+        for part, cols in (("W", input_dim), ("U", hidden_dim)):
+            setattr(self, part, glorot(
+                f"{prefix}.{part}", lead + (4 * hidden_dim, cols), seed,
+                [f"{s}.{part}_{gate}" for s in streams for gate in GATES]))
         b = np.zeros(lead + (4 * hidden_dim,))
         b[..., hidden_dim:2 * hidden_dim] = 1.0
         self.b = Parameter(f"{prefix}.b", b)

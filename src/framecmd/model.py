@@ -20,9 +20,9 @@ layer-2 decoding, which never backpropagates, steps the same array
 step, `layers.lstm_cell_forward`, and builds no graph. The heads'
 logits are (B, frames) and (T, B, labels), and a single sentence is a
 batch of one. A batch's gold labels are padded once, into a GoldBatch
-that teacher forcing and `joint_loss` share; `joint_loss` averages the
-per-sentence losses over the batch. Parameters must not change between
-a forward pass and its backward pass.
+that train mode teacher-forces and scores its heads on; `joint_loss`
+adds those head losses. Parameters must not change between a forward
+pass and its backward pass.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ class ModelOutput:
     seq2_labels: np.ndarray           # (T, B) label indices fed downstream
     seq3_logits: object = None        # Tensor (T, B, element types), 3L
     attention_maps: dict | None = None  # name -> (B, queries, T) weights
+    gold: object = None               # train mode: the GoldBatch given
+    losses: list | None = None        # and each head's loss, in order
 
 
 class Model:
@@ -163,7 +165,7 @@ class Model:
         return part
 
     def parameters(self):
-        """Every stage's parameters, sorted by name, as optim sorts them."""
+        """Every stage's parameters, sorted by name, the order callers keep."""
         return sorted((p for ps in self.stage_params.values() for p in ps),
                       key=lambda p: p.name)
 
@@ -206,15 +208,16 @@ def gold_labels(sentence, vocab, variant):
 class GoldBatch:
     """The gold labels of B sentences, given as `sentence_labels`
     triples and padded once to the longest, T tokens, for teacher
-    forcing and the joint loss: lengths and frames (B,), the label
+    forcing and the head losses: lengths and frames (B,), the label
     sequences seq2 and seq3 (None for 2L labels) as (T, B) arrays
-    right-padded with 0, and the token loss weights (T, B),
-    1 / (B * length) per token and 0 on padding."""
+    right-padded with 0, and the loss weights: frame_weights, 1 / B
+    each, and weights (T, B), 1 / (B * length) per token, 0 on padding."""
 
     def __init__(self, labels):
         frames, seq2s, seq3s = zip(*labels)
         n = self.lengths = np.array([len(s) for s in seq2s])
         self.frames = np.array(frames)
+        self.frame_weights = np.full(len(frames), 1 / len(frames))
         self.weights = _padded(np.repeat(1 / (len(frames) * n), n), n)
         self.seq2 = _padded(np.concatenate(seq2s), n)
         self.seq3 = None
@@ -256,9 +259,11 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     Dropout is applied to layer inputs only when a dropout_rng is
     supplied (training).
 
-    Under `ad.reusing`, in train mode and without dropout, each of the
-    four stages (the trunk: layer 1 and att1; the AD head; layer 2;
-    layer 3) reuses its last output while its `_stage` key is unchanged.
+    In train mode each head's cross-entropy is a last stage, kept in
+    `out.losses`. Under `ad.reusing`, in train mode and without dropout,
+    each stage (the trunk: layer 1 and att1; the AD head; layer 2;
+    layer 3; a head's loss, keyed off its logits' stage) reuses its last
+    output while its `_stage` key is unchanged.
     """
     if mode == "train" and gold is None:
         raise ValueError("train mode requires gold labels")
@@ -277,22 +282,33 @@ def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
     (h1, parts, pooled, maps), key1 = _stage(
         model, "trunk", key, _trunk, model, embedded, lengths, rate,
         dropout_rng)
-    ad_logits, _ = _stage(model, "ad_head", key1, L.affine, pooled,
-                          model.ad_head)
-    (seq2_logits, labels), _ = _stage(
+    ad_logits, key_ad = _stage(model, "ad_head", key1, L.affine, pooled,
+                               model.ad_head)
+    (seq2_logits, labels), key2 = _stage(
         model, "layer2", key1, _layer2, model, parts, gold, mode, rate,
         dropout_rng)
     out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
                       seq2_logits=seq2_logits, seq2_labels=labels,
                       attention_maps=None if maps is None else dict(maps))
-    if c.variant != "3L":
+    if c.variant == "3L":
+        # Reused in train mode only, where layer 3 reads the gold labels,
+        # not layer 2's output: its key hangs off the trunk's.
+        (out.seq3_logits, map3), key3 = _stage(
+            model, "layer3", key1, _layer3, model, h1, labels, lengths, rate,
+            dropout_rng)
+        if c.attention:
+            out.attention_maps["layer3"] = map3
+    if mode != "train":
         return out
-    # Stages are reused in train mode only, where layer 3 reads the gold
-    # labels, not layer 2's output: its key hangs off the trunk's.
-    (out.seq3_logits, map3), _ = _stage(model, "layer3", key1, _layer3, model,
-                                        h1, labels, lengths, rate, dropout_rng)
-    if c.attention:
-        out.attention_maps["layer3"] = map3
+    heads = [("ad", key_ad, ad_logits, gold.frames, gold.frame_weights),
+             ("layer2", key2, seq2_logits, gold.seq2, gold.weights)]
+    if c.variant == "3L":
+        heads.append(("layer3", key3, out.seq3_logits, gold.seq3,
+                      gold.weights))
+    out.gold, out.losses = gold, [_stage(
+        model, f"loss.{head}", up,
+        lambda: L.softmax_cross_entropy(logits, target, weights))[0]
+        for head, up, logits, target, weights in heads]
     return out
 
 
@@ -362,47 +378,26 @@ def _stage(model, name, up, fn, *args):
     """fn(*args), the stage `name` of `forward`, and its key: None if
     nothing is reused (up is None). Else the stage's last output is
     returned again while its key holds: its upstream stage's key `up`
-    and the versions of the parameters it reads."""
+    and the versions of the parameters it reads, in `ad.stages[name]`."""
     if up is None:
         return fn(*args), None
-    key = (up, [p.version for p in model.stage_params[name]])
+    key = (up, [p.version for p in model.stage_params.get(name, ())])
     if ad.stages.get(name, (None,))[0] != key:
         ad.stages[name] = (key, fn(*args))
     return ad.stages[name][1], key
 
 
-def _head_loss(head, logits, labels, weights):
-    """One head's cross-entropy node; under `ad.reusing`, its last one
-    while its logits are the same Tensor and its labels the same array."""
-    if ad.stages is None:
-        return L.softmax_cross_entropy(logits, labels, weights)
-    last = ad.stages.get(head, (None, None))
-    if last[0] is not logits or last[1] is not labels:
-        last = ad.stages[head] = (logits, labels, L.softmax_cross_entropy(
-            logits, labels, weights))
-    return last[2]
-
-
 def joint_loss(output, gold):
-    """Mean over the batch's sentences of each sentence's loss: the sum
-    of the per-task cross-entropies, token heads averaged over the
-    sentence so length does not dominate. gold is a GoldBatch. Each head
-    is one fused cross-entropy node over its stacked logits, weighted
-    1 / B per sentence, and 1 / (B * length) per token and 0 on
-    padding. Reused terms (`_head_loss`) are added in the same order, so
-    the sum is the same."""
-    B = len(output.lengths)
-    if not np.array_equal(gold.lengths, output.lengths):
-        raise ValueError("gold label length mismatch")
-    loss = _head_loss("loss.ad", output.ad_logits, gold.frames,
-                      np.full(B, 1 / B))
-    loss = ad.add(loss, _head_loss("loss.layer2", output.seq2_logits,
-                                   gold.seq2, gold.weights))
-    if output.seq3_logits is not None:
-        if gold.seq3 is None:
-            raise ValueError("gold type labels missing")
-        loss = ad.add(loss, _head_loss("loss.layer3", output.seq3_logits,
-                                       gold.seq3, gold.weights))
+    """The batch's loss, the mean of its sentences' losses: the head
+    losses of forward, (AD + layer 2) + layer 3. output must be in train
+    mode and gold the very GoldBatch it was teacher-forced on, else
+    ValueError: its logits mean nothing against other labels."""
+    if output.losses is None or gold is not output.gold:
+        raise ValueError("joint_loss takes a train-mode output and the "
+                         "GoldBatch its forward pass was given")
+    loss = output.losses[0]
+    for term in output.losses[1:]:
+        loss = ad.add(loss, term)
     return loss
 
 
@@ -460,6 +455,13 @@ def decode_output(model, out, b):
             elements.append((vocab.ac_labels[best], (s, e)))
     return ParsedCommand(frame_type=frame, elements=tuple(elements),
                          attention=attention)
+
+
+def too_large(exc):
+    """Whether exc is numpy's refusal to allocate an array: MemoryError,
+    or the ValueError of a size past the address space."""
+    return isinstance(exc, MemoryError) or (
+        isinstance(exc, ValueError) and "array is too big" in str(exc))
 
 
 def check_weights(flat):
@@ -528,10 +530,10 @@ def load_checkpoint(path):
     bytes whose crc32 differs from the header's raise CheckpointError,
     in that order.
 
-    The model is built with `seeded=False`, without drawing its initial
-    values: the header must list exactly the model's parameters, in
-    order, and the payload must hold exactly their values, so every
-    value comes from the file."""
+    The model is built with `seeded=False`, which draws no initial
+    values and touches no weight memory: the header must list exactly
+    the model's parameters, in order, and the payload must hold exactly
+    their values, so every value comes from the file."""
     try:
         with open(path, "rb") as f:
             header_line = f.readline()
@@ -556,11 +558,12 @@ def load_checkpoint(path):
         dim = header["embeddings"]["dim"]
         tokens = list(header["embeddings"]["tokens"])
         crc = header["crc32"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            MemoryError) as exc:
+        if too_large(exc):
+            raise CheckpointError(f"config too large to build a model ({exc})")
         raise CheckpointError(
             f"malformed checkpoint header ({type(exc).__name__}: {exc})")
-    except MemoryError as exc:
-        raise CheckpointError(f"config too large to build a model ({exc})")
     if type(dim) is not int or dim < 1:
         raise CheckpointError(f"bad embedding dimension in header: {dim!r}")
     n_params = sum(p.data.size for p in params)

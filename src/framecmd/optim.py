@@ -3,7 +3,7 @@
 An optimizer keeps every parameter it trains in one flat `data` array
 and every gradient in one flat `grad` array, so a step is a few
 whole-array numpy operations instead of a dozen per parameter. At
-construction it copies the parameters, sorted by name, into those
+construction it copies the parameters, in the order given, into those
 arrays and rebinds each Parameter's `data` and `grad` as views into
 them. From then on a parameter and its gradient must be updated in
 place (`p.data[...] = x`, `p.grad += g`) and never rebound: a rebound
@@ -17,11 +17,11 @@ import numpy as np
 
 
 def flatten(params):
-    """Copy params, sorted by name, into one flat data and one flat grad
-    array and rebind each Parameter's data and grad as views into them.
+    """Copy params, in order, into one flat data and one flat grad array
+    and rebind each Parameter's data and grad as views into them.
 
-    Returns (params sorted by name, data, grad)."""
-    params = sorted(params, key=lambda p: p.name)
+    Returns (params as a list, data, grad)."""
+    params = list(params)
     size = sum(p.data.size for p in params)
     data = np.empty(size)
     grad = np.empty(size)

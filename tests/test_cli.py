@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import framecmd
 from framecmd.cli import EXIT_BROKEN_PIPE, build_configs, load_config, main
 from framecmd.model import CheckpointError, load_checkpoint, save_checkpoint
 
+# The source tree holding the package, for child processes.
+SRC = str(Path(framecmd.__file__).resolve().parents[1])
 FAST_OVERRIDES = ["--override", "epochs=2", "--override", "hidden_size=4",
                   "--override", "decoder_hidden=4",
                   "--override", "embedding_dim=8",
@@ -22,12 +25,13 @@ FAST_OVERRIDES = ["--override", "epochs=2", "--override", "hidden_size=4",
                   "--override", "patience=0"]
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
 def forbid_work(monkeypatch, *names):
     """Make each named function of framecmd.cli fail the test if called."""
     from framecmd import cli
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the arguments were checked")
 
     for name in names:
         monkeypatch.setattr(cli, name, no_work)
@@ -595,6 +599,31 @@ class TestConfigErrors:
         assert flags[0] in assert_one_line_error(capsys)
 
 
+    # numpy refuses each config's first oversized array outright,
+    # allocating nothing: an embedding table, a model weight or bias.
+    @pytest.mark.parametrize("argv", [
+        ["train", "--override", "hidden_size=1000000000000000000"],
+        ["train", "--override", "embedding_dim=10000000000000000"],
+        ["eval", "--config", "2l_no_att", "--cv", "2",
+         "--override", "embedding_dim=10000000000000000"],
+        ["eval", "--config", "2l_no_att", "--cv", "2", "--jobs", "2",
+         "--override", "hidden_size=100000000000000000"],
+        ["gradcheck", "--hidden", "100000000000000000"]],
+        ids=["train-hidden", "train-embedding", "cv-embedding",
+             "cv-jobs-hidden", "gradcheck"])
+    def test_config_too_large_to_allocate_exit_2_before_any_training(
+            self, workdir, tmp_path, capsys, monkeypatch, argv):
+        from framecmd import pipeline
+        forbid_work(monkeypatch, "train", "grad_check")
+        monkeypatch.setattr(pipeline, "train", no_work)
+        if argv[0] != "gradcheck":
+            argv = argv + ["--corpus", str(workdir / "corpus.jsonl"),
+                           "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "too large" in assert_one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUnreadableFiles:
     def test_directory_as_corpus_exit_3(self, tmp_path, capsys):
         assert main(["train", "--corpus", str(tmp_path)]) == 3
@@ -684,6 +713,29 @@ class TestDataErrors:
         assert rc == 3
         assert (message.format(id=records[1]["id"])
                 in assert_one_line_error(capsys))
+
+    @pytest.mark.parametrize("flags", [["--ckpt", "{ckpt}"],
+                                       ["--config", "2l_no_att", "--cv", "2"]],
+                             ids=["ckpt", "cv"])
+    def test_duplicate_map_id_exit_3_before_any_work(
+            self, workdir, overfit_ckpt, tmp_path, capsys, monkeypatch,
+            flags):
+        # Two --maps files with one id: neither may silently win.
+        forbid_work(monkeypatch, "load_checkpoint", "evaluate",
+                    "cross_validate")
+        first = workdir / "house.map.json"
+        doc = json.loads(first.read_text())
+        for entity in doc["entities"]:
+            entity["lexical_refs"] = ["elsewhere"]
+        copy = tmp_path / "copy.map.json"
+        copy.write_text(json.dumps(doc))
+        rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--maps", str(first), "--maps", str(copy)]
+                  + [f.format(ckpt=overfit_ckpt) for f in flags])
+        assert rc == 3
+        err = assert_one_line_error(capsys)
+        assert repr(doc["id"]) in err and str(first) in err
+        assert str(copy) in err
 
     @pytest.mark.parametrize("refs", [[1], "book"])
     def test_ill_typed_lexical_refs_exit_3(self, overfit_ckpt, tmp_path,
@@ -808,6 +860,31 @@ class TestCheckpointHeader:
                                   crc=True)
         assert main(["parse", bad, "go home"]) == 4
         assert "too large" in assert_one_line_error(capsys)
+
+    def test_edited_config_is_rejected_without_touching_its_weights(
+            self, overfit_ckpt, tmp_path):
+        # hidden_size 1000 asks for about 200 MB of weights and their
+        # gradients. The listing check rejects it before that memory is
+        # written, so the load peaks where an unedited one does. Each
+        # load is a child process, whose peak RSS os.wait4 reports.
+        wide = self.rewrite_header(
+            overfit_ckpt, tmp_path / "wide.ckpt",
+            lambda d: d["config"].update(hidden_size=1000), crc=True)
+        code = ("import sys\n"
+                "from framecmd.model import CheckpointError, load_checkpoint\n"
+                "try:\n    load_checkpoint(sys.argv[1])\n"
+                "except CheckpointError:\n    sys.exit(4)\n")
+
+        def load(path):
+            pid = os.posix_spawn(sys.executable,
+                                 [sys.executable, "-c", code, path],
+                                 {**os.environ, "PYTHONPATH": SRC})
+            _, status, usage = os.wait4(pid, 0)
+            return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
+
+        (ok, ok_mb), (bad, bad_mb) = load(overfit_ckpt), load(wide)
+        assert (ok, bad) == (0, 4)
+        assert bad_mb < ok_mb + 16, (ok_mb, bad_mb)
 
     def test_version_only_header_exit_4(self, tmp_path, capsys):
         path = tmp_path / "v.ckpt"

@@ -304,10 +304,17 @@ class TestJointLoss:
             if seq3 else None)
 
     def test_perfect_prediction_zero_loss(self):
+        # Each head's cross-entropy is zero where its logits are sure of
+        # the gold labels.
         m = build_model(small_config(), VOCAB)
         labels = sentence_labels(sentence(), VOCAB, "3L")
-        loss = joint_loss(self.stub_output(m, labels), GoldBatch([labels]))
-        assert float(loss.data) < 1e-12
+        out, gold = self.stub_output(m, labels), GoldBatch([labels])
+        for logits, target, weights in (
+                (out.ad_logits, gold.frames, [1.0]),
+                (out.seq2_logits, gold.seq2, gold.weights),
+                (out.seq3_logits, gold.seq3, gold.weights)):
+            loss = L.softmax_cross_entropy(logits, target, weights)
+            assert float(loss.data) < 1e-12
 
     @pytest.mark.parametrize("variant", ["2L", "3L"])
     def test_uniform_loss_is_the_loss_of_zero_heads(self, variant):
@@ -327,46 +334,67 @@ class TestJointLoss:
         vocab = LabelVocab(frames=tuple(f"F{i}" for i in range(16)),
                            element_types=("Goal", "Theme"))
         m = build_model(small_config(), vocab)
+        for p in m.ad_head.parameters():
+            p.data[...] = 0.0           # every frame equally likely
         s = sentence()
         s = AnnotatedSentence(s.id, s.tokens,
                               FrameAnnotation("F3", (0, 0), s.frame.elements))
-        labels = sentence_labels(s, vocab, "3L")
-        out = self.stub_output(m, labels)
-        out.ad_logits = ad.constant(np.zeros((1, 16)))
-        np.testing.assert_allclose(
-            float(joint_loss(out, GoldBatch([labels])).data), np.log(16),
-            atol=1e-9)
+        _, emb = embedded()
+        out = forward(m, emb, gold=gold_labels(s, vocab, "3L"), mode="train")
+        np.testing.assert_allclose(float(out.losses[0].data), np.log(16),
+                                   atol=1e-9)
 
     def test_matches_hand_computed_sum(self):
+        # Forward's own logits, spread by head weights drawn wide, scored
+        # by the scalar-loop oracle.
         rng = np.random.default_rng(33)
         m = build_model(small_config(), VOCAB)
+        for head in (m.ad_head, m.l2_head, m.l3_head):
+            for p in head.parameters():
+                p.data[...] = rng.normal(0, 2, p.data.shape)
         frame, seq2, seq3 = sentence_labels(sentence(), VOCAB, "3L")
-        T = len(seq2)
-        ad_z = rng.normal(0, 2, 3)
-        z2 = [rng.normal(0, 2, 3) for _ in range(T)]
-        z3 = [rng.normal(0, 2, 3) for _ in range(T)]
-        out = ModelOutput(lengths=np.array([T]),
-                          ad_logits=ad.constant(ad_z[None]),
-                          seq2_logits=ad.constant(np.array(z2)[:, None]),
-                          seq2_labels=np.array(seq2)[:, None],
-                          seq3_logits=ad.constant(np.array(z3)[:, None]))
+        gold = GoldBatch([(frame, seq2, seq3)])
+        _, emb = embedded()
+        out = forward(m, emb, gold=gold, mode="train")
+        ad_z = out.ad_logits.data[0]
+        z2, z3 = out.seq2_logits.data[:, 0], out.seq3_logits.data[:, 0]
+        assert np.ptp(ad_z) > 1.0
         expected = cross_entropy_oracle(softmax_oracle(ad_z.tolist()), frame)
         expected += np.mean([cross_entropy_oracle(
             softmax_oracle(z.tolist()), g) for z, g in zip(z2, seq2)])
         expected += np.mean([cross_entropy_oracle(
             softmax_oracle(z.tolist()), g) for z, g in zip(z3, seq3)])
-        gold = GoldBatch([(frame, seq2, seq3)])
         np.testing.assert_allclose(float(joint_loss(out, gold).data),
                                    expected, atol=1e-10)
 
     def test_length_mismatch(self):
         m = build_model(small_config(), VOCAB)
+        _, emb = embedded()
         frame, seq2, seq3 = labels = sentence_labels(sentence(), VOCAB, "3L")
-        out = self.stub_output(m, labels)
+        out = forward(m, emb, gold=GoldBatch([labels]), mode="train")
         with pytest.raises(ValueError):
             joint_loss(out, GoldBatch([(frame, seq2[:-1], seq3)]))
         with pytest.raises(ValueError):
             joint_loss(out, GoldBatch([(frame, seq2[:-1], seq3[:-1])]))
+
+    def test_scores_only_the_gold_its_forward_pass_was_given(self):
+        # A train-mode output was teacher-forced on its own gold labels:
+        # an equal GoldBatch that is another object is refused, and so
+        # is an infer-mode output, which has no losses.
+        m = build_model(small_config(), VOCAB)
+        _, emb = embedded()
+        labels = sentence_labels(sentence(), VOCAB, "3L")
+        gold = GoldBatch([labels])
+        out = forward(m, emb, gold=gold, mode="train")
+        assert out.gold is gold and len(out.losses) == 3
+        joint_loss(out, gold)
+        with pytest.raises(ValueError):
+            joint_loss(out, GoldBatch([labels]))
+        infer = forward(m, emb, gold=gold, mode="infer")
+        assert infer.gold is None and infer.losses is None
+        for other in (gold, None):
+            with pytest.raises(ValueError):
+                joint_loss(infer, other)
 
     def test_gold_labels_is_a_batch_of_one(self):
         for variant in ("2L", "3L"):
@@ -438,9 +466,16 @@ class TestJointLoss:
         labels = sentence_labels(sentence(), VOCAB, "3L")
         bad = dict(zip(("frame", "seq2", "seq3"), labels))
         bad[field] = value if field == "frame" else bad[field][:-1] + (value,)
+        bad = GoldBatch([tuple(bad.values())])
         with pytest.raises(IndexError):
-            joint_loss(forward(m, emb, gold=GoldBatch([labels]), mode="train"),
-                       GoldBatch([tuple(bad.values())]))
+            forward(m, emb, gold=bad, mode="train")
+        # The head's own cross-entropy, on forward's logits.
+        out = forward(m, emb, gold=GoldBatch([labels]), mode="train")
+        logits, target = {"frame": (out.ad_logits, bad.frames),
+                          "seq2": (out.seq2_logits, bad.seq2),
+                          "seq3": (out.seq3_logits, bad.seq3)}[field]
+        with pytest.raises(IndexError):
+            L.softmax_cross_entropy(logits, target, np.ones(target.shape))
 
 
 class TestDecode:
@@ -682,6 +717,64 @@ class TestStageReuse:
                 stage = STAGE_OF_PREFIX[p.name.partition(".")[0]]
                 assert sorted(calls) == stage_calls(m, [
                     s for s in DOWNSTREAM[stage] if s in stages]), p.name
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_a_bump_reruns_only_the_losses_of_the_heads_it_feeds(
+            self, monkeypatch, variant, attention):
+        # Each head's loss is a stage of forward whose key hangs off its
+        # logits' stage: a layer-3 weight reruns loss.layer3 alone.
+        m, emb, gold = self.build(variant, attention)
+        head_of = {id(gold.frames): "ad_head", id(gold.seq2): "layer2",
+                   id(gold.seq3): "layer3"}
+        calls = []
+        real = L.softmax_cross_entropy
+
+        def counting(logits, target, weights):
+            calls.append(head_of[id(target)])
+            return real(logits, target, weights)
+
+        monkeypatch.setattr(L, "softmax_cross_entropy", counting)
+        heads = ["ad_head", "layer2"] + ["layer3"] * (variant == "3L")
+        with ad.no_grad(), ad.reusing():
+            forward(m, emb, gold=gold, mode="train")
+            assert sorted(calls) == heads
+            for p in m.parameters():
+                calls.clear()
+                forward(m, emb, gold=gold, mode="train")
+                assert calls == []
+                p.version += 1
+                forward(m, emb, gold=gold, mode="train")
+                stage = STAGE_OF_PREFIX[p.name.partition(".")[0]]
+                assert sorted(calls) == [h for h in heads
+                                         if h in DOWNSTREAM[stage]], p.name
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_every_stage_entry_is_a_key_and_its_output(
+            self, monkeypatch, variant, attention):
+        m, emb, gold = self.build(variant, attention)
+        kept = []
+        real = ad.reusing
+
+        @contextlib.contextmanager
+        def keeping():
+            with real():
+                yield
+                kept.append(dict(ad.stages))
+
+        monkeypatch.setattr(ad, "reusing", keeping)
+        grad_check(lambda: joint_loss(forward(m, emb, gold=gold,
+                                              mode="train"), gold),
+                   m.parameters(), max_coords=2, seed=3)
+        (stages,) = kept
+        heads = ["ad", "layer2"] + ["layer3"] * (variant == "3L")
+        assert set(stages) == {"trunk", "ad_head", "layer2", *heads[2:]} | {
+            f"loss.{h}" for h in heads}
+        for name, entry in stages.items():
+            assert type(entry) is tuple and len(entry) == 2, name
+            key, output = entry
+            assert type(key) is tuple and len(key) == 2, name
+        for h in heads:
+            assert stages[f"loss.{h}"][1].data.ndim == 0
 
     @pytest.mark.parametrize("variant,attention", PRESETS)
     def test_infer_mode_reruns_every_stage(self, monkeypatch, variant,

@@ -27,9 +27,11 @@ line per item:
   3-fold cross-validation of 2l_no_att, 2 epochs per fold.
 
 An item is "identical", or the line gives its largest absolute and
-relative difference, or how many of its values differ. This is a
-report, not a gate: README's numerics policy says when a change must
-post it, and no test runs it.
+relative difference, or how many of its values differ. Comparing two
+trees is a report, not a gate: README's numerics policy says when a
+change must post it. `tests/test_tools.py` runs a tree against itself,
+in two processes with independently randomized hash seeds, and needs
+every line "identical".
 """
 
 from __future__ import annotations
