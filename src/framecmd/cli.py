@@ -33,6 +33,9 @@ EXIT_DIVERGED = 5
 # stdout's reader went away; what a shell reports for a process that
 # SIGPIPE killed.
 EXIT_BROKEN_PIPE = 141
+# The run was interrupted (SIGINT, Ctrl-C); what a shell reports for a
+# process that SIGINT killed.
+EXIT_INTERRUPTED = 130
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -52,35 +55,24 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string"}
 
 
-def _parse_value(key, raw, where):
-    """The value of config key `key` read from the text raw; `where`
-    names its source in errors."""
+def _parse_item(text, where):
+    """The config key and value that the text `key = value` sets;
+    `where` names its source in errors."""
+    key, eq, raw = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}: expected key = value; got {text!r}")
     kind = KEY_TYPES.get(key)
     if kind is None:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    raw = raw.strip().strip('"')
+    raw = raw.strip('"')
     if kind is bool:
         if raw.lower() in ("true", "false"):
-            return raw.lower() == "true"
+            return key, raw.lower() == "true"
     else:
         with contextlib.suppress(ValueError):
-            return kind(raw)        # int, float or str
+            return key, kind(raw)   # int, float or str
     raise ConfigError(f"{where}: {key} must be {_TYPE_NAMES[kind]}; "
                       f"got {raw!r}")
-
-
-def parse_config_text(text):
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected key = value")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        values[key] = _parse_value(key, raw, f"config line {lineno}")
-    return values
 
 
 # The paper's four parsers share one set of hyperparameters, the
@@ -96,7 +88,10 @@ def load_config(name_or_path):
     2l_no_att, 3l_att or 3l_no_att (any case, - for _)."""
     path = Path(name_or_path)
     if path.exists():
-        return parse_config_text(_read_text(path, ConfigError, "config"))
+        text = _read_text(path, ConfigError, "config")
+        lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+        return dict(_parse_item(line, f"config line {lineno}")
+                    for lineno, line in enumerate(lines, start=1) if line)
     preset = PRESETS.get(name_or_path.lower().replace("-", "_"))
     if preset is None:
         raise ConfigError(f"no such config file or preset: {name_or_path}")
@@ -105,12 +100,7 @@ def load_config(name_or_path):
 
 def build_configs(values, overrides=()):
     values = dict(values)
-    for ov in overrides:
-        if "=" not in ov:
-            raise ConfigError(f"bad override (expected key=value): {ov}")
-        key, raw = ov.split("=", 1)
-        key = key.strip()
-        values[key] = _parse_value(key, raw, "--override")
+    values.update(_parse_item(ov, "--override") for ov in overrides)
     try:
         model_cfg = ModelConfig(
             **{k: v for k, v in values.items() if k in MODEL_KEYS})
@@ -139,10 +129,40 @@ def _read_map(path):
     return load_map(_read_text(path, MapError, "map"))
 
 
-def _check_out(path, flag="--out", others=()):
-    """Fail before any work when `path` cannot be written as a file, or
-    is the same file as another the command reads or writes, given as
-    (flag, path or None) pairs."""
+# The files each command reads and writes, by the flag or positional
+# naming them; a written file maps to the suffixes of its sidecars.
+# gen-corpus --map-out defaults to --out with .map.json for its suffix.
+FILES = {"train": (("--corpus", "--config", "--embeddings"),
+                   {"--out": (".history.json",)}),
+         "eval": (("--corpus", "--config", "--embeddings", "--ckpt",
+                   "--maps"), {"--out": (".txt",)}),
+         "parse": (("ckpt", "--map"), {}),
+         "gradcheck": ((), {}),
+         "gen-corpus": ((), {"--out": (), "--map-out": ()})}
+
+
+def _check_files(args):
+    """Fail before any work when a file the command writes, or a sidecar
+    beside it, cannot be written as a file, or is the same file as
+    another that the command reads or writes."""
+    reads, writes = FILES[args.command]
+    named = []      # (flag, path) of each file checked so far
+    for flag in reads + tuple(writes):
+        if flag == "--map-out" and not args.map_out:    # --out checked
+            args.map_out = str(Path(args.out).with_suffix("")) + ".map.json"
+        given = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if given is None or flag == "--config" and not os.path.isfile(given):
+            continue    # not given, or --config names a preset
+        paths = given if isinstance(given, list) else [given]
+        for path in paths + [given + sfx for sfx in writes.get(flag, ())]:
+            if flag in writes:
+                _check_out(path, flag, named)
+            named.append((flag, path))
+
+
+def _check_out(path, flag, others):
+    """Fail when `path` cannot be written as a file, or is the same
+    file as another, given as (flag, path) pairs."""
     out = Path(path)
     if not out.parent.is_dir():
         raise ConfigError(f"{flag}: no such directory: {out.parent}")
@@ -155,14 +175,6 @@ def _check_out(path, flag="--out", others=()):
                           or os.path.samefile(given, path)):
                 raise ConfigError(f"{flag}: {path} is also the {name} file; "
                                   f"one would overwrite the other")
-
-
-def _training_inputs(args):
-    """The (flag, path or None) pairs of the files train and eval --cv
-    read; --config names a file only if one exists, else a preset."""
-    config = args.config if os.path.isfile(args.config or "") else None
-    return [("--corpus", args.corpus), ("--config", config),
-            ("--embeddings", args.embeddings)]
 
 
 @contextlib.contextmanager
@@ -194,9 +206,6 @@ def _make_table(corpus, model_cfg, embeddings_path, seed):
 
 
 def cmd_train(args):
-    inputs = _training_inputs(args)
-    _check_out(args.out, others=inputs)
-    _check_out(args.out + ".history.json", others=inputs)
     values = load_config(args.config)
     model_cfg, train_cfg = build_configs(values, args.override)
     corpus = _read_corpus(args.corpus)
@@ -229,11 +238,6 @@ def cmd_eval(args):
             if given:
                 raise ConfigError(f"eval --ckpt does not take {flag}; only "
                                   f"cross-validation (--cv) reads it")
-    if args.out:
-        inputs = (_training_inputs(args) + [("--ckpt", args.ckpt)]
-                  + [("--maps", m) for m in args.maps])
-        _check_out(args.out, others=inputs)
-        _check_out(args.out + ".txt", others=inputs)
     corpus = _read_corpus(args.corpus)
     maps, paths = ({} if args.maps else None), {}
     for path in args.maps:
@@ -361,18 +365,15 @@ def cmd_gradcheck(args):
 
 
 def cmd_gen_corpus(args):
-    _check_out(args.out)    # before deriving the map's path from it
-    map_out = args.map_out or str(Path(args.out).with_suffix("")) + ".map.json"
-    _check_out(map_out, "--map-out", others=[("--out", args.out)])
     frames = args.frames.split(",") if args.frames else None
     try:
         sentences = generate_synthetic(args.seed, args.n, frames)
     except ValueError as exc:
         raise ConfigError(str(exc))
     Path(args.out).write_text(serialize_corpus(sentences), encoding="utf-8")
-    Path(map_out).write_text(serialize_map(demo_map()), encoding="utf-8")
+    Path(args.map_out).write_text(serialize_map(demo_map()), encoding="utf-8")
     print(f"wrote {len(sentences)} sentences to {args.out}; "
-          f"demo map to {map_out}")
+          f"demo map to {args.map_out}")
     return EXIT_OK
 
 
@@ -462,19 +463,22 @@ EXIT_CODES = {ConfigError: EXIT_CONFIG, CorpusError: EXIT_DATA,
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_files(args)
         return args.fn(args)
     except tuple(EXIT_CODES) as exc:
-        sys.stderr.write(_error_line(exc))
-        return EXIT_CODES[type(exc)]
+        message, code = exc, EXIT_CODES[type(exc)]
     except BrokenPipeError:
         # Output still buffered would fail again at the interpreter's
         # final flush: send it nowhere.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: stdout was closed before all output was written",
-              file=sys.stderr)
-        return EXIT_BROKEN_PIPE
+        message = "stdout was closed before all output was written"
+        code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        message, code = "interrupted", EXIT_INTERRUPTED
+    sys.stderr.write(_error_line(message))
+    return code
 
 
 if __name__ == "__main__":

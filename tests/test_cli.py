@@ -2,6 +2,7 @@ import io
 import json
 import os
 import select
+import signal
 import subprocess
 import sys
 import zlib
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import framecmd
-from framecmd.cli import EXIT_BROKEN_PIPE, build_configs, load_config, main
+from framecmd import cli
+from framecmd.cli import (EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, build_configs,
+                          load_config, main)
 from framecmd.model import CheckpointError, load_checkpoint, save_checkpoint
 
 # The source tree holding the package, for child processes.
@@ -31,8 +34,6 @@ def no_work(*args, **kwargs):
 
 def forbid_work(monkeypatch, *names):
     """Make each named function of framecmd.cli fail the test if called."""
-    from framecmd import cli
-
     for name in names:
         monkeypatch.setattr(cli, name, no_work)
 
@@ -132,6 +133,19 @@ class TestTrain:
         assert err[0].startswith("error: training diverged")
         assert ckpt.read_bytes() == b"an earlier checkpoint"
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_interrupt_exit_130_and_writes_nothing(self, workdir, tmp_path,
+                                                   monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "train", interrupted)
+        ckpt = tmp_path / "model.ckpt"
+        rc = main(["train", "--corpus", str(workdir / "corpus.jsonl"),
+                   "--out", str(ckpt)] + FAST_OVERRIDES)
+        assert rc == EXIT_INTERRUPTED
+        assert assert_one_line_error(capsys) == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_corpus_exit_3(self, tmp_path, capsys):
         rc = main(["train", "--corpus", str(tmp_path / "missing.jsonl")])
@@ -409,6 +423,31 @@ class TestParseStdin:
             for f in (proc.stdin, proc.stdout, proc.stderr):
                 f.close()
 
+    def test_interrupt_while_waiting_exit_130(self, overfit_ckpt):
+        # SIGINT's default action restored in the child, in case this
+        # process runs with it ignored (as a background job does).
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "framecmd", "parse", overfit_ckpt, "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            proc.stdin.write(COMMANDS[0] + "\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no answer within 60 s while stdin was open"
+            assert json.loads(proc.stdout.readline())["tokens"] == [
+                "go", "to", "the", "kitchen"]
+            proc.send_signal(signal.SIGINT)     # stdin still open
+            assert proc.wait(timeout=60) == EXIT_INTERRUPTED
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            for f in (proc.stdin, proc.stdout, proc.stderr):
+                f.close()
+        assert err == "error: interrupted\n"
+
     def test_reader_closing_early_ends_in_one_line(self, overfit_ckpt):
         # 2,000 answers outgrow the pipe, so the child blocks writing
         # until its reader closes the pipe after the first line; the
@@ -539,9 +578,10 @@ class TestConfigErrors:
          "--out", "{tmp}/c.jsonl"],
         ["gen-corpus", "--n", "3", "--out", "{tmp}/new.jsonl",
          "--map-out", "{tmp}/./new.jsonl"],
+        ["train", "--out", "{tmp}/x"],
     ], ids=["train-corpus", "train-config", "train-embeddings", "eval-ckpt",
             "eval-maps", "eval-maps-hard-link", "eval-report-is-a-map", "eval-cv-corpus",
-            "gen-corpus-map-is-corpus"])
+            "gen-corpus-map-is-corpus", "train-history-is-corpus"])
     def test_out_naming_another_file_exit_2_before_any_work(
             self, workdir, overfit_ckpt, tmp_path, capsys, monkeypatch,
             argv):
@@ -558,6 +598,8 @@ class TestConfigErrors:
             (tmp_path / name).write_bytes(data)
         os.link(tmp_path / "h.map.json", tmp_path / "link.json")
         files["link.json"] = files["h.map.json"]
+        os.link(tmp_path / "c.jsonl", tmp_path / "x.history.json")
+        files["x.history.json"] = files["c.jsonl"]
         (tmp_path / "sub").mkdir()
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] != "gen-corpus":

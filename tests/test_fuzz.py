@@ -231,6 +231,7 @@ def test_damaged_checkpoint(checkpoint):
                   header_len + 1 + int(how[1] * (len(blob) - header_len - 1)))
             data[at] ^= 1 << how[2]
             data = bytes(data)
+        bad.unlink(missing_ok=True)     # ext4 flushes one rewritten in place
         bad.write_bytes(data)
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
@@ -241,6 +242,7 @@ def test_damaged_checkpoint(checkpoint):
     for at in range(header_len + 1):
         data = bytearray(blob)
         data[at] ^= 1 << at % 8
+        bad.unlink(missing_ok=True)
         bad.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
@@ -262,8 +264,11 @@ MAIN_FLAGS = {
     "gen-corpus": ["--n", "--frames", "--map-out", "--seed", "--out"]}
 SWITCHES = {"--show-attention", "-h"}
 REQUIRED = {"train": ["--corpus"], "eval": ["--corpus"], "gen-corpus": ["--n"]}
-FILE_FLAGS = {"--corpus", "--embeddings", "--ckpt", "--maps", "--map",
-              "--out", "--map-out"}
+# The flags that name files, from the cli's table, but --config: it also
+# names presets, so it draws the words that hold them.
+FILE_FLAGS = {flag for reads, writes in cli.FILES.values()
+              for flag in (*reads, *writes)
+              if flag.startswith("--")} - {"--config"}
 main_files_named = st.sampled_from(
     ["good.jsonl", "good.map.json", "good.emb", "good.ckpt", "rand",
      "missing", "sub", "sub/new.out", "nodir/x", "-"])
@@ -339,9 +344,10 @@ def test_main_ends_in_a_documented_way(main_files, tmp_path, monkeypatch):
               max_examples=200)
     @given(main_argv(), blobs, blobs)
     def run(argv, rand, stdin):
-        for name, data in main_files.items():
+        # Each file is written afresh: ext4 flushes one rewritten in place.
+        for name, data in {**main_files, "rand": rand}.items():
+            (tmp_path / name).unlink(missing_ok=True)
             (tmp_path / name).write_bytes(data)
-        (tmp_path / "rand").write_bytes(rand)
         out, err = io.StringIO(), io.StringIO()
         monkeypatch.setattr(sys, "stdin",
                             io.TextIOWrapper(io.BytesIO(stdin)))
