@@ -18,9 +18,10 @@ from .embeddings import (EmbeddingError, embed_sentence, load_embeddings,
 from .gradcheck import grad_check
 from .grounding import (MapError, check_chain_data, ground_command, load_map,
                         serialize_map)
-from .model import (CheckpointError, ModelConfig, build_model, forward,
-                    gold_labels, joint_loss, load_checkpoint, predict,
-                    save_checkpoint, too_large)
+from .model import (CheckpointError, ModelConfig, WriteError, build_model,
+                    forward, gold_labels, joint_loss, load_checkpoint,
+                    predict, save_checkpoint, too_large, unwritable,
+                    write_file)
 from .pipeline import (TrainConfig, TrainingDiverged, cross_validate,
                        evaluate, metrics_to_dict, report, train)
 from .synth import demo_map, generate_synthetic
@@ -161,13 +162,11 @@ def _check_files(args):
 
 
 def _check_out(path, flag, others):
-    """Fail when `path` cannot be written as a file, or is the same
-    file as another, given as (flag, path) pairs."""
-    out = Path(path)
-    if not out.parent.is_dir():
-        raise ConfigError(f"{flag}: no such directory: {out.parent}")
-    if out.is_dir():
-        raise ConfigError(f"{flag}: {path} is a directory")
+    """Fail when `path` cannot be written as a file (`unwritable`), or
+    is the same file as another, given as (flag, path) pairs."""
+    reason = unwritable(Path(path))    # Path("") is ".", a directory
+    if reason:
+        raise ConfigError(f"{flag}: cannot write {path}: {reason}")
     for name, given in others:
         # samefile, for hard links, raises when either file is missing.
         with contextlib.suppress(OSError, ValueError):  # ValueError: a NUL
@@ -216,10 +215,9 @@ def cmd_train(args):
         model = build_model(model_cfg, vocab)
     history = train(model, table, corpus, train_cfg)
     save_checkpoint(args.out, model, table)
-    hist_doc = {"config": model_cfg.name, "epochs_run": len(history),
-                "loss_history": history}
-    Path(args.out + ".history.json").write_text(
-        json.dumps(hist_doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(args.out + ".history.json", json.dumps(
+        {"config": model_cfg.name, "epochs_run": len(history),
+         "loss_history": history}, sort_keys=True).encode(), b"\n")
     print(f"trained {model_cfg.name} for {len(history)} epochs; "
           f"final loss {history[-1]:.4f}; checkpoint written to {args.out}")
     return EXIT_OK
@@ -274,9 +272,8 @@ def cmd_eval(args):
     sys.stdout.write(text)
     if args.out:
         doc = {name: metrics_to_dict(stage, chain)}
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n",
-                                  encoding="utf-8")
-        Path(args.out + ".txt").write_text(text, encoding="utf-8")
+        write_file(args.out, json.dumps(doc, sort_keys=True).encode(), b"\n")
+        write_file(args.out + ".txt", text.encode())
     return EXIT_OK
 
 
@@ -370,8 +367,8 @@ def cmd_gen_corpus(args):
         sentences = generate_synthetic(args.seed, args.n, frames)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    Path(args.out).write_text(serialize_corpus(sentences), encoding="utf-8")
-    Path(args.map_out).write_text(serialize_map(demo_map()), encoding="utf-8")
+    write_file(args.out, serialize_corpus(sentences).encode())
+    write_file(args.map_out, serialize_map(demo_map()).encode())
     print(f"wrote {len(sentences)} sentences to {args.out}; "
           f"demo map to {args.map_out}")
     return EXIT_OK
@@ -454,9 +451,9 @@ def build_parser():
 
 
 # The exit code of each error a command may raise.
-EXIT_CODES = {ConfigError: EXIT_CONFIG, CorpusError: EXIT_DATA,
-              MapError: EXIT_DATA, EmbeddingError: EXIT_DATA,
-              CheckpointError: EXIT_CHECKPOINT,
+EXIT_CODES = {ConfigError: EXIT_CONFIG, WriteError: EXIT_CONFIG,
+              CorpusError: EXIT_DATA, MapError: EXIT_DATA,
+              EmbeddingError: EXIT_DATA, CheckpointError: EXIT_CHECKPOINT,
               TrainingDiverged: EXIT_DIVERGED}
 
 

@@ -31,6 +31,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import zlib
 from dataclasses import asdict, dataclass, field
 
@@ -507,18 +508,45 @@ def save_checkpoint(path, model, table):
     head = json.dumps(header, ensure_ascii=False).encode("utf-8")[:-1]
     head += _CRC_MEMBER
     head += b"%d}\n" % zlib.crc32(payload, zlib.crc32(head))
-    # Write a sibling file and rename it over `path`, so an interrupted
-    # save leaves any previous checkpoint as it was.
-    tmp = f"{path}.{os.getpid()}.tmp"
+    write_file(path, head, payload)
+
+
+class WriteError(OSError):
+    """A file could not be written; any earlier file is as it was."""
+
+
+def unwritable(path):
+    """Why `path` cannot be written as a file, or None: its directory
+    must exist, and a file there, symlinks followed, be a regular file."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        parent = os.path.dirname(os.path.realpath(path))
+        return None if os.path.isdir(parent) else "no such directory"
+    except OSError as exc:
+        return exc.strerror
+    except ValueError as exc:   # a NUL byte
+        return str(exc)
+    return None if stat.S_ISREG(mode) else "not a regular file"
+
+
+def write_file(path, *chunks):
+    """Write bytes `chunks` to `path` (symlinks followed) via a renamed
+    sibling; a failure (WriteError) or interrupt keeps the old file."""
+    target = os.path.realpath(path)
+    reason = unwritable(target)
+    if reason:
+        raise WriteError(f"cannot write {path}: {reason}")
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(head)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
+            f.writelines(chunks)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc.strerror or exc}")
+    finally:
+        with contextlib.suppress(OSError):  # renamed unless it failed
             os.unlink(tmp)
-        raise
 
 
 def load_checkpoint(path):

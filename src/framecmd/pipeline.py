@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -258,10 +259,14 @@ def cross_validate(corpus, model_cfg, train_cfg, table, maps=None, jobs=1):
                           vocab, table, maps))
     if jobs > 1:
         # Imported here, so commands that start no pool do not pay for it.
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
         # The pool starts all its workers at once: no more than folds.
-        with ProcessPoolExecutor(max_workers=min(jobs, train_cfg.k)) as ex:
-            results = list(ex.map(_run_fold, jobs_args))
+        # Its workers ignore SIGINT and take one fold at a time, and
+        # leaving the block terminates them, so an interrupt ends the
+        # run at once, in this process, without finishing queued folds.
+        with multiprocessing.Pool(min(jobs, train_cfg.k), signal.signal,
+                                  (signal.SIGINT, signal.SIG_IGN)) as pool:
+            results = pool.map(_run_fold, jobs_args, chunksize=1)
     else:
         results = [_run_fold(a) for a in jobs_args]
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import select
 import signal
 import subprocess
 import sys
+import time
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -109,21 +111,26 @@ class TestTrain:
 
     # lr=1e9 blows the loss up with every value finite; at lr=1e300
     # the forward pass overflows to NaN. SGD at lr=1.7e308 takes one
-    # step, the run's last, that leaves weights overflowed to inf.
-    @pytest.mark.parametrize("overrides", [
-        pytest.param(["lr=1e9"], id="1e9"),
-        pytest.param(["lr=1e300"], id="1e300"),
-        pytest.param(["optimizer=sgd", "lr=1.7e308", "batch_size=64",
-                      "epochs=1"], id="sgd-last-step")])
+    # step, the run's last, that leaves weights overflowed to inf. In
+    # eval --cv --jobs 2 the folds diverge in the pool's workers.
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param(["train"], ["lr=1e9"], id="1e9"),
+        pytest.param(["train"], ["lr=1e300"], id="1e300"),
+        pytest.param(["train"], ["optimizer=sgd", "lr=1.7e308",
+                                 "batch_size=64", "epochs=1"],
+                     id="sgd-last-step"),
+        pytest.param(["eval", "--config", "2l_no_att", "--cv", "3",
+                      "--jobs", "2"], ["lr=1e9"], id="cv-jobs-2")])
     def test_diverging_run_exit_5_and_writes_nothing(self, workdir,
-                                                     tmp_path, overrides):
-        ckpt = tmp_path / "model.ckpt"
-        ckpt.write_bytes(b"an earlier checkpoint")
+                                                     tmp_path, command,
+                                                     overrides):
+        out = tmp_path / "model.ckpt"
+        out.write_bytes(b"an earlier checkpoint")
         # A child process, so that numpy's warnings reach stderr as a
         # user sees them instead of pytest's warning capture.
         proc = subprocess.run(
-            [sys.executable, "-m", "framecmd", "train", "--corpus",
-             str(workdir / "corpus.jsonl"), "--out", str(ckpt)]
+            [sys.executable, "-m", "framecmd"] + command
+            + ["--corpus", str(workdir / "corpus.jsonl"), "--out", str(out)]
             + FAST_OVERRIDES + [a for ov in overrides
                                 for a in ("--override", ov)],
             capture_output=True, text=True)
@@ -131,7 +138,7 @@ class TestTrain:
         err = proc.stderr.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: training diverged")
-        assert ckpt.read_bytes() == b"an earlier checkpoint"
+        assert out.read_bytes() == b"an earlier checkpoint"
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_interrupt_exit_130_and_writes_nothing(self, workdir, tmp_path,
@@ -208,6 +215,31 @@ class TestEval:
                    "--config", "2l_no_att", "--cv", "2"] + FAST_OVERRIDES)
         assert rc == 0
         assert "2L-NO-ATT" in capsys.readouterr().out
+
+    def test_cv_pool_interrupt_exit_130_at_once(self, workdir):
+        # Ctrl-C signals the whole foreground process group: the parent
+        # and the pool's workers. Each fold here trains for many
+        # seconds, so a run that finished a fold first would be late.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "framecmd", "eval", "--corpus",
+             str(workdir / "corpus.jsonl"), "--config", "2l_no_att",
+             "--cv", "3", "--jobs", "2"] + FAST_OVERRIDES
+            + ["--override", "epochs=20000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            time.sleep(2)
+            assert proc.poll() is None, proc.stderr.read()
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=5) == EXIT_INTERRUPTED
+            err = proc.stderr.read()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
+        assert err == "error: interrupted\n"
 
     def test_needs_ckpt_or_cv(self, workdir, capsys):
         rc = main(["eval", "--corpus", str(workdir / "corpus.jsonl")])
@@ -526,7 +558,10 @@ class TestConfigErrors:
         assert rc == 2
         assert "--jobs" in assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("argv,sidecar", [
+    # made: a file the command writes, made beforehand a directory
+    # ("name/"), a FIFO, on which a write would block ("name|"), or a
+    # symlink into a missing directory ("name@").
+    @pytest.mark.parametrize("argv,made", [
         (["train", "--config", "2l_no_att", "--out", "{missing}/m.ckpt"]
          + FAST_OVERRIDES, None),
         (["eval", "--config", "2l_no_att", "--cv", "2",
@@ -537,20 +572,38 @@ class TestConfigErrors:
         (["train", "--config", "2l_no_att", "--out", "{tmp}"]
          + FAST_OVERRIDES, None),
         (["train", "--config", "2l_no_att", "--out", "{tmp}/m.ckpt"]
-         + FAST_OVERRIDES, "m.ckpt.history.json"),
+         + FAST_OVERRIDES, "m.ckpt.history.json/"),
         (["eval", "--config", "2l_no_att", "--cv", "2",
           "--out", "{tmp}/metrics.json"] + FAST_OVERRIDES,
-         "metrics.json.txt"),
+         "metrics.json.txt/"),
+        (["gen-corpus", "--n", "3", "--out", "{tmp}/c.jsonl",
+          "--map-out", "{tmp}/m"], "m/"),
+        (["train", "--config", "2l_no_att", "--out", "{tmp}/m.ckpt"]
+         + FAST_OVERRIDES, "m.ckpt|"),
+        (["train", "--config", "2l_no_att", "--out", "{tmp}/m.ckpt"]
+         + FAST_OVERRIDES, "m.ckpt.history.json|"),
+        (["eval", "--config", "2l_no_att", "--cv", "2",
+          "--out", "{tmp}/metrics.json"] + FAST_OVERRIDES,
+         "metrics.json.txt|"),
+        (["gen-corpus", "--n", "3", "--out", "{tmp}/c.jsonl"], "c.jsonl|"),
+        (["gen-corpus", "--n", "3", "--out", "{tmp}/c.jsonl"],
+         "c.map.json|"),
+        (["gen-corpus", "--n", "3", "--out", "{tmp}/c.jsonl"], "c.jsonl@"),
     ], ids=["train", "eval", "gen-corpus", "gen-corpus-map", "out-is-dir",
-            "train-history-is-dir", "eval-report-is-dir"])
+            "train-history-is-dir", "eval-report-is-dir",
+            "gen-corpus-map-is-dir", "out-is-fifo", "train-history-is-fifo",
+            "eval-report-is-fifo", "gen-corpus-out-is-fifo",
+            "gen-corpus-map-is-fifo", "out-links-to-missing-directory"])
     def test_out_path_not_writable_exit_2_before_any_work(
-            self, workdir, tmp_path, capsys, monkeypatch, argv, sidecar):
-        # `sidecar`: a file the command writes beside --out, here made a
-        # directory.
+            self, workdir, tmp_path, capsys, monkeypatch, argv, made):
         forbid_work(monkeypatch, "train", "cross_validate",
                     "generate_synthetic")
-        if sidecar:
-            (tmp_path / sidecar).mkdir()
+        if made:
+            path, kind = tmp_path / made[:-1], made[-1]
+            if kind == "@":
+                path.symlink_to(tmp_path / "missing" / "c.jsonl")
+            else:
+                (os.mkfifo if kind == "|" else os.mkdir)(path)
         argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path)
                 for a in argv]
         if argv[0] != "gen-corpus":
@@ -558,9 +611,10 @@ class TestConfigErrors:
         assert main(argv) == 2
         assert "-out" in assert_one_line_error(capsys)
         assert [p.name for p in tmp_path.iterdir()] == (
-            [sidecar] if sidecar else [])
-        if sidecar:
-            assert list((tmp_path / sidecar).iterdir()) == []
+            [path.name] if made else [])
+        if made:    # as it was: an empty directory, a FIFO or a symlink
+            assert (list(path.iterdir()) == [] if kind == "/" else
+                    path.is_fifo() if kind == "|" else path.is_symlink())
 
     @pytest.mark.parametrize("argv", [
         ["train", "--out", "{tmp}/c.jsonl"],

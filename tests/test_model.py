@@ -1,10 +1,13 @@
 import contextlib
+import errno
 import io
+import os
 
 import numpy as np
 import pytest
 
 from framecmd import autodiff as ad
+from framecmd import cli
 from framecmd import layers as L
 from framecmd.autodiff import Parameter
 from framecmd.corpus import (AnnotatedSentence, FrameAnnotation, LabelVocab,
@@ -1140,26 +1143,62 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, capsys):
+        # The writer of every file: a write that fails leaves the old
+        # file and no temp file, whether save_checkpoint writes through
+        # a symlink or the CLI writes any of its files.
         m = build_model(small_config(), VOCAB)
         table, _ = embedded()
-        path = tmp_path / "m.ckpt"
+        path, link = tmp_path / "m.ckpt", tmp_path / "link.ckpt"
         save_checkpoint(path, m, table)
+        link.symlink_to(path.name)
         before = path.read_bytes()
+        failing = []    # the files whose writes fail
 
-        class DiskFull(io.FileIO):      # fails after the header
+        class DiskFull(io.FileIO):      # fails after the first byte
             def write(self, data):
-                if self.tell():
-                    raise OSError("no space left on device")
-                return super().write(data)
+                if self.name not in failing:
+                    return super().write(data)
+                super().write(bytes(data)[:1])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fail(victim):
+            failing[:] = [f"{os.path.realpath(victim)}.{os.getpid()}.tmp"]
 
         monkeypatch.setattr(model_module, "open", DiskFull, raising=False)
         for p in m.parameters():
             p.data = p.data + 1.0
+        fail(path)
         with pytest.raises(OSError):
-            save_checkpoint(path, m, table)
+            save_checkpoint(link, m, table)
         assert path.read_bytes() == before
-        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "link.ckpt", "m.ckpt"]
+        failing.clear()     # the target is replaced, not the link
+        save_checkpoint(link, m, table)
+        assert link.is_symlink() and path.read_bytes() != before
+
+        small = [f"--override={kv}" for kv in (
+            "epochs=1", "hidden_size=4", "decoder_hidden=4",
+            "embedding_dim=8", "label_embedding_dim=3")]
+        train = ["train", "--corpus", str(tmp_path / "c.jsonl"), "--config",
+                 "2l_no_att", "--out", str(tmp_path / "t.ckpt")] + small
+        gen = ["gen-corpus", "--n", "12", "--out", str(tmp_path / "c.jsonl")]
+        ev = ["eval", "--corpus", str(tmp_path / "c.jsonl"), "--ckpt",
+              str(tmp_path / "t.ckpt"), "--out", str(tmp_path / "e.json")]
+        # In this order, each run finds the files it reads.
+        for argv, victim in [(gen, "c.jsonl"), (gen, "c.map.json"),
+                             (train, "t.ckpt"), (train, "t.ckpt.history.json"),
+                             (ev, "e.json"), (ev, "e.json.txt")]:
+            victim = tmp_path / victim
+            victim.write_bytes(b"an earlier file")
+            fail(victim)
+            capsys.readouterr()
+            assert cli.main(argv) == 2, victim
+            assert capsys.readouterr().err == (
+                f"error: cannot write {victim}: {os.strerror(errno.ENOSPC)}\n")
+            assert victim.read_bytes() == b"an earlier file"
+            assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("variant, attention", PRESETS)
     def test_load_draws_no_initial_values(self, tmp_path, monkeypatch,

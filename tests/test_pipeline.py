@@ -1,4 +1,4 @@
-import concurrent.futures
+import multiprocessing
 import random
 from dataclasses import replace
 
@@ -359,8 +359,8 @@ class TestCrossValidate:
         made = []
 
         class InlinePool:           # records its size, starts nothing
-            def __init__(self, max_workers):
-                made.append(max_workers)
+            def __init__(self, processes, initializer=None, initargs=()):
+                made.append(processes)
 
             def __enter__(self):
                 return self
@@ -368,11 +368,10 @@ class TestCrossValidate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, items, chunksize=None):
+                return list(map(fn, items))
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
+        monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
         corpus = generate_synthetic(17, 18)
         mc = ModelConfig(variant="2L", attention=False, embedding_dim=8,
                          hidden_size=4, decoder_hidden=4, attention_size=4,

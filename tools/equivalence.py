@@ -24,7 +24,12 @@ line per item:
   model's parses of the 40 sentences;
 - the metrics, compared exactly: each trained model's stage and chain
   metrics on the 40 sentences with the demo map, and those of one
-  3-fold cross-validation of 2l_no_att, 2 epochs per fold.
+  3-fold cross-validation of 2l_no_att, 2 epochs per fold;
+- the bytes of every file the CLI writes, run in-process through
+  `cli.main`: `gen-corpus`'s corpus of 30 sentences and its map, the
+  checkpoint and `.history.json` of a 2-epoch 2l_no_att `train --out`
+  on that corpus, and the metrics and `.txt` of `eval --ckpt ... --out`
+  of that checkpoint on it with the map.
 
 An item is "identical", or the line gives its largest absolute and
 relative difference, or how many of its values differ. Comparing two
@@ -131,6 +136,21 @@ def dump(out):
         with contextlib.redirect_stdout(text):
             cli.main(["gradcheck"] + argv)
         items[f"gradcheck/{name}"] = np.array(text.getvalue().splitlines())
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        corpus_path, ckpt = Path(tmp, "c.jsonl"), Path(tmp, "m.ckpt")
+        for argv in (["gen-corpus", "--n", "30", "--seed", str(SEED),
+                      "--out", corpus_path],
+                     ["train", "--corpus", corpus_path, "--config",
+                      "2l_no_att", "--override", "epochs=2", "--out", ckpt],
+                     ["eval", "--corpus", corpus_path, "--ckpt", ckpt,
+                      "--maps", Path(tmp, "c.map.json"),
+                      "--out", Path(tmp, "e.json")]):
+            if cli.main([str(a) for a in argv]) != 0:
+                raise SystemExit(f"framecmd {argv[0]} failed")
+        for path in sorted(Path(tmp).iterdir()):
+            items[f"cli_files/{path.name}"] = np.frombuffer(
+                path.read_bytes(), np.uint8)
     np.savez(out, **items)
 
 
@@ -197,6 +217,7 @@ def report(a, b):
         f"{_counted(a, b, keys('ckpt_payload/'), 'bytes')}",
         f"checkpoint reloads: {reloads}",
         f"metrics: {_counted(a, b, keys('metrics/'), 'metric sets')}",
+        f"CLI files: {_counted(a, b, keys('cli_files/'), 'bytes')}",
     ]
 
 
