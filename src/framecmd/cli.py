@@ -280,8 +280,8 @@ def cmd_eval(args):
 def cmd_parse(args):
     """Parse SENTENCE; or, when it is "-", each line of stdin as it
     arrives, loading the checkpoint and map once. Each answer is one
-    JSON line, flushed at once. A bad line ends the run with its error,
-    after the answers to the lines before it."""
+    JSON line, flushed at once; a blank stdin line's answer is
+    {"error": "empty sentence"}, and the run reads on."""
     stream = args.sentence == "-"
     if not (stream or args.sentence.strip()):
         raise ConfigError("empty sentence")
@@ -293,20 +293,21 @@ def cmd_parse(args):
     lines = map(os.fsdecode, sys.stdin.buffer) if stream else [args.sentence]
     for sentence in lines:
         tokens = sentence.split()
-        if not tokens:
-            raise ConfigError("empty sentence")
-        parsed = predict(model, table, tokens)
-        doc = {"tokens": tokens,
-               "frame_type": parsed.frame_type,
-               "elements": [{"type": t, "span": list(s)}
-                            for t, s in parsed.elements]}
-        if smap is not None:
-            grounded = ground_command(parsed, tokens, smap)
-            doc["groundings"] = [{"type": t, "span": list(s), "entity": e}
-                                 for t, s, e in grounded.groundings]
-        if args.show_attention and parsed.attention:
-            doc["attention"] = {k: v.tolist()
-                                for k, v in parsed.attention.items()}
+        doc = {"error": "empty sentence"}
+        if tokens:
+            parsed = predict(model, table, tokens)
+            doc = {"tokens": tokens,
+                   "frame_type": parsed.frame_type,
+                   "elements": [{"type": t, "span": list(s)}
+                                for t, s in parsed.elements]}
+            if smap is not None:
+                grounded = ground_command(parsed, tokens, smap)
+                doc["groundings"] = [
+                    {"type": t, "span": list(s), "entity": e}
+                    for t, s, e in grounded.groundings]
+            if args.show_attention and parsed.attention:
+                doc["attention"] = {k: v.tolist()
+                                    for k, v in parsed.attention.items()}
         sys.stdout.write(json.dumps(doc) + "\n")
         sys.stdout.flush()
     return EXIT_OK

@@ -12,12 +12,10 @@ A batch of B sentences right-padded to T steps passes between layers as
 one (T, B, d) tensor. `lstm_run` unrolls an LSTM over one as a single
 node: a decoder, whose input `decoder_input` builds for all steps at
 once, or the encoder, whose two directions `bilstm_forward` lays side
-by side, (T, 2, B, d), and runs as one recurrence. An LstmCell keeps
-its gates stacked, one W, U and b, and each step is one call of
-`lstm_cell_forward`, the one LSTM step arithmetic, on views of them;
-greedy decoding, which never backpropagates, calls it too. Within a
-step every op works on (B, d) rows, one per sentence, so weight
-gradients are dZ^T X products over the rows. The sequence ops
+by side, (T, 2, B, d), and runs as one recurrence. Each step, greedy
+decoding's too, is one `lstm_cell_forward` call on views of an
+LstmCell's stacked gate weights, over (B, d) rows, one per sentence,
+so weight gradients are dZ^T X products over the rows. The sequence ops
 (bilstm_forward, attention) take each sentence's length, so that a
 padded batch computes every sentence as that sentence alone would."""
 
@@ -168,10 +166,8 @@ def lstm_run(X, cell):
     its output's plus dz_{t+1} U, c_t's is c_{t+1}'s times f_{t+1} plus
     h_t's through tanh, and X gets dz_t W at step t. Each weight
     gradient is formed once over every row of every step and added to
-    its Parameter whole: dW = dZ^T X, dU = dZ^T H, db = sum dZ. The
-    weights must not change between the forward pass and its backward
-    pass, which nothing does: the optimizer steps after backward, the
-    gradient check perturbs between passes.
+    its Parameter whole: dW = dZ^T X, dU = dZ^T H, db = sum dZ, so the
+    weights must not change before the backward pass.
     """
     xs = X.data
     view = CellView(cell, xs.shape[1:])
@@ -221,14 +217,11 @@ def bilstm_forward(X, cell, lengths=None):
     Returns the states (T, B, 2H): the forward and backward state of
     each step side by side, so a sentence's final forward state is
     `[:H]` at its last token and its final backward state `[H:]` at
-    its first token. Both directions start from zero states. The
-    backward direction reads each sentence reversed within its own
-    length, so it starts at the sentence's last token and no step needs
-    a mask; padding steps only follow a sentence's own steps. One
-    gather lays both directions' inputs side by side, (T, 2, B, d), and
-    one `lstm_run` steps both at once, so a step is one
-    `lstm_cell_forward` call and each weight gradient one product per
-    direction.
+    its first token. The backward direction reads each sentence
+    reversed within its own length, so it starts at the sentence's last
+    token and no step needs a mask; padding steps only follow a
+    sentence's own steps. One gather lays both directions' inputs side
+    by side, (T, 2, B, d), for one `lstm_run` that steps both at once.
     """
     T, B = X.data.shape[:2]
     if T < 1:
@@ -278,7 +271,7 @@ def attention(queries, keys, params, lengths=None):
     S = np.tanh((Qb @ W1.data.T)[:, :, None, :]
                 + (Km @ W2.data.T)[:, None, :, :])
     E = S @ v.data
-    if lengths is not None and np.min(lengths) < len(keys.data):  # padding
+    if lengths is not None and min(lengths) < len(keys.data):   # padding
         own = np.arange(len(keys.data)) < np.asarray(lengths)[:, None, None]
         E = np.where(own, E, -np.inf)
     P = np.exp(E - E.max(axis=-1, keepdims=True))
@@ -392,26 +385,33 @@ def affine(x, params):
     return ad.node(xd @ W.data.T + b.data, (x, W, b), bwd)
 
 
-def softmax_cross_entropy(logits, gold, weights):
+def gold_index(gold, shape):
+    """Each gold label's index into the flattened logits of `shape`;
+    IndexError unless gold has their leading shape, labels in range."""
+    gold = np.asarray(gold)
+    n = shape[-1]
+    if gold.shape != shape[:-1] or gold.min() < 0 or gold.max() >= n:
+        raise IndexError("gold labels out of range or misshapen")
+    return np.arange(gold.size) * n + gold.reshape(-1)
+
+
+def softmax_cross_entropy(logits, gold, weights, at_gold=None):
     """sum(weights * -log softmax(logits)[gold]) as one graph node.
 
     logits is (..., n); gold (integer labels) and weights have its
-    leading shape. The log-softmax goes through log-sum-exp, with no
-    clamp, so a confidently wrong row keeps its full gradient,
-    weight * (softmax - onehot). A row with weight 0 (padding) adds
-    nothing and gets an exactly zero gradient.
+    leading shape; at_gold, if given, is gold's `gold_index`. The
+    log-softmax goes through log-sum-exp, with no clamp, so a
+    confidently wrong row keeps its full gradient, weight * (softmax -
+    onehot). A row with weight 0 (padding) adds nothing and gets an
+    exactly zero gradient.
     """
     z = np.ascontiguousarray(logits.data)   # so reshape(-1) is a view
-    n = z.shape[-1]
-    gold = np.asarray(gold)
-    if gold.shape != z.shape[:-1] or gold.min() < 0 or gold.max() >= n:
-        raise IndexError("gold labels out of range or misshapen")
-    # Each row's gold logit by its index into the flattened logits.
-    at_gold = np.arange(gold.size) * n + gold.reshape(-1)
+    if at_gold is None:
+        at_gold = gold_index(gold, z.shape)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1)
-    picked = shifted.reshape(-1)[at_gold].reshape(gold.shape)
+    picked = shifted.reshape(-1)[at_gold].reshape(total.shape)
     weights = np.asarray(weights)
 
     def bwd(g):
@@ -419,4 +419,4 @@ def softmax_cross_entropy(logits, gold, weights):
         d.reshape(-1)[at_gold] -= 1.0
         ad.accumulate(logits, (g * weights)[..., None] * d)
 
-    return ad.node(np.sum(weights * (np.log(total) - picked)), (logits,), bwd)
+    return ad.node((weights * (np.log(total) - picked)).sum(), (logits,), bwd)

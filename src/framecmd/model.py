@@ -13,11 +13,9 @@ layer and pools the encoder for frame classification.
 `forward` runs a batch of B sentences as one graph, right-padded to the
 longest, T tokens. Each layer hands the next one (T, B, d) tensor: the
 encoder states, the attention contexts and the highway output. Every
-LSTM whose inputs are known in advance is one `layers.lstm_run` node:
-the encoder, both of whose directions are one run, the teacher-forced
-layer-2 decoder and the layer-3 decoder (fed layer 2's labels). Greedy
-layer-2 decoding, which never backpropagates, steps the same array
-step, `layers.lstm_cell_forward`, and builds no graph. The heads'
+LSTM whose inputs are known in advance, the encoder and the decoders
+but greedy layer 2, is one `layers.lstm_run` node; greedy decoding
+steps `layers.lstm_cell_forward` and builds no graph. The heads'
 logits are (B, frames) and (T, B, labels), and a single sentence is a
 batch of one. A batch's gold labels are padded once, into a GoldBatch
 that train mode teacher-forces and scores its heads on; `joint_loss`
@@ -125,14 +123,15 @@ class Model:
         self.bos_index = n2  # extra label-embedding row for step 0
 
         self.l1 = own(L.LstmCell("layer1", c.embedding_dim, c.hidden_size,
-                                 seed, directions=("fwd", "bwd")), "trunk")
+                                 seed, directions=("fwd", "bwd")), "layer1")
         self.ad_head = own(L.AffineParams("ad_head", len(vocab.frames),
                                           h1_dim, seed), "ad_head")
+        self.stage_params["att1"] = []  # without attention, AD's gather
         if c.attention:
             self.att1 = own(L.AttentionParams("att1", h1_dim, h1_dim,
-                                              c.attention_size, seed), "trunk")
+                                              c.attention_size, seed), "att1")
             self.ad_query = own(L.glorot("att1.ad_query", (h1_dim,), seed),
-                                "trunk")
+                                "att1")
 
         dec_in = h1_dim + (h1_dim if c.attention else 0) + c.label_embedding_dim
         self.label_emb2 = own(L.glorot("layer2.label_emb",
@@ -141,22 +140,21 @@ class Model:
         self.l2_cell = own(L.LstmCell("layer2.cell", dec_in,
                                       c.decoder_hidden, seed), "layer2")
         self.l2_head = own(L.AffineParams("layer2.head", n2, c.decoder_hidden,
-                                          seed), "layer2")
+                                          seed), "layer2.head")
 
         if c.variant == "3L":
-            self.hw = own(L.HighwayParams("highway", h1_dim, seed), "layer3")
+            self.hw = own(L.HighwayParams("highway", h1_dim, seed), "highway")
             if c.attention:
                 self.att3 = own(L.AttentionParams(
-                    "att3", h1_dim, h1_dim, c.attention_size, seed), "layer3")
+                    "att3", h1_dim, h1_dim, c.attention_size, seed), "att3")
             self.label_emb3 = own(L.glorot(
                 "layer3.label_emb", (len(vocab.iob), c.label_embedding_dim),
                 seed), "layer3")
             self.l3_cell = own(L.LstmCell("layer3.cell", dec_in,
                                           c.decoder_hidden, seed), "layer3")
-            self.l3_head = own(L.AffineParams("layer3.head",
-                                              len(vocab.ac_labels),
-                                              c.decoder_hidden, seed),
-                               "layer3")
+            self.l3_head = own(L.AffineParams(
+                "layer3.head", len(vocab.ac_labels), c.decoder_hidden, seed),
+                "layer3.head")
 
     def _own(self, part, stage):
         """Register a layer's parameters, or one Parameter, as trained
@@ -208,11 +206,11 @@ def gold_labels(sentence, vocab, variant):
 
 class GoldBatch:
     """The gold labels of B sentences, given as `sentence_labels`
-    triples and padded once to the longest, T tokens, for teacher
-    forcing and the head losses: lengths and frames (B,), the label
-    sequences seq2 and seq3 (None for 2L labels) as (T, B) arrays
-    right-padded with 0, and the loss weights: frame_weights, 1 / B
-    each, and weights (T, B), 1 / (B * length) per token, 0 on padding."""
+    triples and padded once to the longest, T tokens: lengths and frames
+    (B,), the label sequences seq2 and seq3 (None for 2L labels) as (T,
+    B) arrays right-padded with 0, the loss weights frame_weights, 1 / B
+    each, and weights (T, B), 1 / (B * length) per token, 0 on padding,
+    and by `index` each head's labels as its loss reads them, made once."""
 
     def __init__(self, labels):
         frames, seq2s, seq3s = zip(*labels)
@@ -227,6 +225,14 @@ class GoldBatch:
                    for s, s2 in zip(seq3s, seq2s)):
                 raise ValueError("gold type label length mismatch")
             self.seq3 = _padded(np.concatenate(seq3s), n)
+        self._index = {}
+
+    def index(self, field, shape):
+        """`layers.gold_index(getattr(self, field), shape)`, made once."""
+        if (field, shape) not in self._index:
+            self._index[field, shape] = L.gold_index(getattr(self, field),
+                                                     shape)
+        return self._index[field, shape]
 
 
 def _padded(rows, lengths):
@@ -247,145 +253,143 @@ def _dropout_mask(shape, rate, rng):
 
 def forward(model, embedded, gold=None, mode="infer", dropout_rng=None,
             lengths=None):
-    """Run the network over a batch of embedded sentences.
+    """Run the network over a batch of embedded sentences, whose token
+    vectors `embedded` packs one after another, (N x d); lengths gives
+    each one's token count (default: one sentence of N tokens). Train
+    mode teacher-forces layer 2 with gold, a GoldBatch; infer mode feeds
+    it its greedy predictions. A dropout_rng drops out layer inputs.
 
-    embedded packs the sentences' token vectors one after another, an
-    (N x d) matrix; lengths gives each sentence's token count (summing
-    to N) and defaults to one sentence of N tokens. Inside, the batch is
-    one right-padded graph over (T, B, .) tensors, and each sentence's
-    padding steps come after its own steps, so they never reach its
-    outputs. In train mode the layer-2 decoder is teacher-forced with
-    the gold labels, a GoldBatch; in infer mode it consumes its own
-    greedy predictions, step by step, and its logits are constants.
-    Dropout is applied to layer inputs only when a dropout_rng is
-    supplied (training).
-
-    In train mode each head's cross-entropy is a last stage, kept in
-    `out.losses`. Under `ad.reusing`, in train mode and without dropout,
-    each stage (the trunk: layer 1 and att1; the AD head; layer 2;
-    layer 3; a head's loss, keyed off its logits' stage) reuses its last
-    output while its `_stage` key is unchanged.
+    Each layer is a `_stage` keyed off the stage whose output it reads
+    (README, "Gradient check"), and in train mode each head's loss is a
+    last stage, `loss.<head>`, kept in `out.losses`. Under `ad.reusing`,
+    in train mode and without dropout, a stage reuses its last output
+    while its key is unchanged.
     """
     if mode == "train" and gold is None:
         raise ValueError("train mode requires gold labels")
     c = model.config
     rate = c.dropout if mode == "train" else 0.0
-    lengths = np.asarray([embedded.shape[0]] if lengths is None else lengths)
-    if lengths.sum() != embedded.shape[0] or np.any(lengths < 1):
+    n = [len(embedded)] if lengths is None else np.asarray(lengths).tolist()
+    if sum(n) != len(embedded) or min(n, default=0) < 1:
         raise ValueError("sentence lengths do not match the embedded tokens")
-    if mode == "train" and not np.array_equal(gold.lengths, lengths):
+    if mode == "train" and gold.lengths.tolist() != n:
         raise ValueError("gold label length mismatch")
+    lengths = np.array(n)
     key = None
     if ad.stages is not None and mode == "train" and dropout_rng is None:
         # A key holds the inputs, so no other object takes their ids.
-        key = (id(model), id(embedded), id(gold), model, embedded, gold,
-               lengths.tolist(), ad.dtype)
-    (h1, parts, pooled, maps), key1 = _stage(
-        model, "trunk", key, _trunk, model, embedded, lengths, rate,
-        dropout_rng)
-    ad_logits, key_ad = _stage(model, "ad_head", key1, L.affine, pooled,
-                               model.ad_head)
-    (seq2_logits, labels), key2 = _stage(
-        model, "layer2", key1, _layer2, model, parts, gold, mode, rate,
-        dropout_rng)
+        key = (id(model), id(embedded), id(gold), model, embedded, gold, n,
+               ad.dtype)
+    h1, key1 = _stage(model, "layer1", key, lambda: _layer1(
+        model, embedded, lengths, rate, dropout_rng))
+    (parts, pooled, maps), key_att1 = _stage(
+        model, "att1", key1, lambda: _att1(model, h1, lengths, n))
+    ad_logits, key_ad = _stage(model, "ad_head", key_att1,
+                               lambda: L.affine(pooled, model.ad_head))
+    if mode == "train":
+        labels = gold.seq2
+        states2, key2 = _stage(model, "layer2", key_att1, lambda: _decoder(
+            parts, model.label_emb2, np.vstack([[model.bos_index] * len(n),
+                                                labels[:-1]]),
+            model.l2_cell, rate, dropout_rng))
+        seq2_logits, key2 = _stage(model, "layer2.head", key2,
+                                   lambda: L.affine(states2, model.l2_head))
+    else:
+        seq2_logits, labels = _greedy(model, parts)
     out = ModelOutput(lengths=lengths, ad_logits=ad_logits,
                       seq2_logits=seq2_logits, seq2_labels=labels,
                       attention_maps=None if maps is None else dict(maps))
     if c.variant == "3L":
-        # Reused in train mode only, where layer 3 reads the gold labels,
-        # not layer 2's output: its key hangs off the trunk's.
-        (out.seq3_logits, map3), key3 = _stage(
-            model, "layer3", key1, _layer3, model, h1, labels, lengths, rate,
-            dropout_rng)
+        routed, key3 = _stage(model, "highway", key1,
+                              lambda: L.highway(h1, model.hw))
+        parts = [routed]
         if c.attention:
-            out.attention_maps["layer3"] = map3
+            (ctx3, out.attention_maps["layer3"]), key3 = _stage(
+                model, "att3", key3,
+                lambda: L.attention(routed, routed, model.att3, n))
+            parts.append(ctx3)
+        states3, key3 = _stage(model, "layer3", key3, lambda: _decoder(
+            parts, model.label_emb3, labels, model.l3_cell, rate,
+            dropout_rng))
+        out.seq3_logits, key3 = _stage(
+            model, "layer3.head", key3, lambda: L.affine(states3,
+                                                         model.l3_head))
     if mode != "train":
         return out
-    heads = [("ad", key_ad, ad_logits, gold.frames, gold.frame_weights),
-             ("layer2", key2, seq2_logits, gold.seq2, gold.weights)]
+    heads = [("ad", key_ad, ad_logits, "frames", gold.frame_weights),
+             ("layer2", key2, seq2_logits, "seq2", gold.weights)]
     if c.variant == "3L":
-        heads.append(("layer3", key3, out.seq3_logits, gold.seq3,
-                      gold.weights))
+        heads.append(("layer3", key3, out.seq3_logits, "seq3", gold.weights))
     out.gold, out.losses = gold, [_stage(
-        model, f"loss.{head}", up,
-        lambda: L.softmax_cross_entropy(logits, target, weights))[0]
-        for head, up, logits, target, weights in heads]
+        model, f"loss.{head}", up, lambda: L.softmax_cross_entropy(
+            logits, getattr(gold, field), weights,
+            gold.index(field, logits.data.shape)))[0]
+        for head, up, logits, field, weights in heads]
     return out
 
 
-def _trunk(model, embedded, lengths, rate, rng):
-    """Layer 1 and att1: h1, layer 2's parts, AD's input, att1's maps."""
-    B = len(lengths)
+def _layer1(model, embedded, lengths, rate, rng):
+    """Layer 1's states h1 over the padded, dropped-out embeddings."""
     X = _padded(embedded, lengths)
     mask = _dropout_mask(X.shape, rate, rng)
     if mask is not None:    # the inputs are constants: no graph node
         X = X * mask
-    h1 = L.bilstm_forward(ad.constant(X), model.l1, lengths)
+    return L.bilstm_forward(ad.constant(X), model.l1, lengths)
+
+
+def _att1(model, h1, lengths, n):
+    """Layer 2's parts, AD's input and att1's maps, over h1."""
     if not model.config.attention:
         # AD reads the final states: forward at the last token, backward
         # at the first.
         H = model.l1.hidden_dim
         rows = np.where(np.arange(2 * H) < H, lengths[:, None] - 1, 0)
-        return h1, [h1], ad.getrow(h1, (rows, np.arange(B)[:, None],
-                                         np.arange(2 * H))), None
-    pooled, ad_map = L.attention(model.ad_query, h1, model.att1, lengths)
-    ctx2, map2 = L.attention(h1, h1, model.att1, lengths)
-    return h1, [h1, ctx2], pooled, {"ad": ad_map, "layer2": map2}
+        return [h1], ad.getrow(h1, (rows, np.arange(len(n))[:, None],
+                                    np.arange(2 * H))), None
+    pooled, ad_map = L.attention(model.ad_query, h1, model.att1, n)
+    ctx2, map2 = L.attention(h1, h1, model.att1, n)
+    return [h1, ctx2], pooled, {"ad": ad_map, "layer2": map2}
 
 
-def _layer2(model, parts, gold, mode, rate, rng):
-    """The layer-2 decoder's logits and the (T, B) labels it emits."""
-    T, B = parts[0].shape[:2]
-    # Row t of labels2 feeds decoder step t; row t + 1 is the label step
-    # t emits: gold when teacher-forced, else that step's greedy argmax.
-    labels2 = np.full((T + 1, B), model.bos_index)
-    mask = _dropout_mask((T, B, model.l2_cell.input_dim), rate, rng)
-    if mode == "train":
-        labels2[1:] = gold.seq2
-        states = L.lstm_run(L.decoder_input(parts, model.label_emb2,
-                                            labels2[:-1], mask), model.l2_cell)
-        return L.affine(states, model.l2_head), labels2[1:]
-    # greedy: array steps and no graph, as nothing backpropagates
+def _decoder(parts, table, rows, cell, rate, rng):
+    """A teacher-forced decoder's states: one `lstm_run` over the parts
+    and the label embeddings table[rows], (T, B) rows, dropped out."""
+    mask = _dropout_mask(rows.shape + (cell.input_dim,), rate, rng)
+    return L.lstm_run(L.decoder_input(parts, table, rows, mask), cell)
+
+
+def _greedy(model, parts):
+    """Greedy layer 2, its logits and the (T, B) labels it emits: array
+    steps and no graph, as nothing backpropagates."""
     ctx = np.concatenate([p.data for p in parts], axis=-1)
+    T, B = ctx.shape[:2]
+    # Row t of labels feeds step t; row t + 1 is the argmax step t emits.
+    labels = np.full((T + 1, B), model.bos_index)
     emb = model.label_emb2.data
     view = L.CellView(model.l2_cell, (B, ctx.shape[-1] + emb.shape[-1]))
     head_Wt, head_b = model.l2_head.W.data.T, model.l2_head.b.data
     h = cc = np.zeros((B, model.config.decoder_hidden), ctx.dtype)
     logits = []
     for t in range(T):
-        x = np.concatenate([ctx[t], emb[labels2[t]]], axis=-1)
+        x = np.concatenate([ctx[t], emb[labels[t]]], axis=-1)
         h, cc, _ = L.lstm_cell_forward(x, h, cc, view)
         logits.append(h @ head_Wt + head_b)
-        labels2[t + 1] = np.argmax(logits[-1], axis=-1)
-    return ad.constant(np.array(logits)), labels2[1:]
+        labels[t + 1] = np.argmax(logits[-1], axis=-1)
+    return ad.constant(np.array(logits)), labels[1:]
 
 
-def _layer3(model, h1, labels, lengths, rate, rng):
-    """Layer 3's logits over h1 and the IOB labels, and att3's map."""
-    routed = L.highway(h1, model.hw)     # all steps at once
-    map3 = None
-    parts = [routed]
-    if model.config.attention:
-        ctx3, map3 = L.attention(routed, routed, model.att3, lengths)
-        parts.append(ctx3)
-    mask = _dropout_mask(labels.shape + (model.l3_cell.input_dim,), rate,
-                         rng)
-    states = L.lstm_run(L.decoder_input(parts, model.label_emb3, labels,
-                                        mask), model.l3_cell)
-    return L.affine(states, model.l3_head), map3
-
-
-def _stage(model, name, up, fn, *args):
-    """fn(*args), the stage `name` of `forward`, and its key: None if
-    nothing is reused (up is None). Else the stage's last output is
-    returned again while its key holds: its upstream stage's key `up`
-    and the versions of the parameters it reads, in `ad.stages[name]`."""
+def _stage(model, name, up, fn):
+    """fn(), the stage `name` of `forward`, and its key: None if nothing
+    is reused (up is None). Else the stage's last output, in
+    `ad.stages[name]`, comes again with the key stored with it while
+    that holds: the upstream key `up` and its parameters' versions."""
     if up is None:
-        return fn(*args), None
+        return fn(), None
     key = (up, [p.version for p in model.stage_params.get(name, ())])
-    if ad.stages.get(name, (None,))[0] != key:
-        ad.stages[name] = (key, fn(*args))
-    return ad.stages[name][1], key
+    kept = ad.stages.get(name, (None, None))
+    if kept[0] != key:
+        kept = ad.stages[name] = key, fn()
+    return kept[1], kept[0]
 
 
 def joint_loss(output, gold):

@@ -413,14 +413,30 @@ class TestParseStdin:
         assert captured.out == "".join(expected)
         assert captured.err == ""
 
-    def test_blank_line_ends_the_run_after_earlier_answers(
+    def test_blank_line_is_answered_and_the_run_reads_on(
             self, overfit_ckpt, monkeypatch, capsys):
         expected = self.one_by_one(overfit_ckpt, [], capsys)
         stdin_of(monkeypatch, "\n".join(COMMANDS[:3] + ["  "] + COMMANDS[3:]))
-        assert main(["parse", overfit_ckpt, "-"]) == 2
+        assert main(["parse", overfit_ckpt, "-"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == "".join(expected[:3])
-        assert captured.err == "error: empty sentence\n"
+        assert captured.out == "".join(
+            expected[:3] + ['{"error": "empty sentence"}\n'] + expected[3:])
+        assert captured.err == ""
+
+    def test_answers_after_blank_lines_match_separate_calls(
+            self, overfit_ckpt, workdir, monkeypatch, capsys):
+        # A recognizer that heard nothing gives an empty or blank line;
+        # every later answer is still the separate call's, byte for byte.
+        flags = ["--map", str(workdir / "house.map.json"),
+                 "--show-attention"]
+        expected = self.one_by_one(overfit_ckpt, flags, capsys)
+        blank = '{"error": "empty sentence"}\n'
+        stdin_of(monkeypatch, "\n \t\n" + "\n\n".join(COMMANDS) + "\n\n")
+        assert main(["parse", overfit_ckpt, "-"] + flags) == 0
+        captured = capsys.readouterr()
+        assert captured.out == blank * 2 + "".join(
+            answer + blank for answer in expected)
+        assert captured.err == ""
 
     def test_closed_stdin_exit_2(self, overfit_ckpt, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", None)   # Python's closed fd 0

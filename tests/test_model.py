@@ -623,15 +623,35 @@ class TestTraining:
 
 
 
-# The stage of `forward` that reads a parameter, by its name's prefix, and
-# the stages each stage feeds in train mode (the teacher-forced layer 3
-# reads the gold labels, not layer 2).
-STAGE_OF_PREFIX = {"layer1": "trunk", "att1": "trunk", "ad_head": "ad_head",
-                   "layer2": "layer2", "highway": "layer3", "att3": "layer3",
-                   "layer3": "layer3"}
-DOWNSTREAM = {"trunk": ("trunk", "ad_head", "layer2", "layer3"),
-              "ad_head": ("ad_head",), "layer2": ("layer2",),
-              "layer3": ("layer3",)}
+# The stage of `forward` that reads a parameter, by its name up to its
+# last dot, and the stages each stage feeds in train mode (the
+# teacher-forced layer 3 reads the gold labels, not layer 2).
+STAGE_OF_PREFIX = {"layer1": "layer1", "att1": "att1", "ad_head": "ad_head",
+                   "layer2": "layer2", "layer2.cell": "layer2",
+                   "layer2.head": "layer2.head", "highway": "highway",
+                   "att3": "att3", "layer3": "layer3", "layer3.cell": "layer3",
+                   "layer3.head": "layer3.head"}
+DOWNSTREAM = {"layer1": ("layer1", "att1", "ad_head", "layer2", "layer2.head",
+                         "highway", "att3", "layer3", "layer3.head"),
+              "att1": ("att1", "ad_head", "layer2", "layer2.head"),
+              "ad_head": ("ad_head",), "layer2": ("layer2", "layer2.head"),
+              "layer2.head": ("layer2.head",),
+              "highway": ("highway", "att3", "layer3", "layer3.head"),
+              "att3": ("att3", "layer3", "layer3.head"),
+              "layer3": ("layer3", "layer3.head"),
+              "layer3.head": ("layer3.head",)}
+
+
+def stage_of(p):
+    return STAGE_OF_PREFIX[p.name.rpartition(".")[0]]
+
+
+def model_stages(m):
+    """The stages of a train-mode forward of m, the losses aside."""
+    layer3 = ["highway"] + ["att3"] * m.config.attention + [
+        "layer3", "layer3.head"]
+    return ["layer1", "att1", "ad_head", "layer2", "layer2.head"] + (
+        layer3 if m.config.variant == "3L" else [])
 
 
 def layer_calls(monkeypatch, m):
@@ -657,12 +677,12 @@ def layer_calls(monkeypatch, m):
 def stage_calls(m, stages):
     """The layer calls of the given stages of a train-mode forward."""
     att = m.config.attention
-    calls = {"trunk": ["bilstm_forward:l1", "lstm_run:l1"]
-                       + ["attention:att1"] * (2 * att),
+    calls = {"layer1": ["bilstm_forward:l1", "lstm_run:l1"],
+             "att1": ["attention:att1"] * (2 * att),
              "ad_head": ["affine:ad_head"],
-             "layer2": ["lstm_run:l2_cell", "affine:l2_head"],
-             "layer3": ["highway:hw"] + ["attention:att3"] * att + [
-                 "lstm_run:l3_cell", "affine:l3_head"]}
+             "layer2": ["lstm_run:l2_cell"], "layer2.head": ["affine:l2_head"],
+             "highway": ["highway:hw"], "att3": ["attention:att3"],
+             "layer3": ["lstm_run:l3_cell"], "layer3.head": ["affine:l3_head"]}
     return sorted(c for s in stages for c in calls[s])
 
 
@@ -705,8 +725,7 @@ class TestStageReuse:
     def test_a_bump_reruns_its_stage_and_the_stages_it_feeds(
             self, monkeypatch, variant, attention):
         m, emb, gold = self.build(variant, attention)
-        stages = [s for s in DOWNSTREAM["trunk"]
-                  if s != "layer3" or variant == "3L"]
+        stages = model_stages(m)
         calls = layer_calls(monkeypatch, m)
         with ad.no_grad(), ad.reusing():
             forward(m, emb, gold=gold, mode="train")
@@ -717,9 +736,8 @@ class TestStageReuse:
                 assert calls == []      # nothing changed: nothing reruns
                 p.version += 1
                 forward(m, emb, gold=gold, mode="train")
-                stage = STAGE_OF_PREFIX[p.name.partition(".")[0]]
                 assert sorted(calls) == stage_calls(m, [
-                    s for s in DOWNSTREAM[stage] if s in stages]), p.name
+                    s for s in DOWNSTREAM[stage_of(p)] if s in stages]), p.name
 
     @pytest.mark.parametrize("variant,attention", PRESETS)
     def test_a_bump_reruns_only_the_losses_of_the_heads_it_feeds(
@@ -727,17 +745,18 @@ class TestStageReuse:
         # Each head's loss is a stage of forward whose key hangs off its
         # logits' stage: a layer-3 weight reruns loss.layer3 alone.
         m, emb, gold = self.build(variant, attention)
-        head_of = {id(gold.frames): "ad_head", id(gold.seq2): "layer2",
-                   id(gold.seq3): "layer3"}
+        head_of = {id(gold.frames): "ad_head", id(gold.seq2): "layer2.head",
+                   id(gold.seq3): "layer3.head"}
         calls = []
         real = L.softmax_cross_entropy
 
-        def counting(logits, target, weights):
+        def counting(logits, target, weights, at_gold=None):
             calls.append(head_of[id(target)])
-            return real(logits, target, weights)
+            return real(logits, target, weights, at_gold)
 
         monkeypatch.setattr(L, "softmax_cross_entropy", counting)
-        heads = ["ad_head", "layer2"] + ["layer3"] * (variant == "3L")
+        heads = ["ad_head", "layer2.head"] + ["layer3.head"] * (
+            variant == "3L")
         with ad.no_grad(), ad.reusing():
             forward(m, emb, gold=gold, mode="train")
             assert sorted(calls) == heads
@@ -747,9 +766,48 @@ class TestStageReuse:
                 assert calls == []
                 p.version += 1
                 forward(m, emb, gold=gold, mode="train")
-                stage = STAGE_OF_PREFIX[p.name.partition(".")[0]]
-                assert sorted(calls) == [h for h in heads
-                                         if h in DOWNSTREAM[stage]], p.name
+                assert sorted(calls) == [
+                    h for h in heads if h in DOWNSTREAM[stage_of(p)]], p.name
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_a_head_weight_reruns_only_its_affine_and_its_loss(
+            self, monkeypatch, variant, attention):
+        m, emb, gold = self.build(variant, attention)
+        calls = layer_calls(monkeypatch, m)
+        real = L.softmax_cross_entropy
+
+        def counting(logits, target, weights, at_gold=None):
+            calls.append("loss")
+            return real(logits, target, weights, at_gold)
+
+        monkeypatch.setattr(L, "softmax_cross_entropy", counting)
+        heads = ["ad_head", "l2_head"] + ["l3_head"] * (variant == "3L")
+        with ad.no_grad(), ad.reusing():
+            forward(m, emb, gold=gold, mode="train")
+            for head in heads:
+                for p in getattr(m, head).parameters():
+                    calls.clear()
+                    p.version += 1
+                    forward(m, emb, gold=gold, mode="train")
+                    assert calls == [f"affine:{head}", "loss"], p.name
+
+    @pytest.mark.parametrize("variant,attention,part,upstream", [
+        ("2L", True, "att1", "bilstm_forward:l1"),
+        ("3L", True, "att1", "bilstm_forward:l1"),
+        ("3L", True, "att3", "highway:hw")])
+    def test_an_attention_weight_reruns_no_layer_before_it(
+            self, monkeypatch, variant, attention, part, upstream):
+        # The layer whose states the attention reads keeps its output.
+        m, emb, gold = self.build(variant, attention)
+        calls = layer_calls(monkeypatch, m)
+        with ad.no_grad(), ad.reusing():
+            forward(m, emb, gold=gold, mode="train")
+            for p in getattr(m, part).parameters():
+                calls.clear()
+                p.version += 1
+                forward(m, emb, gold=gold, mode="train")
+                assert f"attention:{part}" in calls, p.name
+                assert upstream not in calls, p.name
 
     @pytest.mark.parametrize("variant,attention", PRESETS)
     def test_every_stage_entry_is_a_key_and_its_output(
@@ -770,7 +828,7 @@ class TestStageReuse:
                    m.parameters(), max_coords=2, seed=3)
         (stages,) = kept
         heads = ["ad", "layer2"] + ["layer3"] * (variant == "3L")
-        assert set(stages) == {"trunk", "ad_head", "layer2", *heads[2:]} | {
+        assert set(stages) == set(model_stages(m)) | {
             f"loss.{h}" for h in heads}
         for name, entry in stages.items():
             assert type(entry) is tuple and len(entry) == 2, name
@@ -786,8 +844,7 @@ class TestStageReuse:
         # check reads them: each forward runs every stage (greedy layer
         # 2 makes no layer call) and keeps nothing for reuse.
         m, emb, _ = self.build(variant, attention)
-        stages = [s for s in ("trunk", "ad_head", "layer3")
-                  if s != "layer3" or variant == "3L"]
+        stages = [s for s in model_stages(m) if not s.startswith("layer2")]
         calls = layer_calls(monkeypatch, m)
         with ad.no_grad(), ad.reusing():
             for p in [None] + m.parameters():
@@ -816,8 +873,7 @@ class TestStageReuse:
     def test_with_a_dropout_rng_nothing_is_reused(self, monkeypatch,
                                                    variant, attention):
         m, emb, gold = self.build(variant, attention, dropout=0.3)
-        stages = [s for s in DOWNSTREAM["trunk"]
-                  if s != "layer3" or variant == "3L"]
+        stages = model_stages(m)
         calls = layer_calls(monkeypatch, m)
         rng = np.random.default_rng(0)
         with ad.no_grad(), ad.reusing():
@@ -839,8 +895,28 @@ class TestStageReuse:
         listed = [(s, p) for s, ps in m.stage_params.items() for p in ps]
         assert sorted(p.name for _, p in listed) == sorted(
             p.name for p in m.parameters())
-        assert all(STAGE_OF_PREFIX[p.name.partition(".")[0]] == s
-                   for s, p in listed)
+        assert all(stage_of(p) == s for s, p in listed)
+
+    @pytest.mark.parametrize("variant,attention", PRESETS)
+    def test_forward_names_the_parameter_stages_and_the_losses(
+            self, monkeypatch, variant, attention):
+        # One list of stage names: every parameter's stage is a stage
+        # that forward keys, and every stage forward keys but the losses
+        # has its entry, so none reads a parameter that its key misses.
+        m, emb, gold = self.build(variant, attention)
+        names = []
+        real = model_module._stage
+
+        def recording(model, name, *rest):
+            names.append(name)
+            return real(model, name, *rest)
+
+        monkeypatch.setattr(model_module, "_stage", recording)
+        heads = ["ad", "layer2"] + ["layer3"] * (variant == "3L")
+        with ad.no_grad(), ad.reusing():
+            forward(m, emb, gold=gold, mode="train")
+        assert sorted(names) == sorted(list(m.stage_params) + [
+            f"loss.{h}" for h in heads])
 
     @pytest.mark.parametrize("variant,attention", PRESETS)
     def test_parameters_are_the_stages_sorted_by_name(self, variant,

@@ -29,7 +29,11 @@ line per item:
   `cli.main`: `gen-corpus`'s corpus of 30 sentences and its map, the
   checkpoint and `.history.json` of a 2-epoch 2l_no_att `train --out`
   on that corpus, and the metrics and `.txt` of `eval --ckpt ... --out`
-  of that checkpoint on it with the map.
+  of that checkpoint on it with the map;
+- how often each stage of `model.forward` ran during one
+  `grad_check(max_coords=2)` of each preset on `cli._gradcheck_fixture`'s
+  sentence: a count that does not depend on the host, so a change that
+  reuses stage outputs less, or more, shows here.
 
 An item is "identical", or the line gives its largest absolute and
 relative difference, or how many of its values differ. Comparing two
@@ -69,8 +73,9 @@ def dump(out):
 
     from framecmd import cli
     from framecmd.corpus import label_vocab, make_folds
-    from framecmd.embeddings import random_embeddings
-    from framecmd.model import (build_model, load_checkpoint, predict_many,
+    from framecmd.embeddings import embed_sentence, random_embeddings
+    from framecmd.model import (build_model, forward, gold_labels,
+                                joint_loss, load_checkpoint, predict_many,
                                 save_checkpoint)
     from framecmd.pipeline import (cross_validate, evaluate, metrics_to_dict,
                                    train)
@@ -131,6 +136,17 @@ def dump(out):
         corpus, model_cfg, replace(train_cfg, k=3, epochs=2), table, maps))
     folds = make_folds(corpus, 5, SEED)
     items["folds"] = np.array([folds.assignment[s.id] for s in corpus])
+    gc_vocab, gc_table, sentence = cli._gradcheck_fixture(SEED)
+    embedded = embed_sentence(gc_table, list(sentence.tokens))
+    for preset in PRESETS:
+        model_cfg, _ = cli.build_configs(cli.load_config(preset))
+        model = build_model(replace(model_cfg, embedding_dim=gc_table.dim),
+                            gc_vocab)
+        gold = gold_labels(sentence, gc_vocab, model_cfg.variant)
+        items[f"stage_runs/{preset}"] = np.array(json.dumps(stage_runs(
+            lambda: joint_loss(forward(model, embedded, gold=gold,
+                                       mode="train"), gold),
+            model.parameters()), sort_keys=True))
     for name, argv in GRADCHECK_RUNS.items():
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
@@ -152,6 +168,43 @@ def dump(out):
             items[f"cli_files/{path.name}"] = np.frombuffer(
                 path.read_bytes(), np.uint8)
     np.savez(out, **items)
+
+
+def stage_runs(forward_fn, params):
+    """How often each stage of `model.forward` ran, by name, during one
+    `grad_check(forward_fn, params, max_coords=2)`."""
+    from framecmd import model
+    from framecmd.gradcheck import grad_check
+
+    runs = {}
+    real = model._stage
+
+    # Any arguments `_stage` passes on to `fn` pass through, so that the
+    # count runs on trees whose `_stage` takes them.
+    def counting(m, name, up, fn, *args):
+        def run(*a):
+            runs[name] = runs.get(name, 0) + 1
+            return fn(*a)
+        return real(m, name, up, run, *args)
+
+    model._stage = counting
+    try:
+        grad_check(forward_fn, params, max_coords=2)
+    finally:
+        model._stage = real
+    return runs
+
+
+def _runs(a, b, keys):
+    """The line for stage run counts: identical, or each preset's total
+    runs and stage names in each tree."""
+    if all(str(a[k]) == str(b[k]) for k in keys):
+        return "identical"
+    sides = [[json.loads(str(side[k])) for k in keys] for side in (a, b)]
+    return "; ".join(
+        f"{k.partition('/')[2]} {sum(x.values())} -> {sum(y.values())} runs "
+        f"of {len(x)} -> {len(y)} stages"
+        for k, x, y in zip(keys, *sides))
 
 
 def _numeric(a, b, keys):
@@ -218,6 +271,7 @@ def report(a, b):
         f"checkpoint reloads: {reloads}",
         f"metrics: {_counted(a, b, keys('metrics/'), 'metric sets')}",
         f"CLI files: {_counted(a, b, keys('cli_files/'), 'bytes')}",
+        f"stage runs: {_runs(a, b, keys('stage_runs/'))}",
     ]
 
 
